@@ -1,7 +1,7 @@
 """transportctl: every experiment as a subcommand with a JSON config.
 
 Usage:
-    transportctl <command> --config file.json [--out dir] [--workers N]
+    transportctl <command> --config file.json [--out dir]
 
 Configs are strict: unknown keys are rejected and all defaults are echoed
 back into the outputs. CSV artifacts start with '#' header lines carrying
@@ -21,9 +21,8 @@ import sys
 import numpy as np
 
 from . import dynamics, floquet, limitperiodic, xychain
-from ._parallel import resolve_workers
 from .blockjacobi import BlockSpec, WavePacket, build_operator
-from .errors import ConfigInvalid, GridTooCoarse, NumericsError, SpecError
+from .errors import ConfigInvalid, NumericsError, SpecError
 
 REQUIRED = object()
 
@@ -83,12 +82,6 @@ def _packet(data, m):
 def _xy_spec(resolved):
     return xychain.XYChainSpec(mu=resolved["mu"], gamma=resolved["gamma"],
                                nu=resolved["nu"])
-
-
-def _check_grid(G):
-    if int(G) < floquet.MIN_GRID:
-        raise GridTooCoarse(f"grid size {G} below minimum {floquet.MIN_GRID}")
-    return int(G)
 
 
 def _fmt(x):
@@ -157,11 +150,10 @@ SCHEMAS = {
 }
 
 
-def cmd_bands(resolved, outdir, workers):
+def cmd_bands(resolved, outdir):
     J = _operator(resolved)
-    G = _check_grid(resolved["grid_size"])
-    bs = floquet.band_structure(J, G, gap_tol=float(resolved["gap_tol"]),
-                                workers=workers)
+    G = int(resolved["grid_size"])
+    bs = floquet.band_structure(J, G, gap_tol=float(resolved["gap_tol"]))
     rows = []
     for g, theta in enumerate(bs.thetas):
         for j in range(bs.bands.shape[1]):
@@ -172,16 +164,16 @@ def cmd_bands(resolved, outdir, workers):
     return None
 
 
-def cmd_qnorm(resolved, outdir, workers):
+def cmd_qnorm(resolved, outdir):
     J = _operator(resolved)
-    G = _check_grid(resolved["grid_size"])
-    vm = floquet.velocity_maximum(J, grid_size=G, workers=workers)
+    G = int(resolved["grid_size"])
+    vm = floquet.velocity_maximum(J, grid_size=G)
     payload = {"q_norm": vm.value, "argmax_theta": vm.theta, "argmax_band": vm.band}
     _write_json(os.path.join(outdir, "qnorm.json"), resolved, payload)
     return payload
 
 
-def cmd_evolve(resolved, outdir, workers):
+def cmd_evolve(resolved, outdir):
     J = _operator(resolved)
     psi = _packet(resolved["state"], J.m)
     times = [float(t) for t in resolved["times"]]
@@ -203,7 +195,7 @@ def cmd_evolve(resolved, outdir, workers):
     return None
 
 
-def cmd_exponents(resolved, outdir, workers):
+def cmd_exponents(resolved, outdir):
     J = _operator(resolved)
     psi = _packet(resolved["state"], J.m)
     times = [float(t) for t in resolved["times"]]
@@ -224,11 +216,11 @@ def cmd_exponents(resolved, outdir, workers):
     return payload
 
 
-def cmd_ballistic_check(resolved, outdir, workers):
+def cmd_ballistic_check(resolved, outdir):
     J = _operator(resolved)
     psi = _packet(resolved["state"], J.m)
     times = sorted(float(t) for t in resolved["times"])
-    G = _check_grid(resolved["grid_size"])
+    G = int(resolved["grid_size"])
     half = resolved["half_width"]
     errors = dynamics.check_ballistic_limit(J, psi, times, grid_size=G,
                                             half_width=None if half is None else int(half))
@@ -237,7 +229,7 @@ def cmd_ballistic_check(resolved, outdir, workers):
     return None
 
 
-def cmd_derivative_check(resolved, outdir, workers):
+def cmd_derivative_check(resolved, outdir):
     J = _operator(resolved)
     psi = _packet(resolved["state"], J.m)
     half = resolved["half_width"]
@@ -250,12 +242,12 @@ def cmd_derivative_check(resolved, outdir, workers):
     return payload
 
 
-def cmd_corollary_probe(resolved, outdir, workers):
+def cmd_corollary_probe(resolved, outdir):
     J = _operator(resolved)
     result = dynamics.corollary_probe(J, float(resolved["epsilon"]),
                                       [float(t) for t in resolved["times"]],
                                       int(resolved["K"]),
-                                      grid_size=_check_grid(resolved["grid_size"]))
+                                      grid_size=int(resolved["grid_size"]))
     rows = [(r.time, r.n_star, r.k_star, r.mass, r.threshold_ok)
             for r in result.records]
     _write_csv(os.path.join(outdir, "corollary.csv"), resolved,
@@ -265,7 +257,7 @@ def cmd_corollary_probe(resolved, outdir, workers):
     return payload
 
 
-def cmd_localization(resolved, outdir, workers):
+def cmd_localization(resolved, outdir):
     J = _operator(resolved)
     trunc = J.truncate(int(resolved["half_width"]))
     step = resolved["t_step"]
@@ -285,15 +277,15 @@ def cmd_localization(resolved, outdir, workers):
     return payload
 
 
-def cmd_xy_velocity(resolved, outdir, workers):
+def cmd_xy_velocity(resolved, outdir):
     spec = _xy_spec(resolved)
-    v0 = xychain.lr_velocity_bound(spec, grid_size=_check_grid(resolved["grid_size"]))
+    v0 = xychain.lr_velocity_bound(spec, grid_size=int(resolved["grid_size"]))
     payload = {"v0": v0}
     _write_json(os.path.join(outdir, "xy_velocity.json"), resolved, payload)
     return payload
 
 
-def cmd_xy_verify(resolved, outdir, workers):
+def cmd_xy_verify(resolved, outdir):
     spec = _xy_spec(resolved)
     lo, hi = (int(x) for x in resolved["window"])
     chain = xychain.build_spin_hamiltonian(spec, (lo, hi))
@@ -326,7 +318,7 @@ def cmd_xy_verify(resolved, outdir, workers):
     return payload
 
 
-def cmd_lyapunov(resolved, outdir, workers):
+def cmd_lyapunov(resolved, outdir):
     w = [float(x) for x in resolved["potential"]]
     ns = resolved["n"]
     if not isinstance(ns, list):
@@ -342,9 +334,9 @@ def cmd_lyapunov(resolved, outdir, workers):
     return None
 
 
-def cmd_thouless(resolved, outdir, workers):
+def cmd_thouless(resolved, outdir):
     w = [float(x) for x in resolved["potential"]]
-    G = _check_grid(resolved["grid_size"])
+    G = int(resolved["grid_size"])
     rows = []
     for pair in resolved["points"]:
         z = complex(float(pair[0]), float(pair[1]))
@@ -355,7 +347,7 @@ def cmd_thouless(resolved, outdir, workers):
     return None
 
 
-def cmd_dt_criterion(resolved, outdir, workers):
+def cmd_dt_criterion(resolved, outdir):
     value = limitperiodic.dt_criterion(
         [float(x) for x in resolved["potential"]], float(resolved["coupling"]),
         float(resolved["K"]), float(resolved["T"]), float(resolved["alpha"]),
@@ -366,7 +358,7 @@ def cmd_dt_criterion(resolved, outdir, workers):
     return payload
 
 
-def cmd_stability(resolved, outdir, workers):
+def cmd_stability(resolved, outdir):
     psi = _packet(resolved["state"], 1)
     diff = limitperiodic.perturbation_stability(
         [float(x) for x in resolved["base_potential"]],
@@ -377,7 +369,7 @@ def cmd_stability(resolved, outdir, workers):
     return payload
 
 
-def cmd_generic(resolved, outdir, workers):
+def cmd_generic(resolved, outdir):
     construction = limitperiodic.generic_builder(
         int(resolved["stages"]), float(resolved["p"]), int(resolved["m_env"]),
         seed=int(resolved["seed"]))
@@ -425,7 +417,7 @@ RUNNERS = {
 # cheap precondition checks promoted to the validation phase (exit code 2)
 def _validate_phase(command, resolved):
     if "grid_size" in resolved:
-        _check_grid(resolved["grid_size"])
+        floquet.check_grid(resolved["grid_size"])
     if "operator" in resolved:
         _operator(resolved)
     if command in ("xy-velocity", "xy-verify"):
@@ -456,8 +448,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker cap (default: TRANSPORTCTL_WORKERS or all cores)")
     args = parser.parse_args(argv)
 
     command = args.command
@@ -476,10 +466,9 @@ def main(argv=None) -> int:
         print(_error_json(exc, command), file=sys.stderr)
         return 2
 
-    workers = resolve_workers(args.workers)
     os.makedirs(args.out, exist_ok=True)
     try:
-        payload = RUNNERS[command](resolved, args.out, workers)
+        payload = RUNNERS[command](resolved, args.out)
     except (NumericsError, SpecError, ValueError) as exc:
         print(_error_json(exc, command), file=sys.stderr)
         return 3

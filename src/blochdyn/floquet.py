@@ -16,9 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from ._parallel import parallel_map
 from .blockjacobi import BlockJacobiOperator, WavePacket
 from .errors import GridTooCoarse
 
@@ -28,33 +26,65 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
-# Fibers
+# Grids and fibers
 # ---------------------------------------------------------------------------
 
 
-def fiber_matrices(J: BlockJacobiOperator, theta: float):
+def check_grid(grid_size) -> int:
+    """The grid size as an int; raises GridTooCoarse below MIN_GRID."""
+    G = int(grid_size)
+    if G < MIN_GRID:
+        raise GridTooCoarse(f"grid size {G} below minimum {MIN_GRID}")
+    return G
+
+
+def _theta_grid(G):
+    """The uniform grid 2 pi g / G, g = 0..G-1, of [0, 2pi)."""
+    return 2.0 * np.pi * np.arange(G) / G
+
+
+def fiber_matrices(J: BlockJacobiOperator, theta):
     """Assemble the mq x mq fiber matrices (J_theta, A_theta).
 
-    The coupling of fiber slot k to k+1 carries the block a[k]; the wrap-around
-    slot q-1 -> 0 carries the extra phase e^{i theta}. For q <= 2 the wrap
-    lands on an already occupied entry and the contributions add.
+    The coupling of fiber slot k to k+1 carries the block a[k]; only the
+    wrap-around slot q-1 -> 0 carries a phase. With J_0, A_0 the
+    theta-independent part and C the block a[q-1] at slot (q-1, 0),
+
+        J_theta = J_0 + e^{i theta} C + e^{-i theta} C^*,
+        A_theta = A_0 + i (e^{i theta} C - e^{-i theta} C^*).
+
+    For q <= 2 the wrap lands on an already occupied entry and the
+    contributions add.
+
+    theta broadcasts: a scalar gives two (mq, mq) matrices, an array gives
+    two stacks of shape theta.shape + (mq, mq) whose entries equal the
+    scalar calls bit for bit.
     """
     m, q = J.m, J.q
+    a, b = J.spec.a, J.spec.b
     dim = m * q
-    jf = np.zeros((dim, dim), dtype=complex)
-    af = np.zeros((dim, dim), dtype=complex)
+    j0 = np.zeros((dim, dim), dtype=complex)
+    a0 = np.zeros((dim, dim), dtype=complex)
     for k in range(q):
         sl = slice(k * m, (k + 1) * m)
-        jf[sl, sl] += J.spec.b[k]
-    for k in range(q):
-        kn = (k + 1) % q
-        ph = np.exp(1j * theta) if k == q - 1 else 1.0
-        sl, sr = slice(k * m, (k + 1) * m), slice(kn * m, (kn + 1) * m)
-        blk = J.spec.a[k]
-        jf[sl, sr] += ph * blk
-        jf[sr, sl] += np.conj(ph) * blk.conj().T
-        af[sl, sr] += 1j * ph * blk
-        af[sr, sl] += -1j * np.conj(ph) * blk.conj().T
+        j0[sl, sl] += b[k]
+    for k in range(q - 1):
+        sl, sr = slice(k * m, (k + 1) * m), slice((k + 1) * m, (k + 2) * m)
+        j0[sl, sr] += a[k]
+        j0[sr, sl] += a[k].conj().T
+        a0[sl, sr] += 1j * a[k]
+        a0[sr, sl] += -1j * a[k].conj().T
+
+    theta = np.asarray(theta, dtype=float)
+    ph = np.exp(1j * theta)[..., None, None]
+    jf = np.broadcast_to(j0, theta.shape + j0.shape).copy()
+    af = np.broadcast_to(a0, theta.shape + a0.shape).copy()
+    first, last = slice(0, m), slice(dim - m, dim)
+    c = a[q - 1]
+    jf[..., last, first] += ph * c
+    jf[..., first, last] += np.conj(ph) * c.conj().T
+    af[..., last, first] += 1j * ph * c
+    af[..., first, last] += -1j * np.conj(ph) * c.conj().T
     return jf, af
 
 
@@ -90,24 +120,32 @@ def _clusters(eigenvalues, tol=DEGENERACY_TOL):
     return groups
 
 
-def _fiber_velocity_data(J, theta, tol=DEGENERACY_TOL):
-    """Eigenpairs plus cluster-resolved band velocities at one theta.
+def _fiber_data(J, thetas, tol=DEGENERACY_TOL):
+    """Eigenpairs and cluster-resolved band velocities on a 1-D theta array,
+    from one stacked eigensolve.
 
-    Inside a spectral cluster the raw diagonal <v_j, A v_j> depends on the
-    arbitrary basis returned by the eigensolver; the eigenvalues of the
-    compressed current matrix on the cluster are the analytic band slopes
-    (times q), so those are reported instead.
+    Returns (w, v, compressed, vel, flagged), stacked over theta: ascending
+    eigenvalues, eigenvectors, the current in the eigenbasis v^* A_theta v,
+    the band velocities, and flags for the fibers that hold a spectral
+    cluster (an eigenvalue gap below tol).
+
+    Inside a cluster the raw diagonal <v_j, A v_j> depends on the arbitrary
+    basis returned by the eigensolver; the eigenvalues of the compressed
+    current matrix on the cluster are the analytic band slopes (times q), so
+    those are reported instead. Only the flagged fibers take that path.
     """
-    jf, af = fiber_matrices(J, theta)
+    jf, af = fiber_matrices(J, thetas)
     w, v = np.linalg.eigh(jf)
-    compressed = v.conj().T @ af @ v
-    vel = np.real(np.diag(compressed)).copy()
-    degenerate = False
-    for sl in _clusters(w, tol):
-        if sl.stop - sl.start > 1:
-            degenerate = True
-            vel[sl] = np.sort(np.linalg.eigvalsh(compressed[sl, sl]))
-    return w, v, vel, degenerate
+    del jf
+    compressed = np.swapaxes(v.conj(), -1, -2) @ af @ v
+    del af
+    vel = np.real(np.diagonal(compressed, axis1=-2, axis2=-1)).copy()
+    flagged = ~np.all(np.diff(w, axis=-1) >= tol, axis=-1)
+    for g in np.flatnonzero(flagged):
+        for sl in _clusters(w[g], tol):
+            if sl.stop - sl.start > 1:
+                vel[g, sl] = np.sort(np.linalg.eigvalsh(compressed[g, sl, sl]))
+    return w, v, compressed, vel, flagged
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +187,8 @@ class BandStructure:
 
 
 def _match_order(v_prev, v_next):
+    from scipy.optimize import linear_sum_assignment
+
     overlap = np.abs(v_prev.conj().T @ v_next)
     rows, cols = linear_sum_assignment(-overlap)
     perm = np.empty(len(rows), dtype=int)
@@ -156,34 +196,26 @@ def _match_order(v_prev, v_next):
     return perm
 
 
-def band_structure(J: BlockJacobiOperator, grid_size: int, gap_tol: float = DEGENERACY_TOL,
-                   workers=None) -> BandStructure:
+def band_structure(J: BlockJacobiOperator, grid_size: int,
+                   gap_tol: float = DEGENERACY_TOL) -> BandStructure:
     """Compute matched bands and velocities on a uniform grid of [0, 2pi)."""
-    G = int(grid_size)
-    if G < MIN_GRID:
-        raise GridTooCoarse(f"grid size {G} below minimum {MIN_GRID}")
-    thetas = 2.0 * np.pi * np.arange(G) / G
-    data = parallel_map(lambda th: _fiber_velocity_data(J, th, gap_tol), thetas, workers)
+    G = check_grid(grid_size)
+    thetas = _theta_grid(G)
+    w, v, _, vel, degenerate = _fiber_data(J, thetas, gap_tol)
 
-    nb = J.m * J.q
-    bands = np.empty((G, nb))
-    velocities = np.empty((G, nb))
-    degenerate = np.zeros(G, dtype=bool)
+    bands = np.empty_like(w)
+    velocities = np.empty_like(vel)
     # col_of_label[j] = eigen-column of the current fiber carrying curve j
-    col_of_label = np.arange(nb)
-    vectors_prev = None
-    for g, (w, v, vel, deg) in enumerate(data):
+    col_of_label = np.arange(J.m * J.q)
+    for g in range(G):
         if g > 0:
-            perm = _match_order(vectors_prev, v)
-            col_of_label = perm[col_of_label]
-        bands[g] = w[col_of_label]
-        velocities[g] = vel[col_of_label]
-        degenerate[g] = deg
-        vectors_prev = v
+            col_of_label = _match_order(v[g - 1], v[g])[col_of_label]
+        bands[g] = w[g, col_of_label]
+        velocities[g] = vel[g, col_of_label]
 
     # curve j at the last grid point continues at theta = 2pi into curve
     # closing_permutation[j] of the first grid point
-    closing_permutation = _match_order(vectors_prev, data[0][1])[col_of_label]
+    closing_permutation = _match_order(v[-1], v[0])[col_of_label]
 
     # flagged points: replace velocities by symmetric differences of the
     # matched curves (cyclically, honoring the closing permutation)
@@ -216,26 +248,30 @@ class VelocityMaximum:
     band: int
 
 
-def _max_speed_at(J, theta, tol=DEGENERACY_TOL):
-    w, _, vel, _ = _fiber_velocity_data(J, theta % (2.0 * np.pi), tol)
-    j = int(np.argmax(np.abs(vel)))
-    return float(abs(vel[j])), j
+def _max_speeds(J, thetas):
+    """Per theta of a 1-D array: the largest |band velocity| and its band."""
+    _, _, _, vel, _ = _fiber_data(J, thetas)
+    speeds = np.abs(vel)
+    bands = np.argmax(speeds, axis=-1)
+    return np.take_along_axis(speeds, bands[:, None], axis=-1)[:, 0], bands
+
+
+def _max_speed_at(J, theta):
+    values, bands = _max_speeds(J, [theta % (2.0 * np.pi)])
+    return float(values[0]), int(bands[0])
 
 
 def velocity_maximum(J: BlockJacobiOperator, grid_size: int = 512,
-                     refine_iters: int = 80, workers=None) -> VelocityMaximum:
+                     refine_iters: int = 80) -> VelocityMaximum:
     """Maximal |band velocity|: coarse grid scan plus golden-section refinement
     of the winning bracket."""
-    G = int(grid_size)
-    if G < MIN_GRID:
-        raise GridTooCoarse(f"grid size {G} below minimum {MIN_GRID}")
-    thetas = 2.0 * np.pi * np.arange(G) / G
-    coarse = parallel_map(lambda th: _max_speed_at(J, th), thetas, workers)
-    values = np.array([c[0] for c in coarse])
+    G = check_grid(grid_size)
+    thetas = _theta_grid(G)
+    values, bands = _max_speeds(J, thetas)
     g_star = int(np.argmax(values))
     best_val = float(values[g_star])
     best_theta = float(thetas[g_star])
-    best_band = coarse[g_star][1]
+    best_band = int(bands[g_star])
 
     # golden-section maximization on the bracketing cell around the grid argmax
     h = 2.0 * np.pi / G
@@ -260,10 +296,10 @@ def velocity_maximum(J: BlockJacobiOperator, grid_size: int = 512,
     return VelocityMaximum(value=best_val, theta=best_theta, band=best_band)
 
 
-def q_norm(J: BlockJacobiOperator, grid_size: int = 512, workers=None) -> float:
+def q_norm(J: BlockJacobiOperator, grid_size: int = 512) -> float:
     """Norm of the asymptotic velocity operator: sup over bands and theta of
     |q * dlambda/dtheta|."""
-    return velocity_maximum(J, grid_size=grid_size, workers=workers).value
+    return velocity_maximum(J, grid_size=grid_size).value
 
 
 # ---------------------------------------------------------------------------
@@ -285,29 +321,34 @@ def floquet_transform(J: BlockJacobiOperator, psi: WavePacket, thetas) -> np.nda
 
 def floquet_parseval_check(J: BlockJacobiOperator, psi: WavePacket, grid_size: int) -> float:
     """|trapezoid of ||F psi(theta)||^2 - ||psi||^2| on the uniform grid."""
-    G = int(grid_size)
-    if G < MIN_GRID:
-        raise GridTooCoarse(f"grid size {G} below minimum {MIN_GRID}")
-    thetas = 2.0 * np.pi * np.arange(G) / G
-    hat = floquet_transform(J, psi, thetas)
+    G = check_grid(grid_size)
+    hat = floquet_transform(J, psi, _theta_grid(G))
     quad = float(np.mean(np.sum(np.abs(hat) ** 2, axis=(1, 2))))
     return abs(quad - psi.norm() ** 2)
 
 
-def _velocity_fiber_operator(J, theta, tol=DEGENERACY_TOL, absolute=False):
-    """The fiber of the asymptotic velocity operator at theta: the cluster
-    block-diagonal part of A_theta in the eigenbasis of J_theta."""
-    jf, af = fiber_matrices(J, theta)
-    w, v = np.linalg.eigh(jf)
-    compressed = v.conj().T @ af @ v
-    blocked = np.zeros_like(compressed)
-    for sl in _clusters(w, tol):
-        blk = compressed[sl, sl]
-        if absolute:
-            d, u = np.linalg.eigh(0.5 * (blk + blk.conj().T))
-            blk = u @ (np.abs(d)[:, None] * u.conj().T)
-        blocked[sl, sl] = blk
-    return v @ blocked @ v.conj().T
+def _velocity_fibers_apply(J, thetas, hat, absolute=False):
+    """Apply the fibers of the asymptotic velocity operator (or of its
+    absolute value) to the stacked vectors hat[g] at thetas[g].
+
+    The velocity fiber is the part of A_theta that is block-diagonal with
+    respect to the spectral clusters of J_theta. Off the flagged fibers every
+    cluster is one eigenvector and the fiber is diagonal in the eigenbasis,
+    with the band velocities on the diagonal.
+    """
+    w, v, compressed, vel, flagged = _fiber_data(J, thetas)
+    coords = (np.swapaxes(v.conj(), -1, -2) @ hat[..., None])[..., 0]
+    out = (np.abs(vel) if absolute else vel) * coords
+    for g in np.flatnonzero(flagged):
+        for sl in _clusters(w[g]):
+            if sl.stop - sl.start == 1:
+                continue
+            blk = compressed[g, sl, sl]
+            if absolute:
+                d, u = np.linalg.eigh(0.5 * (blk + blk.conj().T))
+                blk = u @ (np.abs(d)[:, None] * u.conj().T)
+            out[g, sl] = blk @ coords[g, sl]
+    return (v @ out[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -320,13 +361,10 @@ class QApplication:
     tail_mass: float
 
 
-def _apply_q_raw(J, psi, G, absolute=False, workers=None):
-    thetas = 2.0 * np.pi * np.arange(G) / G
+def _apply_q_raw(J, psi, G, absolute=False):
+    thetas = _theta_grid(G)
     hat = floquet_transform(J, psi, thetas).reshape(G, J.q * J.m)
-    fibers = parallel_map(
-        lambda th: _velocity_fiber_operator(J, th, absolute=absolute), thetas, workers
-    )
-    y = np.stack([f @ h for f, h in zip(fibers, hat)]).reshape(G, J.q, J.m)
+    y = _velocity_fibers_apply(J, thetas, hat, absolute).reshape(G, J.q, J.m)
     ls = np.arange(-(G // 2), G - G // 2)
     phases = np.exp(1j * np.outer(ls, thetas)) / G
     coeff = np.einsum("lg,gkm->lkm", phases, y)
@@ -336,7 +374,7 @@ def _apply_q_raw(J, psi, G, absolute=False, workers=None):
 
 
 def apply_q(J: BlockJacobiOperator, psi: WavePacket, grid_size: int = 512,
-            tol: float = 1e-8, coeff_floor: float = 1e-12, workers=None) -> QApplication:
+            tol: float = 1e-8, coeff_floor: float = 1e-12) -> QApplication:
     """Apply the asymptotic velocity operator to a finitely supported packet.
 
     Transforms psi to the fiber grid, multiplies by the velocity fiber, and
@@ -350,8 +388,7 @@ def apply_q(J: BlockJacobiOperator, psi: WavePacket, grid_size: int = 512,
     if grid_size is None:
         G = 512
         while True:
-            res = apply_q(J, psi, grid_size=G, tol=np.inf, coeff_floor=coeff_floor,
-                          workers=workers)
+            res = apply_q(J, psi, grid_size=G, tol=np.inf, coeff_floor=coeff_floor)
             parseval = floquet_parseval_check(J, psi, G)
             if res.quadrature_error < tol and parseval < tol:
                 return res
@@ -360,11 +397,9 @@ def apply_q(J: BlockJacobiOperator, psi: WavePacket, grid_size: int = 512,
                 raise GridTooCoarse(
                     f"velocity-operator quadrature did not reach {tol} by grid 16384"
                 )
-    G = int(grid_size)
-    if G < MIN_GRID:
-        raise GridTooCoarse(f"grid size {G} below minimum {MIN_GRID}")
-    full = _apply_q_raw(J, psi, G, workers=workers)
-    half = _apply_q_raw(J, psi, max(G // 2, 8), workers=workers)  # error estimator only
+    G = check_grid(grid_size)
+    full = _apply_q_raw(J, psi, G)
+    half = _apply_q_raw(J, psi, max(G // 2, 8))  # error estimator only
     err = (full - half).norm()
     packet = full.trimmed(coeff_floor)
     tail = max(full.norm() ** 2 - packet.norm() ** 2, 0.0)
@@ -377,21 +412,10 @@ def apply_q(J: BlockJacobiOperator, psi: WavePacket, grid_size: int = 512,
 
 
 def abs_velocity_expectation(J: BlockJacobiOperator, psi: WavePacket,
-                             grid_size: int = 2048, workers=None) -> float:
+                             grid_size: int = 2048) -> float:
     """<psi, |Q| psi> by fiberwise quadrature, |Q| taken spectrally per fiber."""
-    G = int(grid_size)
-    if G < MIN_GRID:
-        raise GridTooCoarse(f"grid size {G} below minimum {MIN_GRID}")
-    thetas = 2.0 * np.pi * np.arange(G) / G
+    G = check_grid(grid_size)
+    thetas = _theta_grid(G)
     hat = floquet_transform(J, psi, thetas).reshape(G, J.q * J.m)
-    vals = parallel_map(
-        lambda i: float(
-            np.real(
-                hat[i].conj()
-                @ (_velocity_fiber_operator(J, thetas[i], absolute=True) @ hat[i])
-            )
-        ),
-        range(G),
-        workers,
-    )
-    return float(np.mean(vals))
+    qhat = _velocity_fibers_apply(J, thetas, hat, absolute=True)
+    return float(np.mean(np.real(np.sum(hat.conj() * qhat, axis=-1))))

@@ -13,7 +13,7 @@ PERIOD2 = {"m": 1, "q": 2,
 def run(tmp_path, capsys, command, config, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config))
-    code = main([command, "--config", str(path), "--out", str(tmp_path), "--workers", "1"])
+    code = main([command, "--config", str(path), "--out", str(tmp_path)])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -43,6 +43,14 @@ def test_bands_grid_too_coarse_exits_2(tmp_path, capsys):
                          {"operator": FREE_OPERATOR, "grid_size": 8})
     assert code == 2
     assert json.loads(err)["error"] == "GridTooCoarse"
+
+
+def test_workers_flag_is_a_usage_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"operator": FREE_OPERATOR}))
+    with pytest.raises(SystemExit) as exc:
+        main(["qnorm", "--config", str(path), "--out", str(tmp_path), "--workers", "1"])
+    assert exc.value.code == 2
 
 
 def test_bands_csv_output(tmp_path, capsys):

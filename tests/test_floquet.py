@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochdyn import (
     BlockSpec,
@@ -225,6 +227,20 @@ def test_apply_q_grid_too_coarse_reported():
         apply_q(J, WavePacket.delta_scalar(0, 1), grid_size=16, tol=1e-13)
 
 
+def test_degenerate_cluster_velocity_fibers():
+    # the free Laplacian written with period 2: its two bands cross at
+    # theta = pi, a grid point, so the velocity fibers there take the
+    # cluster branch; the operator, and hence Q, is the period-1 one
+    J2 = build_operator(scalar_spec([0.0, 0.0]))
+    assert band_structure(J2, 64).degenerate.any()
+    psi = WavePacket.delta_scalar(0, 1)
+    q2 = apply_q(J2, psi, grid_size=64).packet
+    q1 = apply_q(free_laplacian(), psi, grid_size=64).packet
+    assert np.max(np.abs((q2 - q1).coeffs)) < 1e-12
+    val = abs_velocity_expectation(J2, psi, 8192)
+    assert val == pytest.approx(4.0 / np.pi, abs=1e-6)
+
+
 def test_abs_velocity_expectation_free():
     # (1/2pi) integral of |2 sin| = 4/pi
     val = abs_velocity_expectation(free_laplacian(), WavePacket.delta_scalar(0, 1), 8192)
@@ -252,10 +268,70 @@ def test_parseval_random_support():
     assert res < 1e-8
 
 
-def test_worker_count_does_not_change_results():
+def test_repeat_runs_are_bitwise_identical():
     J = xy_operator(1.0, 0.5, 1.0)
-    b1 = band_structure(J, 64, workers=1)
-    b4 = band_structure(J, 64, workers=4)
-    assert np.array_equal(b1.bands, b4.bands)
-    assert np.array_equal(b1.velocities, b4.velocities)
-    assert q_norm(J, grid_size=64, workers=1) == q_norm(J, grid_size=64, workers=4)
+    b1 = band_structure(J, 64)
+    b2 = band_structure(J, 64)
+    assert np.array_equal(b1.bands, b2.bands)
+    assert np.array_equal(b1.velocities, b2.velocities)
+    assert q_norm(J, grid_size=64) == q_norm(J, grid_size=64)
+
+
+def loop_fiber_matrices(J, theta):
+    """Reference assembler: one slot coupling at a time, the wrap with its phase."""
+    m, q = J.m, J.q
+    jf = np.zeros((m * q, m * q), dtype=complex)
+    af = np.zeros((m * q, m * q), dtype=complex)
+    for k in range(q):
+        sl = slice(k * m, (k + 1) * m)
+        jf[sl, sl] += J.spec.b[k]
+    for k in range(q):
+        kn = (k + 1) % q
+        ph = np.exp(1j * theta) if k == q - 1 else 1.0
+        sl, sr = slice(k * m, (k + 1) * m), slice(kn * m, (kn + 1) * m)
+        blk = J.spec.a[k]
+        jf[sl, sr] += ph * blk
+        jf[sr, sl] += np.conj(ph) * blk.conj().T
+        af[sl, sr] += 1j * ph * blk
+        af[sr, sl] += -1j * np.conj(ph) * blk.conj().T
+    return jf, af
+
+
+@st.composite
+def block_operators(draw):
+    m = draw(st.sampled_from([1, 2]))
+    q = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((q, m, m)) + 1j * rng.standard_normal((q, m, m)) + 3 * np.eye(m)
+    braw = rng.standard_normal((q, m, m)) + 1j * rng.standard_normal((q, m, m))
+    b = 0.5 * (braw + np.conj(np.transpose(braw, (0, 2, 1))))
+    return build_operator(BlockSpec(m=m, q=q, a=a, b=b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(J=block_operators(), seed=st.integers(0, 2**32 - 1))
+def test_fiber_properties(J, seed):
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, (3, 4))
+    jf, af = fiber_matrices(J, thetas)
+    dim = J.m * J.q
+    assert jf.shape == af.shape == (3, 4, dim, dim)
+    # the stack is the per-theta calls and the slot-by-slot assembly,
+    # including q <= 2 where the wrap block adds onto an occupied entry
+    for idx in np.ndindex(thetas.shape):
+        for j1, a1 in (fiber_matrices(J, thetas[idx]), loop_fiber_matrices(J, thetas[idx])):
+            assert np.array_equal(jf[idx], j1) and np.array_equal(af[idx], a1)
+    for mat in (jf, af):
+        assert np.max(np.abs(mat - np.conj(np.swapaxes(mat, -1, -2)))) < 1e-12
+
+    # Hellmann-Feynman: velocities are q * dlambda/dtheta away from crossings
+    G, h = 64, 1e-5
+    bs = band_structure(J, G)
+    scale = 1.0 + np.max(np.abs(bs.velocities))
+    shifted = bs.thetas[:, None] + np.array([-h, 0.0, h])
+    lam = np.linalg.eigvalsh(fiber_matrices(J, shifted)[0])
+    gaps = np.min(np.diff(lam, axis=-1), axis=(-2, -1)) if dim > 1 else np.ones(G)
+    fd = J.q * (lam[:, 2] - lam[:, 0]) / (2.0 * h)
+    for g in np.flatnonzero(gaps > 0.05):
+        order = np.argsort(bs.bands[g])
+        assert np.max(np.abs(bs.velocities[g][order] - fd[g])) < 1e-6 * scale
