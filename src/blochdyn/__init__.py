@@ -2,7 +2,7 @@
 
 Subpackages by concern:
 
-- blockjacobi: operators, wave packets, dense truncations
+- blockjacobi: operators, wave packets, window truncations
 - floquet: Bloch fibers, band structure, the asymptotic velocity operator
 - dynamics: unitary evolution, moments, transport exponents, diagnostics
 - xychain: anisotropic XY spin chain and its free-fermion reduction

@@ -1,4 +1,4 @@
-"""Periodic block Jacobi operators, wave packets, and dense truncations.
+"""Periodic block Jacobi operators, wave packets, and window truncations.
 
 An operator acts on square-summable sequences of complex m-vectors by
 
@@ -18,6 +18,7 @@ delta_n by multiplication with floor(n/m).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,6 +36,8 @@ from .errors import (
 DET_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 MAX_DENSE_DIM = 8192
+MAX_WINDOW_DIM = 2**22
+CHEBYSHEV_TAIL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +320,7 @@ class BlockJacobiOperator:
         return WavePacket(u.base - 1, out).trimmed()
 
     def truncate(self, N) -> "TruncatedOperator":
-        """Dense restriction to block sites [-N, N] with open boundaries."""
+        """Restriction to block sites [-N, N] with open boundaries."""
         return self.truncate_window(-int(N), int(N))
 
     def truncate_window(self, lo, hi) -> "TruncatedOperator":
@@ -342,16 +345,66 @@ def truncate(J: BlockJacobiOperator, N) -> "TruncatedOperator":
 
 
 # ---------------------------------------------------------------------------
-# Dense truncation
+# Window truncation
 # ---------------------------------------------------------------------------
 
 
-class TruncatedOperator:
-    """Dense Hermitian restriction of the operator to a block-site window.
+def _chebyshev_coefficients(x):
+    """c_k = (2 - delta_k0) (-i)^k J_k(x) for k = 0..K, so that
+    exp(-i x y) = sum_k c_k T_k(y) on [-1, 1] up to a tail of at most
+    CHEBYSHEV_TAIL.
 
-    The matrix is the open-boundary (zero-padded) restriction; its spectral
-    decomposition is computed lazily on first use and cached. All state is
-    immutable after construction, so instances are safe to share.
+    K is the last order before the neglected orders' Kapteyn bound
+    |J_k(x)| <= (z exp(sqrt(1 - z^2)) / (1 + sqrt(1 - z^2)))^k, z = |x|/k <= 1
+    (DLMF 10.14.5), doubled and summed, drops below the tail tolerance. The
+    c_k are the Fourier coefficients of theta -> exp(-i x cos theta), read off
+    one FFT of 2(K+1) samples; the orders they alias with all lie in the
+    neglected tail.
+    """
+    ax = abs(float(x))
+    k = np.arange(math.floor(ax) + 1, math.ceil(2.0 * ax) + 60)
+    z = ax / k
+    r = np.sqrt(1.0 - z * z)
+    with np.errstate(divide="ignore"):
+        bound = np.exp(k * (np.log(z) + r - np.log1p(r)))
+    tail = 2.0 * np.cumsum(bound[::-1])[::-1]
+    K = int(k[np.argmax(tail <= CHEBYSHEV_TAIL)]) - 1
+    M = 2 * (K + 1)
+    samples = np.exp(-1j * x * np.cos(2.0 * np.pi * np.arange(M) / M))
+    coef = np.fft.fft(samples)[: K + 1] / M
+    coef[1:] *= 2.0
+    return coef
+
+
+def _block_matvec(diag, upper, lower, v):
+    """Block-tridiagonal product on v of shape (n, m, k).
+
+    diag[j], upper[j] and lower[j] are column j, shaped (n or n-1, m, 1), of
+    the diagonal blocks, the blocks above the diagonal and those below it.
+    """
+    out = diag[0] * v[:, None, 0, :]
+    for j in range(1, v.shape[1]):
+        out += diag[j] * v[:, None, j, :]
+    for j in range(v.shape[1]):
+        out[:-1] += upper[j] * v[1:, None, j, :]
+        out[1:] += lower[j] * v[:-1, None, j, :]
+    return out
+
+
+class TruncatedOperator:
+    """Hermitian open-boundary restriction of the operator to a block-site window.
+
+    The window is stored as its per-site blocks: `diag_blocks[i]` = b(lo + i)
+    and `off_blocks[i]` = a(lo + i), real when the operator is real. The dense
+    matrix and its spectral decomposition are built lazily on first use and
+    cached; both are capped at MAX_DENSE_DIM rows, the block storage at
+    MAX_WINDOW_DIM rows.
+
+    `propagate` has two backends and no switch: it applies the cached
+    spectrum when `eigensystem` has already been computed, and a Chebyshev
+    expansion on the block-tridiagonal matvec otherwise. A caller that spreads
+    one window over many propagations computes `eigensystem` first.
+    All state is immutable after construction, so instances are safe to share.
     """
 
     def __init__(self, operator: BlockJacobiOperator, lo: int, hi: int):
@@ -359,25 +412,22 @@ class TruncatedOperator:
             raise DimensionMismatch(f"empty window [{lo}, {hi}]")
         m = operator.m
         dim = (hi - lo + 1) * m
-        if dim > MAX_DENSE_DIM:
+        if dim > MAX_WINDOW_DIM:
             raise SizeLimitExceeded(
-                f"window [{lo}, {hi}] needs a {dim}x{dim} dense matrix (limit {MAX_DENSE_DIM})"
+                f"window [{lo}, {hi}] has {dim} rows (limit {MAX_WINDOW_DIM})"
             )
         self.operator = operator
         self.window = (lo, hi)
         self.m = m
         self.dim = dim
-        mat = np.zeros((dim, dim), dtype=complex)
-        for i, n in enumerate(range(lo, hi + 1)):
-            sl = slice(i * m, (i + 1) * m)
-            mat[sl, sl] = operator.block_b(n)
-            if n < hi:
-                sr = slice((i + 1) * m, (i + 2) * m)
-                blk = operator.block_a(n)
-                mat[sl, sr] = blk
-                mat[sr, sl] = blk.conj().T
-        mat.setflags(write=False)
-        self.matrix = mat
+        idx = np.arange(lo, hi + 1) % operator.q
+        a, b = operator.spec.a, operator.spec.b
+        if operator.is_real:
+            a, b = a.real, b.real
+        self.diag_blocks = b[idx]
+        self.off_blocks = a[idx[:-1]]
+        self.diag_blocks.setflags(write=False)
+        self.off_blocks.setflags(write=False)
         self.norm_bound = operator.norm_bound
 
     @property
@@ -390,9 +440,32 @@ class TruncatedOperator:
         """Block-site value attached to each scalar row."""
         return np.repeat(self.block_sites, self.m).astype(float)
 
+    def _check_dense(self):
+        if self.dim > MAX_DENSE_DIM:
+            lo, hi = self.window
+            raise SizeLimitExceeded(
+                f"window [{lo}, {hi}] needs a {self.dim}x{self.dim} dense matrix "
+                f"(limit {MAX_DENSE_DIM})"
+            )
+
+    @cached_property
+    def matrix(self):
+        """Dense (dim, dim) complex matrix of the window."""
+        self._check_dense()
+        n, m = len(self.diag_blocks), self.m
+        mat = np.zeros((n, m, n, m), dtype=complex)
+        i = np.arange(n)
+        mat[i, :, i, :] = self.diag_blocks
+        mat[i[:-1], :, i[1:], :] = self.off_blocks
+        mat[i[1:], :, i[:-1], :] = np.conj(np.swapaxes(self.off_blocks, 1, 2))
+        mat = mat.reshape(self.dim, self.dim)
+        mat.setflags(write=False)
+        return mat
+
     @cached_property
     def eigensystem(self):
         """(eigenvalues, eigenvectors) of the dense truncation."""
+        self._check_dense()
         if self.operator.is_real:
             w, u = np.linalg.eigh(self.matrix.real)
         else:
@@ -424,6 +497,40 @@ class TruncatedOperator:
         return WavePacket(lo, coeffs).trimmed(tol)
 
     def propagate(self, vec: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i t J_window) applied to a window vector via the cached spectrum."""
-        w, u = self.eigensystem
-        return u @ (np.exp(-1j * t * w) * (u.conj().T @ vec))
+        """exp(-i t J_window) applied to a (dim,) vector or to the columns of
+        a (dim, k) block.
+
+        Uses the spectral decomposition if `eigensystem` has already been
+        computed, and the Chebyshev expansion otherwise; both are unitary up
+        to roundoff, and the Chebyshev tail is below CHEBYSHEV_TAIL ||vec||.
+        """
+        if "eigensystem" in self.__dict__:
+            w, u = self.eigensystem
+            phases = np.exp(-1j * t * w)
+            if np.ndim(vec) == 2:
+                phases = phases[:, None]
+            return u @ (phases * (u.conj().T @ vec))
+        return self._chebyshev_propagate(vec, t)
+
+    def _chebyshev_propagate(self, vec, t):
+        """sum_k c_k T_k(J / s) vec, s = norm_bound >= ||J_window||, by the
+        three-term recurrence T_{k+1} = 2 (J/s) T_k - T_{k-1}."""
+        coef = _chebyshev_coefficients(self.norm_bound * t)
+        v = np.asarray(vec, dtype=complex)
+        cur = v.reshape(len(self.diag_blocks), self.m, -1)
+        acc = coef[0] * cur
+        if len(coef) > 1:
+            scale = 2.0 / self.norm_bound
+            lower_blocks = np.conj(np.swapaxes(self.off_blocks, 1, 2))
+            diag, upper, lower = (
+                [scale * blocks[:, :, j, None] for j in range(self.m)]
+                for blocks in (self.diag_blocks, self.off_blocks, lower_blocks)
+            )
+            prev, cur = cur, 0.5 * _block_matvec(diag, upper, lower, cur)
+            acc += coef[1] * cur
+            for c in coef[2:]:
+                nxt = _block_matvec(diag, upper, lower, cur)
+                nxt -= prev
+                acc += c * nxt
+                prev, cur = cur, nxt
+        return acc.reshape(v.shape)

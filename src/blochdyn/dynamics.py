@@ -1,11 +1,20 @@
 """Finite-window unitary evolution, moments, and transport diagnostics.
 
-Evolution runs on dense truncations through their cached spectral
-decompositions, with a window margin rule that keeps the light cone away
-from the open boundary: a window admits time t for a packet of support
-radius r only if it extends at least ceil(bound * |t|) + r + MARGIN block
-sites past the support on each side, where bound is the triangle-inequality
-operator norm bound. Samples whose edge mass exceeds TAIL_TOL are rejected.
+Evolution runs on window truncations through `TruncatedOperator.propagate`,
+which has two backends and picks one without a switch: the window's cached
+spectral decomposition if `eigensystem` has already been computed, and a
+Chebyshev expansion on the block-tridiagonal matvec otherwise. Single-time
+evolutions (moments, the ballistic limit, stability, the light-cone probe)
+never diagonalize their window; the derivative identity and the localization
+diagnostic, which spread one window over hundreds of propagations, compute
+`eigensystem` up front. The dense path is capped at MAX_DENSE_DIM rows, the
+window storage at MAX_WINDOW_DIM rows (both in `blockjacobi`).
+
+A window margin rule keeps the light cone away from the open boundary: a
+window admits time t for a packet of support radius r only if it extends at
+least ceil(bound * |t|) + r + MARGIN block sites past the support on each
+side, where bound is the triangle-inequality operator norm bound. Samples
+whose edge mass exceeds TAIL_TOL are rejected.
 """
 
 from __future__ import annotations
@@ -53,8 +62,9 @@ def evolve(trunc: TruncatedOperator, psi: WavePacket, t: float,
            trim: float | None = None) -> WavePacket:
     """psi(t) = exp(-i t J) psi on the truncation window.
 
-    The default trim (1e-12 relative) sits above the eigensolver noise floor,
-    so the returned support tracks the true light cone instead of the window.
+    The default trim (1e-12 relative) sits above the roundoff of either
+    propagation backend and the Chebyshev tail (1e-15 relative), so the
+    returned support tracks the true light cone instead of the window.
     """
     _check_margin(trunc, psi, t)
     vec = trunc.propagate(trunc.embed(psi), t)
@@ -221,13 +231,16 @@ def check_derivative_identity(J: BlockJacobiOperator, psi: WavePacket, T: float,
     if half_width is None:
         half_width = required_half_width(J, psi.support_radius() + 1, T)
     trunc = J.truncate(half_width)
+    # about 2 (quad_steps + 1) propagations share this window: diagonalize once
+    trunc.eigensystem
     vec = trunc.embed(psi)
     x_diag = trunc.position_diagonal
 
     lhs = trunc.propagate(x_diag * trunc.propagate(vec, T), -T) - x_diag * vec
 
-    # current operator as a dense window matrix: A = i [J, X]
-    a_mat = 1j * (trunc.matrix @ np.diag(x_diag) - np.diag(x_diag) @ trunc.matrix)
+    # current operator as a dense window matrix: A = i [J, X], entrywise
+    # A_jk = i J_jk (x_k - x_j)
+    a_mat = 1j * trunc.matrix * (x_diag[None, :] - x_diag[:, None])
     ts = np.linspace(0.0, T, steps + 1)
     weights = np.ones(steps + 1)
     weights[1:-1:2] = 4.0
@@ -283,6 +296,9 @@ def corollary_probe(J: BlockJacobiOperator, epsilon: float, t_grid, K: int,
     lo, hi = trunc.window
 
     scalar_lo = lo * m
+    # the 2K+1 sources delta_k, |k| <= K, as the columns of one block
+    sources = np.zeros((trunc.dim, 2 * K + 1), dtype=complex)
+    sources[np.arange(-K, K + 1) - scalar_lo, np.arange(2 * K + 1)] = 1.0
     rows = []
     for T in t_grid:
         nmin = int(math.ceil(m * max(v0 - epsilon, 0.0) * T))
@@ -292,15 +308,11 @@ def corollary_probe(J: BlockJacobiOperator, epsilon: float, t_grid, K: int,
         idx = shell - scalar_lo
         keep = (idx >= 0) & (idx < trunc.dim)
         shell, idx = shell[keep], idx[keep]
-        best = (-1.0, 0, 0)
-        for k in range(-K, K + 1):
-            psi_k = WavePacket.delta_scalar(k, m)
-            pt = trunc.propagate(trunc.embed(psi_k), T)
-            vals = np.abs(pt[idx]) ** 2
-            j = int(np.argmax(vals))
-            if vals[j] > best[0]:
-                best = (float(vals[j]), int(shell[j]), k)
-        rows.append((float(T), best[1], best[2], best[0]))
+        vals = np.abs(trunc.propagate(sources, T)[idx]) ** 2
+        # first source, then first shell index, reaching the largest mass
+        col = int(np.argmax(np.max(vals, axis=0)))
+        row = int(np.argmax(vals[:, col]))
+        rows.append((float(T), int(shell[row]), col - K, float(vals[row, col])))
 
     masses = np.array([r[3] for r in rows])
     ts = np.array([r[0] for r in rows])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochdyn import (
     BlockSpec,
@@ -9,6 +11,12 @@ from blochdyn import (
     build_operator,
     scalar_spec,
     truncate,
+)
+from blochdyn.blockjacobi import (
+    CHEBYSHEV_TAIL,
+    MAX_DENSE_DIM,
+    MAX_WINDOW_DIM,
+    _chebyshev_coefficients,
 )
 from blochdyn.errors import (
     DimensionMismatch,
@@ -184,8 +192,58 @@ def test_truncation_interior_matches_apply():
 
 def test_truncate_size_guard():
     J = free_laplacian()
+    # the window itself is stored as blocks; only the dense path is capped
+    tr = J.truncate(5000)
+    assert tr.dim == 10001 > MAX_DENSE_DIM
     with pytest.raises(SizeLimitExceeded):
-        J.truncate(5000)
+        tr.eigensystem
+    with pytest.raises(SizeLimitExceeded):
+        tr.matrix
+    with pytest.raises(SizeLimitExceeded):
+        J.truncate(MAX_WINDOW_DIM // 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([1, 2, 3]), q=st.integers(1, 4), lo=st.integers(-6, 0),
+       width=st.integers(1, 20), t=st.floats(-8.0, 8.0), k=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_chebyshev_matches_spectral(m, q, lo, width, t, k, seed):
+    rng = np.random.default_rng(seed)
+    J = build_operator(random_spec(rng, m, q))
+    cheb = J.truncate_window(lo, lo + width - 1)
+    spectral = J.truncate_window(lo, lo + width - 1)
+    spectral.eigensystem
+    block = rng.standard_normal((cheb.dim, k)) + 1j * rng.standard_normal((cheb.dim, k))
+    block /= np.linalg.norm(block, axis=0)
+    vec = block[:, 0]
+
+    for v in (vec, block):
+        out = cheb.propagate(v, t)
+        assert out.shape == v.shape
+        assert np.max(np.abs(out - spectral.propagate(v, t))) < 1e-10
+        assert np.max(np.abs(np.linalg.norm(out, axis=0) - 1.0)) < 1e-12
+        assert np.max(np.abs(cheb.propagate(out, -t) - v)) < 1e-12
+        assert np.array_equal(cheb.propagate(v, 0.0), v)
+    # the spectral route is the reference; Chebyshev never diagonalizes
+    assert "eigensystem" not in cheb.__dict__
+
+
+def test_chebyshev_tail_and_coefficients():
+    from scipy.special import jv
+
+    for x in (0.0, 1e-3, 0.7, 12.0, -75.0, 1200.0):
+        coef = _chebyshev_coefficients(x)
+        K = len(coef) - 1
+        ks = np.arange(K + 1)
+        ref = (-1j) ** ks * jv(ks, x) * np.where(ks > 0, 2.0, 1.0)
+        assert np.max(np.abs(coef - ref)) < 1e-12
+        # the neglected tail is below the tolerance, and the bound behind K
+        # costs at most a few orders over the smallest adequate K
+        orders = np.arange(int(2 * abs(x)) + 200)
+        tails = 2.0 * np.cumsum(np.abs(jv(orders, x))[::-1])[::-1]
+        assert tails[K + 1] < CHEBYSHEV_TAIL
+        k_min = int(np.argmax(tails <= CHEBYSHEV_TAIL)) - 1
+        assert K <= k_min + 3 + 0.01 * abs(x)
 
 
 def test_embed_rejects_outside_support():

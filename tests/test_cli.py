@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import blochdyn
 from blochdyn.cli import main
 
 FREE_OPERATOR = {"m": 1, "q": 1, "a": [[[1.0, 0.0]]], "b": [[[0.0, 0.0]]]}
@@ -212,3 +216,15 @@ def test_derivative_cmd(tmp_path, capsys):
     code, out, _ = run(tmp_path, capsys, "derivative-check", cfg)
     assert code == 0
     assert json.loads(out)["residual"] < 1e-6
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported inside the functions that need it, so starting a
+    # command does not pay for it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blochdyn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, blochdyn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

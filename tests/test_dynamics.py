@@ -1,10 +1,13 @@
+import json
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from blochdyn import (
     BlockSpec,
+    TruncatedOperator,
     WavePacket,
     build_operator,
     check_ballistic_limit,
@@ -18,7 +21,10 @@ from blochdyn import (
     scalar_spec,
     transport_exponents,
 )
+from blochdyn.blockjacobi import MAX_DENSE_DIM
+from blochdyn.cli import main
 from blochdyn.errors import SupportOutsideWindow, WindowTooSmall
+from blochdyn.limitperiodic import perturbation_stability
 
 
 def free_laplacian():
@@ -74,6 +80,35 @@ def test_evolve_unitary_and_reversible():
         assert abs(pt.norm() - 1.0) < 1e-10
         back = evolve(trunc, pt, -t)
         assert (back - psi).norm() < 1e-10
+
+
+def test_evolve_free_beyond_dense_ceiling(tmp_path, capsys):
+    # psi(t)_n = (-i)^|n| J_|n|(2t); the window is past the dense ceiling, so
+    # only the Chebyshev backend can evolve it. The default margin
+    # ceil(2t) + 20 leaves amplitudes ~1e-3 at this t's window edge, so the
+    # window gets 200 more sites.
+    from scipy.special import jv
+
+    t = 2500.0
+    half = 5200
+    trunc = free_laplacian().truncate(half)
+    assert trunc.dim > MAX_DENSE_DIM
+    out = evolve(trunc, WavePacket.delta_scalar(0, 1), t)
+    n = np.abs(out.sites)
+    exact = (-1j) ** n * jv(n, 2.0 * t)
+    assert np.max(np.abs(out.coeffs[:, 0] - exact)) < 1e-10
+    assert abs(out.norm() - 1.0) < 1e-12
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "operator": {"m": 1, "q": 1, "a": [[[1.0, 0.0]]], "b": [[[0.0, 0.0]]]},
+        "state": {"delta_scalar": 0}, "times": [t], "half_width": half}))
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "evolve.csv").read_text().splitlines()[3:]
+    sites = np.array([int(r.split(",")[1]) for r in rows])
+    amps = np.array([complex(float(r.split(",")[3]), float(r.split(",")[4])) for r in rows])
+    assert np.max(np.abs(amps - (-1j) ** np.abs(sites) * jv(np.abs(sites), 2.0 * t))) < 1e-10
 
 
 def test_evolve_window_guards():
@@ -241,3 +276,55 @@ def test_localization_grid_guard():
     trunc = J.truncate(30)
     with pytest.raises(ValueError):
         localization_diagnostic(trunc, [(0, 2)], np.arange(0.0, 10.0, 2.0))
+
+
+# --- backend choice ----------------------------------------------------------------
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """(windows built, windows diagonalized, once per eigensolve) during a test."""
+    built, solved = [], []
+    init = TruncatedOperator.__init__
+    solve = TruncatedOperator.eigensystem.func
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def counting_solve(self):
+        solved.append(self)
+        return solve(self)
+
+    counted = cached_property(counting_solve)
+    counted.__set_name__(TruncatedOperator, "eigensystem")
+    monkeypatch.setattr(TruncatedOperator, "__init__", recording_init)
+    monkeypatch.setattr(TruncatedOperator, "eigensystem", counted)
+    return built, solved
+
+
+def test_single_time_evolutions_never_diagonalize(windows, tmp_path, capsys):
+    built, solved = windows
+    psi = WavePacket.delta_scalar(0, 1)
+    moment_trajectory(period2(1.0), psi, 2.0, [5.0, 10.0])
+    check_ballistic_limit(period2(1.0), psi, [20.0, 40.0], grid_size=512)
+    perturbation_stability([0.5, -0.5], [0.5, -0.4], psi, 5.0, 2.0, 1)
+    corollary_probe(free_laplacian(), 0.5, [5.0, 10.0], 2, grid_size=64)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "operator": {"m": 1, "q": 1, "a": [[[1.0, 0.0]]], "b": [[[0.0, 0.0]]]},
+        "state": {"delta_scalar": 0}, "times": [3.0, 6.0]}))
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(built) == 6
+    assert solved == []
+    assert not any("eigensystem" in w.__dict__ for w in built)
+
+
+def test_many_time_diagnostics_diagonalize_once(windows):
+    built, solved = windows
+    check_derivative_identity(period2(1.0), WavePacket.delta_scalar(0, 1), 1.0, 64)
+    assert len(built) == 1 and solved == built
+    trunc = period2(1.0).truncate(30)
+    localization_diagnostic(trunc, [(0, 4), (0, 8)], np.arange(0.0, 5.0, 0.1))
+    assert solved == [built[0], trunc]
