@@ -6,8 +6,9 @@ Usage:
 Configs are strict: unknown keys are rejected and all defaults are echoed
 back into the outputs. CSV artifacts start with '#' header lines carrying
 the resolved config; JSON artifacts embed it under a "config" key. Exit
-codes: 0 success, 2 config/validation error, 3 numerical failure. Errors
-are reported as a single JSON object on stderr.
+codes: 0 success, 2 config/validation error, 3 numerical failure (or any
+other error at run time). Errors are reported as a single JSON object on
+stderr, never as a traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import dynamics, floquet, limitperiodic, xychain
 from .blockjacobi import BlockSpec, WavePacket, build_operator
-from .errors import ConfigInvalid, NumericsError, SpecError
+from .errors import ConfigInvalid
 
 REQUIRED = object()
 
@@ -60,20 +61,40 @@ def _operator(resolved, key="operator"):
     return build_operator(BlockSpec.from_json_dict(data))
 
 
+def _integer(data, key, default=None):
+    value = data.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigInvalid(f"state '{key}' must be an integer, got {value!r}")
+    return value
+
+
+def _number_pair(z, what):
+    """complex(re, im) from a [re, im] pair of JSON numbers."""
+    if (isinstance(z, list) and len(z) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in z)):
+        return complex(z[0], z[1])
+    raise ConfigInvalid(f"{what} must be [re, im] pairs of numbers, got {z!r}")
+
+
 def _packet(data, m):
     if not isinstance(data, dict):
         raise ConfigInvalid("'state' must be a JSON object")
     if "delta_scalar" in data:
-        return WavePacket.delta_scalar(int(data["delta_scalar"]), m)
+        return WavePacket.delta_scalar(_integer(data, "delta_scalar"), m)
     if "delta_block" in data:
-        return WavePacket.delta_block(int(data["delta_block"]),
-                                      int(data.get("component", 0)), m)
+        component = _integer(data, "component", 0)
+        if not 0 <= component < m:
+            raise ConfigInvalid(f"state component must lie in [0, {m - 1}], got {component}")
+        return WavePacket.delta_block(_integer(data, "delta_block"), component, m)
     if "base" in data and "coeffs" in data:
-        coeffs = [[complex(re, im) for re, im in block] for block in data["coeffs"]]
-        arr = np.array(coeffs, dtype=complex)
-        if arr.ndim != 2 or arr.shape[1] != m:
-            raise ConfigInvalid(f"state coeffs must be blocks of {m} [re, im] pairs")
-        return WavePacket(int(data["base"]), arr)
+        coeffs = data["coeffs"]
+        if not (isinstance(coeffs, list) and coeffs
+                and all(isinstance(block, list) and len(block) == m for block in coeffs)):
+            raise ConfigInvalid(f"state coeffs must be a nonempty list of blocks of {m} "
+                                "[re, im] pairs")
+        arr = np.array([[_number_pair(z, "state coeffs") for z in block] for block in coeffs],
+                       dtype=complex)
+        return WavePacket(_integer(data, "base"), arr)
     raise ConfigInvalid(
         "state needs 'delta_scalar', 'delta_block', or 'base' + 'coeffs'"
     )
@@ -325,7 +346,7 @@ def cmd_lyapunov(resolved, outdir):
         ns = [ns]
     rows = []
     for pair in resolved["energies"]:
-        E = complex(float(pair[0]), float(pair[1]))
+        E = _number_pair(pair, "energies")
         for n in ns:
             L = limitperiodic.finite_lyapunov(int(n), E, w, periodic=True)
             rows.append((E.real, E.imag, int(n), L))
@@ -339,7 +360,7 @@ def cmd_thouless(resolved, outdir):
     G = int(resolved["grid_size"])
     rows = []
     for pair in resolved["points"]:
-        z = complex(float(pair[0]), float(pair[1]))
+        z = _number_pair(pair, "points")
         res = limitperiodic.thouless_check(len(w), z, w, grid_size=G)
         rows.append((z.real, z.imag, res.lhs, res.rhs, res.gap))
     _write_csv(os.path.join(outdir, "thouless.csv"), resolved,
@@ -419,7 +440,15 @@ def _validate_phase(command, resolved):
     if "grid_size" in resolved:
         floquet.check_grid(resolved["grid_size"])
     if "operator" in resolved:
-        _operator(resolved)
+        J = _operator(resolved)
+    if "state" in resolved:
+        _packet(resolved["state"], J.m if "operator" in resolved else 1)
+    for key in ("energies", "points"):
+        if key in resolved:
+            if not isinstance(resolved[key], list):
+                raise ConfigInvalid(f"'{key}' must be a list of [re, im] pairs")
+            for z in resolved[key]:
+                _number_pair(z, key)
     if command in ("xy-velocity", "xy-verify"):
         _xy_spec(resolved)
     if command == "xy-verify":
@@ -469,7 +498,7 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     try:
         payload = RUNNERS[command](resolved, args.out)
-    except (NumericsError, SpecError, ValueError) as exc:
+    except Exception as exc:  # numerical failures and anything unforeseen
         print(_error_json(exc, command), file=sys.stderr)
         return 3
     if payload is not None:

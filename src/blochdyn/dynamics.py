@@ -201,11 +201,15 @@ def check_ballistic_limit(J: BlockJacobiOperator, psi: WavePacket, times,
     times = np.asarray(sorted(times), dtype=float)
     if np.any(times <= 0):
         raise ValueError("ballistic-limit times must be positive")
+    q_psi = apply_q(J, psi, grid_size=grid_size).packet
     if half_width is None:
-        half_width = required_half_width(J, psi.support_radius(), 1.15 * times[-1])
+        # the window must also hold Q psi, whose trimmed support can reach
+        # past the light cone of psi at short times
+        half_width = max(required_half_width(J, psi.support_radius(), 1.15 * times[-1]),
+                         q_psi.support_radius())
     trunc = J.truncate(half_width)
     _check_margin(trunc, psi, times[-1])
-    qvec = trunc.embed(apply_q(J, psi, grid_size=grid_size).packet)
+    qvec = trunc.embed(q_psi)
     vec = trunc.embed(psi)
     x_diag = trunc.position_diagonal
     errors = []

@@ -102,6 +102,55 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
     assert json.loads(err)["error"] == "WindowTooSmall"
 
 
+def _one_json_error(err):
+    lines = err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("state", [
+    {"base": 0, "coeffs": [[1]]},
+    {"base": 0, "coeffs": [[[1.0, 0.0], [0.0, 1.0]]]},
+    {"base": 0, "coeffs": [[["1", 0.0]]]},
+    {"base": 0, "coeffs": []},
+])
+def test_bad_state_coeffs_exit_2(tmp_path, capsys, state):
+    cfg = {"operator": FREE_OPERATOR, "state": state, "times": [1.0]}
+    code, _, err = run(tmp_path, capsys, "evolve", cfg)
+    assert code == 2
+    assert _one_json_error(err)["error"] == "ConfigInvalid"
+
+
+@pytest.mark.parametrize("state", [{"delta_scalar": "x"}, {"delta_scalar": 1.5},
+                                   {"delta_block": "0"}, {"delta_block": 0, "component": 1}])
+def test_bad_state_integers_exit_2(tmp_path, capsys, state):
+    cfg = {"operator": FREE_OPERATOR, "state": state, "times": [1.0]}
+    code, _, err = run(tmp_path, capsys, "evolve", cfg)
+    assert code == 2
+    assert _one_json_error(err)["error"] == "ConfigInvalid"
+
+
+@pytest.mark.parametrize("energies", [[1.0], [[1.0]], [[1.0, "0"]], 1.0])
+def test_bad_energies_exit_2(tmp_path, capsys, energies):
+    cfg = {"potential": [0.0], "energies": energies, "n": 10}
+    code, _, err = run(tmp_path, capsys, "lyapunov", cfg)
+    assert code == 2
+    assert _one_json_error(err)["error"] == "ConfigInvalid"
+
+
+def test_unforeseen_runtime_error_exits_3(tmp_path, capsys, monkeypatch):
+    import blochdyn.cli as cli
+
+    def broken(resolved, outdir):
+        raise TypeError("unforeseen")
+
+    monkeypatch.setitem(cli.RUNNERS, "qnorm", broken)
+    code, _, err = run(tmp_path, capsys, "qnorm", {"operator": FREE_OPERATOR})
+    assert code == 3
+    assert _one_json_error(err) == {"command": "qnorm", "error": "TypeError",
+                                    "message": "unforeseen"}
+
+
 def test_evolve_csv(tmp_path, capsys):
     cfg = {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0}, "times": [0.5]}
     code, _, _ = run(tmp_path, capsys, "evolve", cfg)

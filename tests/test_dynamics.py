@@ -195,6 +195,20 @@ def test_ballistic_limit_period2_decreasing():
     assert errs[1] < errs[0]
 
 
+def test_ballistic_limit_window_holds_q_psi(windows):
+    # at short times the trimmed Q psi (support [-57, 57] here) reaches past
+    # the light-cone window of delta_0 ([-55, 55]); at long times the window
+    # is the light-cone one
+    built, _ = windows
+    J, psi = period2(1.0), WavePacket.delta_scalar(0, 1)
+    errs = check_ballistic_limit(J, psi, [5.0, 10.0], grid_size=512)
+    assert errs.shape == (2,) and np.all(np.isfinite(errs))
+    assert built[-1].window[1] > required_half_width(J, 0, 1.15 * 10.0)
+    check_ballistic_limit(J, psi, [50.0, 100.0, 150.0, 200.0], grid_size=1024)
+    assert built[-1].window == (-required_half_width(J, 0, 1.15 * 200.0),
+                                required_half_width(J, 0, 1.15 * 200.0))
+
+
 # --- derivative identity ----------------------------------------------------------
 
 

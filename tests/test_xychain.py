@@ -1,8 +1,17 @@
+import json
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blochdyn import xychain
+from blochdyn.cli import main
 from blochdyn.errors import ChainTooLong, DimensionMismatch, InvalidSpec
 from blochdyn.xychain import (
+    LOWER,
+    RAISE,
     SX,
     SY,
     SZ,
@@ -320,3 +329,142 @@ def test_light_cone_speed_matches_velocity_bound():
     times = np.array(list(crossings.values()))
     speed = np.polyfit(times, dists, 1)[0]
     assert speed >= 0.8 * v0
+
+
+# --- parity sectors against the site-basis reference ---------------------------------
+
+
+def _kron_site(n, i, mat, string=False):
+    """mat on local site i of n (with the sigma^z string left of it)."""
+    return reduce(np.kron, [SZ if string and k < i else mat if k == i else np.eye(2)
+                            for k in range(n)])
+
+
+def _reference_hamiltonian(spec, lo, hi):
+    n = hi - lo + 1
+    H = _kron_site(n, 0, spec.nu_at(lo) * SZ)
+    for i in range(1, n):
+        H = H + _kron_site(n, i, spec.nu_at(lo + i) * SZ)
+    for i in range(n - 1):
+        mu, g = spec.mu_at(lo + i), spec.gamma_at(lo + i)
+        for pauli, weight in ((SX, 1.0 + g), (SY, 1.0 - g)):
+            H = H + mu * weight * _kron_site(n, i, pauli) @ _kron_site(n, i + 1, pauli)
+    return H
+
+
+class _Reference:
+    """Site-basis route: one eigensolve of the full H, four dense products per
+    Heisenberg evolution, a full SVD per norm."""
+
+    def __init__(self, spec, lo, hi):
+        self.w, self.u = np.linalg.eigh(_reference_hamiltonian(spec, lo, hi))
+        M = single_particle_window(spec, (lo, hi))
+        self.mw, self.mu = np.linalg.eigh(M)
+
+    def heisenberg(self, A, t):
+        core = self.u.conj().T @ A @ self.u
+        phased = np.exp(1j * t * self.w)[:, None] * core * np.exp(-1j * t * self.w)[None, :]
+        return self.u @ phased @ self.u.conj().T
+
+    def commutator_norm(self, A, B, t):
+        tau = self.heisenberg(A, t)
+        return np.linalg.norm(tau @ B - B @ tau, 2)
+
+    def propagator(self, t):
+        return self.mu @ (np.exp(-1j * t * self.mw)[:, None] * self.mu.conj().T)
+
+
+def _close(value, ref):
+    assert abs(value - ref) <= 1e-12 + 1e-10 * abs(ref), (value, ref)
+
+
+_COUPLING = st.floats(0.2, 1.5).flatmap(lambda x: st.sampled_from([x, -x]))
+_ANISOTROPY = st.floats(-2.0, 2.0).filter(lambda g: abs(abs(g) - 1.0) > 0.05)
+_FIELD = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=st.lists(_COUPLING, min_size=1, max_size=3),
+       gamma=st.lists(_ANISOTROPY, min_size=1, max_size=3),
+       nu=st.lists(_FIELD, min_size=1, max_size=3),
+       lo=st.integers(-3, 3), n=st.integers(2, 6), t=st.floats(0.0, 3.0),
+       data=st.data())
+def test_sector_route_matches_site_basis(mu, gamma, nu, lo, n, t, data):
+    spec = XYChainSpec(mu=mu, gamma=gamma, nu=nu)
+    hi = lo + n - 1
+    l = data.draw(st.integers(lo, hi - 1))
+    r = data.draw(st.integers(l + 1, hi))
+    chain = build_spin_hamiltonian(spec, (lo, hi))
+    ref = _Reference(spec, lo, hi)
+    assert np.max(np.abs(chain.hamiltonian - _reference_hamiltonian(spec, lo, hi))) < 1e-12
+    for j in (l, r):
+        i = j - lo
+        assert np.array_equal(chain.jw_annihilator(j), _kron_site(n, i, LOWER, string=True))
+        assert np.array_equal(chain.jw_creator(j), _kron_site(n, i, RAISE, string=True))
+        for axis, pauli in (("x", SX), ("y", SY), ("z", SZ)):
+            assert np.array_equal(chain.sigma(j, axis), _kron_site(n, i, pauli))
+
+    mt = ref.propagator(t)
+    row = {(j, dag): 2 * (j - lo) + dag for j in (l, r) for dag in (0, 1)}
+    # case -> (B raising?, A = c_l^*?, entry column a creator row?)
+    cases = {1: (True, 0, 0), 2: (False, 0, 1), 3: (False, 1, 1), 4: (True, 1, 0)}
+    for case, (b_raising, l_dag, r_dag) in cases.items():
+        A = _kron_site(n, l - lo, RAISE if l_dag else LOWER, string=True)
+        B = _kron_site(n, r - lo, RAISE if b_raising else LOWER)
+        chk = propagation_lower_bound(chain, spec, l, r, t, case)
+        _close(chk.commutator, ref.commutator_norm(A, B, t))
+        _close(chk.entry_abs, abs(mt[row[l, l_dag], row[r, r_dag]]))
+
+    A = _kron_site(n, l - lo, LOWER)
+    tail = np.sum(np.abs(mt[: row[l, 0] + 1, row[r, 0]:]))
+    # sigma^x, sigma^+, and one B of norm != 1 without definite parity
+    for mat in (SX, RAISE, 1.5 * SX + 0.5 * SZ):
+        B = _kron_site(n, r - lo, mat)
+        chk = propagation_upper_bound(chain, spec, l, r, t, B=B)
+        _close(chk.lhs, ref.commutator_norm(A, B, t))
+        _close(chk.rhs, 8.0 * np.linalg.norm(B, 2) * tail)
+    default = propagation_upper_bound(chain, spec, l, r, t)
+    _close(default.lhs, ref.commutator_norm(A, _kron_site(n, r - lo, SX), t))
+    _close(default.rhs, 8.0 * tail)
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    A, B = rng.standard_normal((2, chain.dim, chain.dim)) + 1j * rng.standard_normal(
+        (2, chain.dim, chain.dim))
+    _close(commutator_norm(chain, A, B, t), ref.commutator_norm(A, B, t))
+    assert np.max(np.abs(chain.heisenberg(A, t) - ref.heisenberg(A, t))) < 1e-10
+
+    assert free_fermion_residual(chain, spec, l, t) < 1e-8
+    if t >= 0.5:
+        # the check sees a propagator that is off by 0.01 in time
+        assert xychain._free_fermion_residual(chain, ref.propagator(t + 0.01), l, t) > 1e-4
+
+
+@pytest.mark.parametrize("pairs, times, cases", [
+    ([[1, 4], [0, 5]], [0.5, 1.0, 2.0], [1, 2, 3, 4]),
+    ([[2, 3]], [1.0], [3]),
+])
+def test_xy_verify_eigensolves(tmp_path, capsys, monkeypatch, pairs, times, cases):
+    # two spin sectors and one free-fermion window, whatever the check count
+    solves, windows = [], []
+    eigh, window = np.linalg.eigh, xychain.single_particle_window
+
+    def counting_eigh(a, *args, **kwargs):
+        solves.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def counting_window(*args):
+        windows.append(args)
+        return window(*args)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(xychain, "single_particle_window", counting_window)
+    cfg = tmp_path / "xy.json"
+    cfg.write_text(json.dumps({"mu": [1.0, 0.7], "gamma": [0.5, 0.2, -0.3], "nu": [0.4],
+                               "window": [0, 6], "pairs": pairs, "times": times,
+                               "cases": cases}))
+    assert main(["xy-verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"all_ok": True,
+                       "checks": len(pairs) * len(times) * (2 + len(cases))}
+    assert sorted(solves) == [(14, 14), (64, 64), (64, 64)]
+    assert len(windows) == 1
