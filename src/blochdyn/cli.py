@@ -63,15 +63,26 @@ def _operator(resolved, key="operator"):
 
 def _integer(data, key, default=None):
     value = data.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_integer(value):
         raise ConfigInvalid(f"state '{key}' must be an integer, got {value!r}")
     return value
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_integer(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_positive_integer(x):
+    return _is_integer(x) and x >= 1
+
+
 def _number_pair(z, what):
     """complex(re, im) from a [re, im] pair of JSON numbers."""
-    if (isinstance(z, list) and len(z) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in z)):
+    if isinstance(z, list) and len(z) == 2 and all(_is_number(x) for x in z):
         return complex(z[0], z[1])
     raise ConfigInvalid(f"{what} must be [re, im] pairs of numbers, got {z!r}")
 
@@ -344,12 +355,10 @@ def cmd_lyapunov(resolved, outdir):
     ns = resolved["n"]
     if not isinstance(ns, list):
         ns = [ns]
-    rows = []
-    for pair in resolved["energies"]:
-        E = _number_pair(pair, "energies")
-        for n in ns:
-            L = limitperiodic.finite_lyapunov(int(n), E, w, periodic=True)
-            rows.append((E.real, E.imag, int(n), L))
+    energies = np.array([_number_pair(pair, "energies") for pair in resolved["energies"]])
+    exponents = [limitperiodic.finite_lyapunov(n, energies, w, periodic=True) for n in ns]
+    rows = [(E.real, E.imag, n, L[i])
+            for i, E in enumerate(energies) for n, L in zip(ns, exponents)]
     _write_csv(os.path.join(outdir, "lyapunov.csv"), resolved,
                ["E_re", "E_im", "n", "L"], rows)
     return None
@@ -443,18 +452,48 @@ def _validate_phase(command, resolved):
         J = _operator(resolved)
     if "state" in resolved:
         _packet(resolved["state"], J.m if "operator" in resolved else 1)
+    for key in ("potential", "base_potential", "perturbed_potential"):
+        if key in resolved:
+            w = resolved[key]
+            if not (isinstance(w, list) and w and all(_is_number(x) for x in w)):
+                raise ConfigInvalid(f"'{key}' must be a nonempty list of numbers, got {w!r}")
     for key in ("energies", "points"):
         if key in resolved:
             if not isinstance(resolved[key], list):
                 raise ConfigInvalid(f"'{key}' must be a list of [re, im] pairs")
             for z in resolved[key]:
                 _number_pair(z, key)
+    if command == "lyapunov":
+        ns = resolved["n"]
+        if not (_is_positive_integer(ns) or (isinstance(ns, list) and ns
+                                             and all(_is_positive_integer(n) for n in ns))):
+            raise ConfigInvalid(f"'n' must be a positive integer or a nonempty list of "
+                                f"them, got {ns!r}")
+    if command == "thouless":
+        for z in resolved["points"]:
+            if z[1] < limitperiodic.THOULESS_MIN_IMAG:
+                raise ConfigInvalid(f"points need Im z >= {limitperiodic.THOULESS_MIN_IMAG}, "
+                                    f"got {z!r}")
+    if command == "dt-criterion":
+        if not all(_is_number(resolved[key]) for key in ("coupling", "K", "T", "alpha")):
+            raise ConfigInvalid("'coupling', 'K', 'T' and 'alpha' must be numbers")
+        limitperiodic.check_dt_args(resolved["potential"], resolved["K"], resolved["T"],
+                                    resolved["alpha"], resolved["p_period"])
     if command in ("xy-velocity", "xy-verify"):
         _xy_spec(resolved)
     if command == "xy-verify":
         lo, hi = (int(x) for x in resolved["window"])
         if hi - lo + 1 > xychain.MAX_SITES:
             raise ConfigInvalid(f"window [{lo}, {hi}] exceeds {xychain.MAX_SITES} sites")
+        pairs = resolved["pairs"]
+        if not isinstance(pairs, list):
+            raise ConfigInvalid("'pairs' must be a list of [l, r] site pairs")
+        for pair in pairs:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(_is_integer(x) for x in pair)
+                    and lo <= pair[0] < pair[1] <= hi):
+                raise ConfigInvalid(f"pairs must be [l, r] integer sites with "
+                                    f"{lo} <= l < r <= {hi}, got {pair!r}")
     if command == "generic" and not 1 <= int(resolved["stages"]) <= 5:
         raise ConfigInvalid("stages must be between 1 and 5")
 

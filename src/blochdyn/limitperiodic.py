@@ -6,8 +6,9 @@ length). The n-step transfer matrix at energy E is the ordered product
 
     Phi(n, E, w) = [[E - w_{n-1}, -1], [1, 0]] ... [[E - w_0, -1], [1, 0]]
 
-(rightmost factor first). Products are accumulated with running rescaling so
-norms of order exp(10^4) stay representable through their logarithms.
+(rightmost factor first). One kernel, transfer_matrix, computes it for a
+whole array of energies at once, with per-energy running rescaling so norms
+of order exp(10^4) stay representable through their logarithms.
 """
 
 from __future__ import annotations
@@ -35,9 +36,25 @@ DEFAULT_SEED = 20240901
 # ---------------------------------------------------------------------------
 
 
+RESCALE = 1e30
+
+
+def _log(x):
+    """Elementwise math.log. numpy's SIMD log can differ in the last bit from
+    its scalar path, so an array call would not match per-energy calls bit
+    for bit; math.log does."""
+    x = np.asarray(x, dtype=float)
+    return np.array([math.log(v) for v in x.ravel()]).reshape(x.shape)[()]
+
+
 @dataclass(frozen=True)
 class TransferProduct:
-    """Rescaled transfer-matrix product: matrix = scaled * exp(log_scale).
+    """Rescaled transfer-matrix products at one energy or an array of them:
+    matrix = scaled * exp(log_scale).
+
+    The energy's shape leads every per-energy field: scaled has shape
+    energy.shape + (2, 2), the others energy.shape (scalars for a scalar
+    energy). peak_log_norm is max over 1 <= m <= n of log||Phi(m)||.
 
     Determinant drift is accumulated over restarted segments (determinants
     multiply, and each segment stays inside floating-point range even when
@@ -45,24 +62,24 @@ class TransferProduct:
     """
 
     n: int
-    energy: complex
+    energy: complex | np.ndarray
     window: np.ndarray
     scaled: np.ndarray
-    log_scale: float
-    det_log_drift: float
-    det_arg_drift: float
+    log_scale: float | np.ndarray
+    det_log_drift: float | np.ndarray
+    det_arg_drift: float | np.ndarray
+    peak_log_norm: float | np.ndarray
 
     @property
     def matrix(self):
-        """The unscaled 2x2 product; overflows to inf for very long products."""
-        return self.scaled * math.exp(self.log_scale) if self.log_scale < 700 else (
-            self.scaled * np.inf
-        )
+        """The unscaled products; entries overflow to inf for very long ones."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.scaled * np.exp(self.log_scale)[..., None, None]
 
     @property
     def log_norm(self):
         """log of the spectral norm, safe for any product length."""
-        return self.log_scale + math.log(np.linalg.norm(self.scaled, 2))
+        return self.log_scale + _log(np.linalg.norm(self.scaled, 2, axis=(-2, -1)))
 
     def det_deviation(self):
         """(|log|det||, |arg det|) of the full product; both vanish for an
@@ -70,11 +87,36 @@ class TransferProduct:
         return abs(self.det_log_drift), abs(self.det_arg_drift)
 
 
+def _step(m, d):
+    """[[d, -1], [1, 0]] @ m for stacked 2x2 matrices m[i, j, k] and the
+    per-energy d[k]: rows (m11, m12), (m21, m22) <- d (m11, m12) - (m21, m22),
+    (m11, m12)."""
+    out = np.empty_like(m)
+    np.multiply(d, m[0], out=out[0])
+    out[0] -= m[1]
+    out[1] = m[0]
+    return out
+
+
+def _norm_sq(m, abs_m):
+    """Squared spectral norm of stacked 2x2 matrices, in closed form from the
+    Gram matrix [[a, c], [conj(c), b]] of their columns (no cancellation when
+    the two singular values are close, unlike the Frobenius-determinant form)."""
+    sq = abs_m * abs_m
+    a = sq[0, 0] + sq[1, 0]
+    b = sq[0, 1] + sq[1, 1]
+    c = np.conj(m[0, 0]) * m[0, 1] + np.conj(m[1, 0]) * m[1, 1]
+    half = 0.5 * (a - b)
+    return 0.5 * (a + b) + np.sqrt(half * half + (c.real**2 + c.imag**2))
+
+
 def transfer_matrix(n: int, energy, w, periodic: bool = False) -> TransferProduct:
-    """Ordered product of one-step matrices over w_0 .. w_{n-1}.
+    """Ordered products of one-step matrices over w_0 .. w_{n-1}, at a scalar
+    energy or at every entry of an energy array at once.
 
     With periodic=False the window must supply at least n values; with
-    periodic=True the (shorter) window is tiled.
+    periodic=True the (shorter) window is tiled. Each energy's product is
+    rescaled by its largest entry when that exceeds RESCALE.
     """
     n = int(n)
     if n < 1:
@@ -82,38 +124,50 @@ def transfer_matrix(n: int, energy, w, periodic: bool = False) -> TransferProduc
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if not periodic and len(w) < n:
         raise WindowTooShort(f"window of length {len(w)} cannot supply {n} steps")
-    E = complex(energy)
-    mat = np.eye(2, dtype=complex)
-    log_scale = 0.0
-    seg = np.eye(2, dtype=complex)
-    det_log = 0.0
-    det_arg = 0.0
+    E = np.asarray(energy, dtype=complex)
+    shape, E = E.shape, E.ravel()
+    eye = np.zeros((2, 2, E.size), dtype=complex)
+    eye[0, 0] = eye[1, 1] = 1.0
+    mat, seg = eye.copy(), eye.copy()
+    log_scale = np.zeros(E.size)
+    det_log = np.zeros(E.size)
+    det_arg = np.zeros(E.size)
+    # largest ||Phi(m)||^2 so far, in units of exp(2 log_scale)
+    peak_sq = np.zeros(E.size)
     for j in range(n):
-        wj = w[j % len(w)]
-        step = np.array([[E - wj, -1.0], [1.0, 0.0]], dtype=complex)
-        mat = step @ mat
-        seg = step @ seg
-        peak = np.abs(mat).max()
-        if peak > 1e30 or (0.0 < peak < 1e-30):
-            mat = mat / peak
-            log_scale += math.log(peak)
+        d = E - w[j % len(w)]
+        mat = _step(mat, d)
+        seg = _step(seg, d)
+        abs_mat = np.abs(mat)
+        peak_sq = np.maximum(peak_sq, _norm_sq(mat, abs_mat))
+        peak = abs_mat.max(axis=(0, 1))
+        big = peak > RESCALE
+        if big.any():
+            peak_sq[big] /= peak[big] ** 2
+            mat[:, :, big] /= peak[big]
+            log_scale[big] += _log(peak[big])
         # restart while the segment is small: the 2x2 determinant of a large
         # ill-conditioned product cancels catastrophically
-        if np.abs(seg).max() > 10.0:
-            d = complex(np.linalg.det(seg))
-            det_log += math.log(abs(d))
-            det_arg += np.angle(d)
-            seg = np.eye(2, dtype=complex)
-    d = complex(np.linalg.det(seg))
-    det_log += math.log(abs(d))
-    det_arg += np.angle(d)
-    return TransferProduct(n=n, energy=E, window=w[: min(len(w), n)].copy(),
-                           scaled=mat, log_scale=log_scale,
-                           det_log_drift=det_log, det_arg_drift=det_arg)
+        restart = np.abs(seg).max(axis=(0, 1)) > 10.0
+        if j == n - 1:
+            restart[:] = True
+        if restart.any():
+            s = seg[:, :, restart]
+            det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
+            det_log[restart] += np.log(np.abs(det))
+            det_arg[restart] += np.angle(det)
+            seg[:, :, restart] = eye[:, :, :1]
+    peak_log = log_scale + 0.5 * np.log(peak_sq)
+    per_energy = [a.reshape(shape)[()] for a in (E, log_scale, det_log, det_arg, peak_log)]
+    return TransferProduct(n=n, energy=per_energy[0], window=w[: min(len(w), n)].copy(),
+                           scaled=np.moveaxis(mat, (0, 1), (-2, -1)).reshape(shape + (2, 2)),
+                           log_scale=per_energy[1], det_log_drift=per_energy[2],
+                           det_arg_drift=per_energy[3], peak_log_norm=per_energy[4])
 
 
-def finite_lyapunov(n: int, energy, w, periodic: bool = False) -> float:
-    """(1/n) log ||Phi(n, E, w)|| with the spectral norm."""
+def finite_lyapunov(n: int, energy, w, periodic: bool = False):
+    """(1/n) log ||Phi(n, E, w)|| with the spectral norm, at a scalar energy
+    or elementwise over an energy array."""
     return transfer_matrix(n, energy, w, periodic).log_norm / n
 
 
@@ -138,10 +192,9 @@ class PotentialFamily:
 
 def family_lyapunov(n: int, energy, members, periodic: bool = False) -> float:
     """Average of finite_lyapunov over a family of potentials (a
-    PotentialFamily or any iterable of potential arrays)."""
+    PotentialFamily, always tiled, or any iterable of potential arrays)."""
     if isinstance(members, PotentialFamily):
-        return float(np.mean([finite_lyapunov(n, energy, w, periodic=True)
-                              for w in members.members]))
+        members, periodic = members.members, True
     members = list(members)
     if not members:
         raise WindowTooShort("family must be nonempty")
@@ -172,6 +225,10 @@ class ThoulessResult:
     grid_size: int
 
 
+# Smallest Im z at which the density-of-states integrand is smooth enough.
+THOULESS_MIN_IMAG = 0.05
+
+
 def thouless_check(p: int, z, w, grid_size: int = 2048, quad_tol: float = 1e-4) -> ThoulessResult:
     """Two independent routes to the Lyapunov exponent at complex energy z.
 
@@ -179,11 +236,11 @@ def thouless_check(p: int, z, w, grid_size: int = 2048, quad_tol: float = 1e-4) 
     product. rhs: density-of-states route, the log-potential of the band
     measure computed from the scalar Bloch fibers,
     (1 / (2 pi p)) integral of sum_j log|z - lambda_j(theta)|.
-    Requires Im z >= 0.05 so the integrand stays smooth.
+    Requires Im z >= THOULESS_MIN_IMAG so the integrand stays smooth.
     """
     z = complex(z)
-    if z.imag < 0.05:
-        raise ValueError(f"need Im z >= 0.05 for a stable check, got {z.imag}")
+    if z.imag < THOULESS_MIN_IMAG:
+        raise ValueError(f"need Im z >= {THOULESS_MIN_IMAG} for a stable check, got {z.imag}")
     w = np.atleast_1d(np.asarray(w, dtype=float))
     p = int(p)
     if len(w) != p:
@@ -213,67 +270,65 @@ def thouless_check(p: int, z, w, grid_size: int = 2048, quad_tol: float = 1e-4) 
 # ---------------------------------------------------------------------------
 
 
-def _inverse_peak_growth(E, eta, w, n_max):
-    """exp(-2 max_n log||Phi(n, E + i eta, w)||), n = 1..n_max, w periodic."""
-    z = complex(E, eta)
-    mat = np.eye(2, dtype=complex)
-    log_scale = 0.0
-    best = -np.inf
-    for j in range(n_max):
-        wj = w[j % len(w)]
-        step = np.array([[z - wj, -1.0], [1.0, 0.0]], dtype=complex)
-        mat = step @ mat
-        peak = np.abs(mat).max()
-        if peak > 1e100:
-            mat = mat / peak
-            log_scale += math.log(peak)
-        best = max(best, log_scale + math.log(np.linalg.norm(mat, 2)))
-    return math.exp(-2.0 * best) if best < 350 else 0.0
+# Largest Simpson grid dt_criterion refines to before giving up.
+DT_MAX_POINTS = 2**18 + 1
 
 
-def _adaptive_simpson(f, a, b, rel_tol, max_depth=24):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    scale = max(abs(whole), 1e-12)
-
-    def recurse(a, b, fa, fm, fb, whole, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0:
-            raise QuadratureNotConverged(
-                f"adaptive Simpson depth exhausted on [{a}, {b}]"
-            )
-        if abs(left + right - whole) <= 15.0 * rel_tol * scale:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, m, fa, flm, fm, left, depth - 1)
-                + recurse(m, b, fm, frm, fb, right, depth - 1))
-
-    return recurse(a, b, fa, fm, fb, whole, max_depth)
+def check_dt_args(w, K: float, T: float, alpha: float = 1.0, p_period: int | None = None):
+    """Raise unless dt_criterion can run on these arguments."""
+    if K <= 0 or T <= 0 or not 0.0 < alpha <= 1.0:
+        raise ValueError("need K > 0, T > 0, and alpha in (0, 1]")
+    if p_period is not None and len(w) != int(p_period):
+        raise WindowTooShort(f"potential period {len(w)} does not match declared {p_period}")
 
 
 def dt_criterion(w, coupling: float, K: float, T: float, alpha: float = 1.0,
                  p_period: int | None = None, rel_tol: float = 1e-4) -> float:
     """Integral over [-K, K] of 1 / max_{1<=n<=floor(T^alpha)}
-    ||Phi(n, E + i/T, coupling * w)||^2, by adaptive Simpson.
+    ||Phi(n, E + i/T, coupling * w)||^2 (Damanik & Tcheremchantsev, JAMS 20
+    (2007)), by composite Simpson on uniform grids.
+
+    The first grid has spacing <= 1/T, the width of the integrand's features;
+    each refinement halves the spacing and evaluates only the new midpoints.
+    The estimate is accepted once two successive halvings each move it by at
+    most rel_tol relative; QuadratureNotConverged is raised if that needs
+    more than DT_MAX_POINTS points.
 
     Order-1 values signal transport (transfer matrices stay polynomially
     bounded on the spectrum); exponentially small values signal a spectral
     gap or positive Lyapunov exponent on [-K, K]. The integrand never
     exceeds 1 because every one-step factor has norm >= 1.
     """
-    if K <= 0 or T <= 0 or not 0.0 < alpha <= 1.0:
-        raise ValueError("need K > 0, T > 0, and alpha in (0, 1]")
     w = np.atleast_1d(np.asarray(w, dtype=float)) * float(coupling)
-    if p_period is not None and len(w) != int(p_period):
-        raise WindowTooShort(f"potential period {len(w)} does not match declared {p_period}")
+    check_dt_args(w, K, T, alpha, p_period)
     n_max = max(1, int(math.floor(T**alpha)))
-    eta = 1.0 / T
-    return float(_adaptive_simpson(
-        lambda E: _inverse_peak_growth(E, eta, w, n_max), -float(K), float(K), rel_tol
-    ))
+    K = float(K)
+
+    def integrand(E):
+        peak = transfer_matrix(n_max, E + 1j / T, w, periodic=True).peak_log_norm
+        return np.exp(-2.0 * peak)
+
+    intervals = 2 * math.ceil(K * T)
+    if intervals + 1 > DT_MAX_POINTS:
+        raise QuadratureNotConverged(
+            f"a grid of spacing 1/T needs {intervals + 1} points, above {DT_MAX_POINTS}")
+    f = integrand(np.linspace(-K, K, intervals + 1))
+    estimates = []
+    while True:
+        h = 2.0 * K / intervals
+        estimates.append(h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum()
+                                    + 2.0 * f[2:-1:2].sum()))
+        last = estimates[-3:]
+        if len(last) == 3 and all(abs(b - a) <= rel_tol * abs(b) for a, b in zip(last, last[1:])):
+            return float(last[-1])
+        if 2 * intervals + 1 > DT_MAX_POINTS:
+            raise QuadratureNotConverged(
+                f"Simpson estimates {estimates[-3:]} still moving by more than "
+                f"{rel_tol} relative at {intervals + 1} points")
+        refined = np.empty(2 * intervals + 1)
+        refined[::2] = f
+        refined[1::2] = integrand(-K + h * (np.arange(intervals) + 0.5))
+        f, intervals = refined, 2 * intervals
 
 
 # ---------------------------------------------------------------------------

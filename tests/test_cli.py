@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import blochdyn
@@ -138,6 +139,29 @@ def test_bad_energies_exit_2(tmp_path, capsys, energies):
     assert _one_json_error(err)["error"] == "ConfigInvalid"
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("dt-criterion", {"potential": [1.0, -1.0], "coupling": 1.0, "K": -1.0, "T": 50.0}),
+    ("dt-criterion", {"potential": [1.0, -1.0], "coupling": 1.0, "K": 1.0, "T": 50.0,
+                      "alpha": 2.0}),
+    ("dt-criterion", {"potential": [1.0, -1.0], "coupling": 1.0, "K": 1.0, "T": 50.0,
+                      "p_period": 3}),
+    ("lyapunov", {"potential": [0.0], "energies": [[1.0, 0.0]], "n": 0}),
+    ("lyapunov", {"potential": [0.0], "energies": [[1.0, 0.0]], "n": []}),
+    ("lyapunov", {"potential": [], "energies": [[1.0, 0.0]], "n": 10}),
+    ("thouless", {"potential": [0.0], "points": [[0.5, 0.01]]}),
+    ("thouless", {"potential": [], "points": [[0.5, 1.0]]}),
+    ("xy-verify", {"mu": [1.0], "gamma": [0.5], "nu": [1.0], "window": [1, 4],
+                   "pairs": [[3, 1]], "times": [0.5]}),
+    ("xy-verify", {"mu": [1.0], "gamma": [0.5], "nu": [1.0], "window": [1, 4],
+                   "pairs": [[1, 7]], "times": [0.5]}),
+])
+def test_bad_transfer_and_pair_configs_exit_2(tmp_path, capsys, command, cfg):
+    code, _, err = run(tmp_path, capsys, command, cfg)
+    assert code == 2
+    assert _one_json_error(err)["command"] == command
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_unforeseen_runtime_error_exits_3(tmp_path, capsys, monkeypatch):
     import blochdyn.cli as cli
 
@@ -196,6 +220,27 @@ def test_lyapunov_csv(tmp_path, capsys):
     assert code == 0
     assert lines[2] == "E_re,E_im,n,L"
     assert len(lines) == 4
+
+
+def test_lyapunov_one_kernel_call_per_n(tmp_path, capsys, monkeypatch):
+    import blochdyn.limitperiodic as lp
+
+    calls = []
+    kernel = lp.transfer_matrix
+
+    def counting(n, energy, *args, **kwargs):
+        calls.append((n, np.shape(energy)))
+        return kernel(n, energy, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "transfer_matrix", counting)
+    energies = [[float(e), 0.0] for e in np.linspace(-3.5, 3.5, 21)]
+    cfg = {"potential": [0.5, -0.2, 1.0], "energies": energies, "n": [1000, 10000]}
+    code, _, _ = run(tmp_path, capsys, "lyapunov", cfg)
+    assert code == 0
+    assert calls == [(1000, (21,)), (10000, (21,))]
+    lines = (tmp_path / "lyapunov.csv").read_text().splitlines()
+    assert [ln.split(",")[2] for ln in lines[3:7]] == ["1000", "10000", "1000", "10000"]
+    assert len(lines) == 3 + 42
 
 
 def test_thouless_cmd(tmp_path, capsys):

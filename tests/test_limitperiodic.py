@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blochdyn import WavePacket
+from blochdyn import WavePacket, limitperiodic
 from blochdyn.errors import (
     NoCertificateFound,
     PsiEnvelopeViolated,
+    QuadratureNotConverged,
     WindowTooShort,
 )
 from blochdyn.limitperiodic import (
@@ -56,6 +61,50 @@ def test_determinant_invariant_long_products():
         assert log_det < 1e-10
         assert arg_det < 1e-8
         assert prod.log_norm >= -1e-10
+
+
+def reference_products(n, energy, w):
+    """Phi(1), ..., Phi(n) at one energy by plain 2x2 products, w tiled."""
+    mat = np.eye(2, dtype=complex)
+    products = []
+    for j in range(n):
+        mat = np.array([[energy - w[j % len(w)], -1.0], [1.0, 0.0]]) @ mat
+        products.append(mat)
+    return products
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 150),
+    w=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6),
+    energies=st.lists(st.complex_numbers(max_magnitude=6.0), min_size=1, max_size=6),
+)
+def test_batched_kernel_matches_reference(n, w, energies):
+    E = np.array(energies).reshape(-1, 1)
+    prod = transfer_matrix(n, E, w, periodic=True)
+    assert prod.scaled.shape == E.shape + (2, 2)
+    assert prod.log_scale.shape == prod.peak_log_norm.shape == E.shape
+    log_norm = prod.log_norm
+    for k, energy in enumerate(energies):
+        products = reference_products(n, energy, w)
+        ref = products[-1]
+        got = prod.scaled[k, 0] * math.exp(prod.log_scale[k, 0])
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        ref_log_norms = [math.log(np.linalg.norm(m, 2)) for m in products]
+        assert log_norm[k, 0] == pytest.approx(ref_log_norms[-1], rel=1e-12, abs=1e-12)
+        assert prod.peak_log_norm[k, 0] == pytest.approx(max(ref_log_norms),
+                                                          rel=1e-12, abs=1e-12)
+        log_det, arg_det = prod.det_deviation()
+        assert log_det[k, 0] < 1e-10 and arg_det[k, 0] < 1e-8
+        # the array call is bit-identical to a scalar call
+        assert transfer_matrix(n, energy, w, periodic=True).log_norm == log_norm[k, 0]
+
+
+def test_running_peak_of_log_norms():
+    E, w = np.array([0.3 + 0.05j, 2.5, 4.0]), [0.7, -0.4, 1.1]
+    peak = transfer_matrix(40, E, w, periodic=True).peak_log_norm
+    per_n = [transfer_matrix(m, E, w, periodic=True).log_norm for m in range(1, 41)]
+    np.testing.assert_allclose(peak, np.max(per_n, axis=0), rtol=1e-13, atol=1e-13)
 
 
 def test_lyapunov_nonnegative_and_submultiplicative():
@@ -158,6 +207,65 @@ def test_dt_criterion_validation():
         dt_criterion([0.0], 1.0, -1.0, 100.0, 1.0)
     with pytest.raises(WindowTooShort):
         dt_criterion([0.0, 0.0], 1.0, 1.0, 10.0, 1.0, p_period=3)
+
+
+def dense_simpson_reference(w, coupling, K, T, points=16385):
+    """Composite Simpson of exp(-2 max_n log||Phi(n, E + i/T)||) on a fixed
+    grid far finer than 1/T, with 2x2 products batched over the grid."""
+    w = np.asarray(w, dtype=float) * coupling
+    E = np.linspace(-K, K, points) + 1j / T
+    mat = np.broadcast_to(np.eye(2, dtype=complex), (points, 2, 2))
+    best = np.full(points, -np.inf)
+    for j in range(max(1, math.floor(T))):
+        step = np.zeros((points, 2, 2), dtype=complex)
+        step[:, 0, 0] = E - w[j % len(w)]
+        step[:, 0, 1], step[:, 1, 0] = -1.0, 1.0
+        mat = step @ mat
+        fro = np.sum(np.abs(mat) ** 2, axis=(1, 2))
+        det = np.abs(mat[:, 0, 0] * mat[:, 1, 1] - mat[:, 0, 1] * mat[:, 1, 0])
+        smax2 = 0.5 * fro * (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * (det / fro) ** 2, 0.0)))
+        best = np.maximum(best, 0.5 * np.log(smax2))
+    f = np.exp(-2.0 * best)
+    h = 2.0 * K / (points - 1)
+    return h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
+
+
+@pytest.mark.parametrize("w, K, T", [
+    # these four exhausted the recursion depth of the former adaptive Simpson
+    ([1.0, -1.0], 3.0, 50.0), ([1.0, -1.0], 3.0, 100.0),
+    ([1.0, -1.0], 2.5, 50.0), ([1.0, -1.0], 2.5, 100.0),
+    # stopping at the first agreement of two estimates misses rel_tol here
+    ([0.5, -0.5], 1.5, 50.0),
+])
+def test_dt_criterion_ordinary_inputs(w, K, T):
+    val = dt_criterion(w, 1.0, K, T)
+    ref = dense_simpson_reference(w, 1.0, K, T)
+    assert abs(val - ref) <= 1e-4 * ref
+
+
+def test_dt_criterion_reuses_samples(monkeypatch):
+    sizes = []
+    kernel = limitperiodic.transfer_matrix
+
+    def counting(n, energy, *args, **kwargs):
+        sizes.append(np.size(energy))
+        return kernel(n, energy, *args, **kwargs)
+
+    monkeypatch.setattr(limitperiodic, "transfer_matrix", counting)
+    dt_criterion([1.0, -1.0], 1.0, 3.0, 50.0)
+    # the first grid has spacing 1/T on [-3, 3]; each halving evaluates
+    # only the new midpoints
+    assert sizes[0] == 301
+    assert len(sizes) >= 3
+    assert sizes[1:] == [300 * 2**k for k in range(len(sizes) - 1)]
+
+
+@pytest.mark.parametrize("cap", [101, 1201])
+def test_dt_criterion_point_cap(monkeypatch, cap):
+    # K T = 150: the first grid has 301 points, and convergence needs 9601
+    monkeypatch.setattr(limitperiodic, "DT_MAX_POINTS", cap)
+    with pytest.raises(QuadratureNotConverged):
+        dt_criterion([1.0, -1.0], 1.0, 3.0, 50.0)
 
 
 # --- perturbation stability -----------------------------------------------------------
