@@ -6,8 +6,9 @@ Usage:
 Configs are strict: unknown keys are rejected and all defaults are echoed
 back into the outputs. CSV artifacts start with '#' header lines carrying
 the resolved config; JSON artifacts embed it under a "config" key. Exit
-codes: 0 success, 2 config/validation error, 3 numerical failure (or any
-other error at run time). Errors are reported as a single JSON object on
+codes: 0 success, 2 config/validation error (including a window too large
+for the dense or block storage limits), 3 numerical failure (or any other
+error at run time). Errors are reported as a single JSON object on
 stderr, never as a traceback.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import dynamics, floquet, limitperiodic, xychain
 from .blockjacobi import BlockSpec, WavePacket, build_operator
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, SizeLimitExceeded
 
 REQUIRED = object()
 
@@ -479,6 +480,12 @@ def _validate_phase(command, resolved):
             raise ConfigInvalid("'coupling', 'K', 'T' and 'alpha' must be numbers")
         limitperiodic.check_dt_args(resolved["potential"], resolved["K"], resolved["T"],
                                     resolved["alpha"], resolved["p_period"])
+    if command == "derivative-check":
+        if not _is_positive_integer(resolved["quad_steps"]):
+            raise ConfigInvalid(f"'quad_steps' must be a positive integer, "
+                                f"got {resolved['quad_steps']!r}")
+        if not (_is_number(resolved["T"]) and math.isfinite(resolved["T"])):
+            raise ConfigInvalid(f"'T' must be a finite number, got {resolved['T']!r}")
     if command in ("xy-velocity", "xy-verify"):
         _xy_spec(resolved)
     if command == "xy-verify":
@@ -539,7 +546,8 @@ def main(argv=None) -> int:
         payload = RUNNERS[command](resolved, args.out)
     except Exception as exc:  # numerical failures and anything unforeseen
         print(_error_json(exc, command), file=sys.stderr)
-        return 3
+        # a window beyond the dense or block storage limit is a config error
+        return 2 if isinstance(exc, SizeLimitExceeded) else 3
     if payload is not None:
         print(json.dumps(payload, sort_keys=True))
     return 0

@@ -6,8 +6,8 @@ spectral decomposition if `eigensystem` has already been computed, and a
 Chebyshev expansion on the block-tridiagonal matvec otherwise. Single-time
 evolutions (moments, the ballistic limit, stability, the light-cone probe)
 never diagonalize their window; the derivative identity and the localization
-diagnostic, which spread one window over hundreds of propagations, compute
-`eigensystem` up front. The dense path is capped at MAX_DENSE_DIM rows, the
+diagnostic compute `eigensystem` once and evaluate all their times in that
+eigenbasis. The dense path is capped at MAX_DENSE_DIM rows, the
 window storage at MAX_WINDOW_DIM rows (both in `blockjacobi`).
 
 A window margin rule keeps the light cone away from the open boundary: a
@@ -31,6 +31,9 @@ from .floquet import apply_q, q_norm
 MARGIN = 20
 TAIL_TOL = 1e-8
 EDGE_WIDTH = 10
+# Simpson nodes per matrix product in check_derivative_identity; it bounds the
+# (dim, QUAD_CHUNK) work arrays whatever quad_steps is
+QUAD_CHUNK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +227,12 @@ def check_derivative_identity(J: BlockJacobiOperator, psi: WavePacket, T: float,
     """Residual || X(T) psi - X psi - integral_0^T A(t) psi dt ||.
 
     The time integral uses composite Simpson with quad_steps intervals
-    (rounded up to even); A(t) psi is the Heisenberg current applied through
-    the truncation propagator.
+    (rounded up to even) on the Heisenberg current A(t) psi, A = i[J, X].
+    The window is diagonalized once, J = U diag(lambda) U^*, and every
+    Simpson node is evaluated in that eigenbasis: with a = U^* A U and
+    phi = U^* psi, A(t) psi = U (conj(e_t) * (a @ (e_t * phi))) where
+    e_t = exp(-i t lambda), so the nodes are stacked QUAD_CHUNK at a time
+    into matrix products instead of two propagations each.
     """
     if T == 0:
         return 0.0
@@ -235,8 +242,7 @@ def check_derivative_identity(J: BlockJacobiOperator, psi: WavePacket, T: float,
     if half_width is None:
         half_width = required_half_width(J, psi.support_radius() + 1, T)
     trunc = J.truncate(half_width)
-    # about 2 (quad_steps + 1) propagations share this window: diagonalize once
-    trunc.eigensystem
+    w, u = trunc.eigensystem
     vec = trunc.embed(psi)
     x_diag = trunc.position_diagonal
 
@@ -245,15 +251,20 @@ def check_derivative_identity(J: BlockJacobiOperator, psi: WavePacket, T: float,
     # current operator as a dense window matrix: A = i [J, X], entrywise
     # A_jk = i J_jk (x_k - x_j)
     a_mat = 1j * trunc.matrix * (x_diag[None, :] - x_diag[:, None])
+    u_h = u.conj().T
+    a_eig = u_h @ a_mat @ u
+    phi = u_h @ vec
     ts = np.linspace(0.0, T, steps + 1)
     weights = np.ones(steps + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     weights *= (T / steps) / 3.0
-    acc = np.zeros_like(vec)
-    for wgt, t in zip(weights, ts):
-        acc += wgt * trunc.propagate(a_mat @ trunc.propagate(vec, t), -t)
-    return float(np.linalg.norm(lhs - acc))
+    acc = np.zeros_like(phi)
+    for start in range(0, steps + 1, QUAD_CHUNK):
+        chunk = slice(start, start + QUAD_CHUNK)
+        phases = np.exp(-1j * np.outer(w, ts[chunk]))
+        acc += (phases.conj() * (a_eig @ (phases * phi[:, None]))) @ weights[chunk]
+    return float(np.linalg.norm(lhs - u @ acc))
 
 
 # ---------------------------------------------------------------------------

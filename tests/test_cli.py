@@ -154,12 +154,38 @@ def test_bad_energies_exit_2(tmp_path, capsys, energies):
                    "pairs": [[3, 1]], "times": [0.5]}),
     ("xy-verify", {"mu": [1.0], "gamma": [0.5], "nu": [1.0], "window": [1, 4],
                    "pairs": [[1, 7]], "times": [0.5]}),
+    ("derivative-check", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
+                          "quad_steps": 0}),
+    ("derivative-check", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
+                          "quad_steps": -4}),
+    ("derivative-check", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
+                          "quad_steps": 1.5}),
+    ("derivative-check", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
+                          "quad_steps": "8"}),
+    ("derivative-check", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
+                          "T": "1"}),
+    ("derivative-check", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
+                          "T": float("inf")}),
 ])
 def test_bad_transfer_and_pair_configs_exit_2(tmp_path, capsys, command, cfg):
     code, _, err = run(tmp_path, capsys, command, cfg)
     assert code == 2
     assert _one_json_error(err)["command"] == command
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("evolve", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0}, "times": [1.0],
+                "half_width": 3000000}),
+    ("localization", {"operator": FREE_OPERATOR, "half_width": 5000, "pairs": [[0, 4]]}),
+    ("derivative-check", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
+                          "half_width": 5000}),
+])
+def test_oversized_window_exits_2(tmp_path, capsys, command, cfg):
+    # over MAX_WINDOW_DIM (evolve) or MAX_DENSE_DIM (the eigensolving commands)
+    code, _, err = run(tmp_path, capsys, command, cfg)
+    assert code == 2
+    assert _one_json_error(err)["error"] == "SizeLimitExceeded"
 
 
 def test_unforeseen_runtime_error_exits_3(tmp_path, capsys, monkeypatch):

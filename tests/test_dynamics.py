@@ -1,9 +1,12 @@
 import json
 import math
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochdyn import (
     BlockSpec,
@@ -229,6 +232,94 @@ def test_derivative_identity_simpson_order():
     r = [check_derivative_identity(J, psi, 1.0, n) for n in (32, 64, 128)]
     assert r[0] / r[1] > 10.0
     assert r[1] / r[2] > 10.0
+
+
+def derivative_residual_per_node(J, psi, T, quad_steps):
+    """Reference for check_derivative_identity: the same Simpson nodes and
+    weights, each node evaluated by two spectral propagations and one dense
+    matvec, propagate(A propagate(psi, t), -t)."""
+    steps = quad_steps + quad_steps % 2
+    trunc = J.truncate(required_half_width(J, psi.support_radius() + 1, T))
+    trunc.eigensystem
+    vec = trunc.embed(psi)
+    x = trunc.position_diagonal
+    lhs = trunc.propagate(x * trunc.propagate(vec, T), -T) - x * vec
+    a_mat = 1j * trunc.matrix * (x[None, :] - x[:, None])
+    ts = np.linspace(0.0, T, steps + 1)
+    weights = np.ones(steps + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights *= (T / steps) / 3.0
+    acc = np.zeros_like(vec)
+    for wgt, t in zip(weights, ts):
+        acc += wgt * trunc.propagate(a_mat @ trunc.propagate(vec, t), -t)
+    return float(np.linalg.norm(lhs - acc))
+
+
+def random_spec(rng, m, q, real):
+    a = rng.standard_normal((q, m, m))
+    b = rng.standard_normal((q, m, m))
+    if not real:
+        a = a + 1j * rng.standard_normal((q, m, m))
+        b = b + 1j * rng.standard_normal((q, m, m))
+    b = 0.5 * (b + np.conj(np.transpose(b, (0, 2, 1))))
+    a = a + 3.0 * np.eye(m)  # keep the off-diagonal blocks well invertible
+    return BlockSpec(m=m, q=q, a=a, b=b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([1, 2]), q=st.integers(1, 3), real=st.booleans(),
+       T=st.floats(0.1, 5.0), quad_steps=st.integers(2, 64),
+       seed=st.integers(0, 2**32 - 1))
+def test_derivative_identity_matches_per_node_loop(m, q, real, T, quad_steps, seed):
+    rng = np.random.default_rng(seed)
+    J = build_operator(random_spec(rng, m, q, real))
+    psi = WavePacket(-1, rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m)))
+    psi = (1.0 / psi.norm()) * psi
+    ref = derivative_residual_per_node(J, psi, T, quad_steps)
+    assert abs(check_derivative_identity(J, psi, T, quad_steps) - ref) <= 1e-13 + 1e-10 * ref
+
+
+@pytest.mark.parametrize("quad_steps", [64, 1024])
+def test_derivative_identity_work_count(monkeypatch, quad_steps):
+    # one window eigensolve, and propagations only for X(T) psi, however
+    # many Simpson nodes; 1024 steps span several node chunks
+    J, psi = period2(1.0), WavePacket.delta_scalar(0, 1)
+    ref = derivative_residual_per_node(J, psi, 1.0, quad_steps)
+    solves, propagations = [], []
+    eigh, propagate = np.linalg.eigh, TruncatedOperator.propagate
+
+    def counting_eigh(a, *args, **kwargs):
+        solves.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def counting_propagate(self, vec, t):
+        propagations.append(t)
+        return propagate(self, vec, t)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(TruncatedOperator, "propagate", counting_propagate)
+    res = check_derivative_identity(J, psi, 1.0, quad_steps)
+    assert abs(res - ref) <= 1e-13 + 1e-10 * ref
+    assert len(solves) == 1
+    assert len(propagations) <= 2
+
+
+def test_derivative_identity_memory_flat_in_quad_steps():
+    # the nodes are processed in fixed chunks, so 16x the nodes must not
+    # raise the peak of traced allocations (here about the 401-row window's
+    # dense matrices)
+    J, psi = period2(1.0), WavePacket.delta_scalar(0, 1)
+    check_derivative_identity(J, psi, 1.0, 256, half_width=200)
+    peaks = []
+    for quad_steps in (256, 4096):
+        tracemalloc.start()
+        try:
+            check_derivative_identity(J, psi, 1.0, quad_steps, half_width=200)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 # --- light-cone mass probe ----------------------------------------------------------
