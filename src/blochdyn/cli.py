@@ -117,24 +117,25 @@ def _xy_spec(resolved):
                                nu=resolved["nu"])
 
 
-def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+def _cells(values):
+    """One CSV column as strings: floats by repr, ints by str, bools as 1/0,
+    strings as they are."""
+    arr = np.asarray(values)
+    values = arr.tolist()
+    if arr.dtype.kind == "b":
+        return ["1" if x else "0" for x in values]
+    return list(map(repr if arr.dtype.kind == "f" else str, values))
 
 
-def _write_csv(path, resolved, columns, rows):
+def _write_csv(path, resolved, columns):
+    """Write the '#' config lines, the header and the rows of columns, a dict
+    of equally long value sequences keyed by header name."""
     lines = [
         f"# transportctl {resolved['command']}",
         "# config: " + json.dumps(resolved, sort_keys=True),
         ",".join(columns),
     ]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines.extend(map(",".join, zip(*map(_cells, columns.values()))))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -187,13 +188,14 @@ def cmd_bands(resolved, outdir):
     J = _operator(resolved)
     G = int(resolved["grid_size"])
     bs = floquet.band_structure(J, G, gap_tol=float(resolved["gap_tol"]))
-    rows = []
-    for g, theta in enumerate(bs.thetas):
-        for j in range(bs.bands.shape[1]):
-            rows.append((theta, j, bs.bands[g, j], bs.velocities[g, j],
-                         bool(bs.degenerate[g])))
-    _write_csv(os.path.join(outdir, "bands.csv"), resolved,
-               ["theta", "band_index", "lambda", "velocity", "degenerate_flag"], rows)
+    n = bs.bands.shape[1]
+    _write_csv(os.path.join(outdir, "bands.csv"), resolved, {
+        "theta": np.repeat(bs.thetas, n),
+        "band_index": np.tile(np.arange(n), G),
+        "lambda": bs.bands.ravel(),
+        "velocity": bs.velocities.ravel(),
+        "degenerate_flag": np.repeat(bs.degenerate, n),
+    })
     return None
 
 
@@ -213,18 +215,21 @@ def cmd_evolve(resolved, outdir):
     half = resolved["half_width"]
     if half is None:
         half = dynamics.required_half_width(J, psi.support_radius(), max(abs(t) for t in times))
-    trunc = J.truncate(int(half))
+    trunc = J.truncate(half)
     thr = float(resolved["threshold"])
-    rows = []
+    columns = {"t": [], "site": [], "component": [], "re": [], "im": []}
     for t in times:
         pt = dynamics.evolve(trunc, psi, t)
-        for i, site in enumerate(pt.sites):
-            for c in range(pt.m):
-                z = pt.coeffs[i, c]
-                if abs(z) > thr:
-                    rows.append((t, int(site), c, z.real, z.imag))
+        # entries in site-major order, as (site, component) pairs
+        keep = np.abs(pt.coeffs).ravel() > thr
+        z = pt.coeffs.ravel()[keep]
+        columns["t"].append(np.full(len(z), t))
+        columns["site"].append(np.repeat(pt.sites, pt.m)[keep])
+        columns["component"].append(np.tile(np.arange(pt.m), len(pt.sites))[keep])
+        columns["re"].append(z.real)
+        columns["im"].append(z.imag)
     _write_csv(os.path.join(outdir, "evolve.csv"), resolved,
-               ["t", "site", "component", "re", "im"], rows)
+               {key: np.concatenate(parts) for key, parts in columns.items()})
     return None
 
 
@@ -233,16 +238,13 @@ def cmd_exponents(resolved, outdir):
     psi = _packet(resolved["state"], J.m)
     times = [float(t) for t in resolved["times"]]
     p = float(resolved["p"])
-    half = resolved["half_width"]
-    traj = dynamics.moment_trajectory(J, psi, p, times,
-                                      half_width=None if half is None else int(half))
+    traj = dynamics.moment_trajectory(J, psi, p, times, half_width=resolved["half_width"])
     est = dynamics.exponent_estimate(traj)
     slopes = np.diff(np.log(traj.values)) / (p * np.diff(np.log(traj.times)))
-    rows = []
-    for i, t in enumerate(traj.times):
-        rows.append((t, traj.values[i], slopes[i - 1] if i > 0 else float("nan")))
-    _write_csv(os.path.join(outdir, "exponents.csv"), resolved,
-               ["t", "moment", "running_slope"], rows)
+    _write_csv(os.path.join(outdir, "exponents.csv"), resolved, {
+        "t": traj.times, "moment": traj.values,
+        "running_slope": np.concatenate([[np.nan], slopes]),
+    })
     payload = {"beta_plus_hat": est.beta_plus_hat, "beta_minus_hat": est.beta_minus_hat,
                "residual": est.residual}
     _write_json(os.path.join(outdir, "exponents.json"), resolved, payload)
@@ -254,21 +256,18 @@ def cmd_ballistic_check(resolved, outdir):
     psi = _packet(resolved["state"], J.m)
     times = sorted(float(t) for t in resolved["times"])
     G = int(resolved["grid_size"])
-    half = resolved["half_width"]
     errors = dynamics.check_ballistic_limit(J, psi, times, grid_size=G,
-                                            half_width=None if half is None else int(half))
-    _write_csv(os.path.join(outdir, "ballistic.csv"), resolved, ["t", "error"],
-               list(zip(times, errors)))
+                                            half_width=resolved["half_width"])
+    _write_csv(os.path.join(outdir, "ballistic.csv"), resolved, {"t": times, "error": errors})
     return None
 
 
 def cmd_derivative_check(resolved, outdir):
     J = _operator(resolved)
     psi = _packet(resolved["state"], J.m)
-    half = resolved["half_width"]
     residual = dynamics.check_derivative_identity(
         J, psi, float(resolved["T"]), int(resolved["quad_steps"]),
-        half_width=None if half is None else int(half))
+        half_width=resolved["half_width"])
     payload = {"residual": residual, "T": float(resolved["T"]),
                "quad_steps": int(resolved["quad_steps"])}
     _write_json(os.path.join(outdir, "derivative.json"), resolved, payload)
@@ -281,10 +280,14 @@ def cmd_corollary_probe(resolved, outdir):
                                       [float(t) for t in resolved["times"]],
                                       int(resolved["K"]),
                                       grid_size=int(resolved["grid_size"]))
-    rows = [(r.time, r.n_star, r.k_star, r.mass, r.threshold_ok)
-            for r in result.records]
-    _write_csv(os.path.join(outdir, "corollary.csv"), resolved,
-               ["T", "n_star", "k_star", "mass", "threshold_ok"], rows)
+    records = result.records
+    _write_csv(os.path.join(outdir, "corollary.csv"), resolved, {
+        "T": [r.time for r in records],
+        "n_star": [r.n_star for r in records],
+        "k_star": [r.k_star for r in records],
+        "mass": [r.mass for r in records],
+        "threshold_ok": [r.threshold_ok for r in records],
+    })
     payload = {"c_tilde": result.c_tilde, "all_ok": result.all_ok}
     _write_json(os.path.join(outdir, "corollary.json"), resolved, payload)
     return payload
@@ -292,17 +295,17 @@ def cmd_corollary_probe(resolved, outdir):
 
 def cmd_localization(resolved, outdir):
     J = _operator(resolved)
-    trunc = J.truncate(int(resolved["half_width"]))
+    trunc = J.truncate(resolved["half_width"])
     step = resolved["t_step"]
     if step is None:
         step = 0.1 * 2.0 * math.pi / trunc.norm_bound
     t_grid = np.arange(0.0, float(resolved["t_max"]) + 1e-12, float(step))
     pairs = [(int(l), int(r)) for l, r in resolved["pairs"]]
     report = dynamics.localization_diagnostic(trunc, pairs, t_grid)
-    rows = [(l, r, abs(r - l), s)
-            for (l, r), s in zip(report.pairs, report.sup_amplitudes)]
-    _write_csv(os.path.join(outdir, "localization.csv"), resolved,
-               ["l", "r", "distance", "sup_amp"], rows)
+    ls, rs = np.array(report.pairs, dtype=int).reshape(-1, 2).T
+    _write_csv(os.path.join(outdir, "localization.csv"), resolved, {
+        "l": ls, "r": rs, "distance": np.abs(rs - ls), "sup_amp": report.sup_amplitudes,
+    })
     payload = {"slope": report.slope, "r_squared": report.r_squared,
                "decay_rate": report.decay_rate,
                "verdict": "localized" if report.localized else "not_localized"}
@@ -344,8 +347,9 @@ def cmd_xy_verify(resolved, outdir):
             for t in times:
                 chk = xychain.propagation_upper_bound(chain, spec, l, r, t)
                 rows.append(("upper", l, r, t, chk.lhs, chk.rhs, chk.ok))
-    _write_csv(os.path.join(outdir, "xy_verify.csv"), resolved,
-               ["check_name", "l", "r", "t", "lhs", "rhs", "ok"], rows)
+    header = ("check_name", "l", "r", "t", "lhs", "rhs", "ok")
+    columns = zip(*rows) if rows else [()] * len(header)
+    _write_csv(os.path.join(outdir, "xy_verify.csv"), resolved, dict(zip(header, columns)))
     payload = {"checks": len(rows), "all_ok": bool(all(r[-1] for r in rows))}
     _write_json(os.path.join(outdir, "xy_verify.json"), resolved, payload)
     return payload
@@ -358,23 +362,24 @@ def cmd_lyapunov(resolved, outdir):
         ns = [ns]
     energies = np.array([_number_pair(pair, "energies") for pair in resolved["energies"]])
     exponents = [limitperiodic.finite_lyapunov(n, energies, w, periodic=True) for n in ns]
-    rows = [(E.real, E.imag, n, L[i])
-            for i, E in enumerate(energies) for n, L in zip(ns, exponents)]
-    _write_csv(os.path.join(outdir, "lyapunov.csv"), resolved,
-               ["E_re", "E_im", "n", "L"], rows)
+    # energy-major rows: every n for the first energy, then the next
+    _write_csv(os.path.join(outdir, "lyapunov.csv"), resolved, {
+        "E_re": np.repeat(energies.real, len(ns)),
+        "E_im": np.repeat(energies.imag, len(ns)),
+        "n": np.tile(ns, len(energies)),
+        "L": np.stack(exponents, axis=-1).ravel(),
+    })
     return None
 
 
 def cmd_thouless(resolved, outdir):
     w = [float(x) for x in resolved["potential"]]
     G = int(resolved["grid_size"])
-    rows = []
-    for pair in resolved["points"]:
-        z = _number_pair(pair, "points")
-        res = limitperiodic.thouless_check(len(w), z, w, grid_size=G)
-        rows.append((z.real, z.imag, res.lhs, res.rhs, res.gap))
-    _write_csv(os.path.join(outdir, "thouless.csv"), resolved,
-               ["z_re", "z_im", "lhs", "rhs", "gap"], rows)
+    zs = np.array([_number_pair(pair, "points") for pair in resolved["points"]], dtype=complex)
+    res = limitperiodic.thouless_check(len(w), zs, w, grid_size=G)
+    _write_csv(os.path.join(outdir, "thouless.csv"), resolved, {
+        "z_re": zs.real, "z_im": zs.imag, "lhs": res.lhs, "rhs": res.rhs, "gap": res.gap,
+    })
     return None
 
 
@@ -417,10 +422,12 @@ def cmd_generic(resolved, outdir):
         })
     _write_json(os.path.join(outdir, "generic_stages.json"), resolved,
                 {"stages": stage_payload})
-    rows = [(v.stage, v.time, v.threshold, v.worst_moment, v.ok)
-            for v in construction.verification]
-    _write_csv(os.path.join(outdir, "generic_verification.csv"), resolved,
-               ["stage", "T", "threshold", "worst_moment", "ok"], rows)
+    rows = construction.verification
+    _write_csv(os.path.join(outdir, "generic_verification.csv"), resolved, {
+        "stage": [v.stage for v in rows], "T": [v.time for v in rows],
+        "threshold": [v.threshold for v in rows],
+        "worst_moment": [v.worst_moment for v in rows], "ok": [v.ok for v in rows],
+    })
     payload = {"stages": len(stage_payload),
                "deltas": [rec.delta for rec in construction.records],
                "all_ok": construction.all_ok}
@@ -453,6 +460,12 @@ def _validate_phase(command, resolved):
         J = _operator(resolved)
     if "state" in resolved:
         _packet(resolved["state"], J.m if "operator" in resolved else 1)
+    if "half_width" in resolved:
+        half = resolved["half_width"]
+        nullable = SCHEMAS[command]["half_width"] is None
+        if not (_is_positive_integer(half) or (nullable and half is None)):
+            raise ConfigInvalid(f"'half_width' must be a positive integer"
+                                f"{' or null' if nullable else ''}, got {half!r}")
     for key in ("potential", "base_potential", "perturbed_potential"):
         if key in resolved:
             w = resolved[key]

@@ -9,6 +9,12 @@ fiber eigenvectors away from degeneracies.
 The asymptotic velocity operator acts fiberwise as the part of A_theta that
 is block-diagonal with respect to the spectral clusters of J_theta; its norm
 is the maximal band speed and bounds every transport light cone from below.
+
+Neighbouring fibers are matched by the permutation of largest total overlap.
+The row-wise largest overlaps already give it whenever each exceeds
+1/sqrt(2) (see _match_order); scipy's linear_sum_assignment is imported only
+for a pair of fibers where that certificate fails, which happens at exact
+crossings on grid points.
 """
 
 from __future__ import annotations
@@ -186,10 +192,28 @@ class BandStructure:
         return total + int(np.sum(wrapped))
 
 
+# A hair above 1/sqrt(2), so that roundoff in the overlaps cannot decide
+# whether a greedy match is certified.
+MATCH_CERTIFICATE = 1.0 / np.sqrt(2.0) + 1e-9
+
+
 def _match_order(v_prev, v_next):
+    """perm[i] = the column of v_next that continues column i of v_prev: the
+    permutation maximizing the summed overlaps |<v_prev_i, v_next_perm(i)>|.
+
+    The overlap matrix is the modulus of a unitary, so its rows and columns
+    have unit 2-norm, and each row or column holds at most one entry above
+    1/sqrt(2). When every row holds one (the certificate), those entries form
+    a permutation that beats every other one row by row: the unique optimum
+    of the assignment problem. Only when the certificate fails is scipy's
+    linear_sum_assignment imported and called.
+    """
+    overlap = np.abs(v_prev.conj().T @ v_next)
+    rows, cols = np.nonzero(overlap > MATCH_CERTIFICATE)
+    if len(rows) == len(overlap):
+        return cols
     from scipy.optimize import linear_sum_assignment
 
-    overlap = np.abs(v_prev.conj().T @ v_next)
     rows, cols = linear_sum_assignment(-overlap)
     perm = np.empty(len(rows), dtype=int)
     perm[rows] = cols

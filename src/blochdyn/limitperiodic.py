@@ -219,9 +219,12 @@ def periodic_lyapunov(energy, w_period) -> float:
 
 @dataclass(frozen=True)
 class ThoulessResult:
-    lhs: float
-    rhs: float
-    gap: float
+    """Both sides of the Thouless check; lhs, rhs and gap take the shape of
+    the points z (numpy scalars for a scalar z)."""
+
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    gap: float | np.ndarray
     grid_size: int
 
 
@@ -230,39 +233,47 @@ THOULESS_MIN_IMAG = 0.05
 
 
 def thouless_check(p: int, z, w, grid_size: int = 2048, quad_tol: float = 1e-4) -> ThoulessResult:
-    """Two independent routes to the Lyapunov exponent at complex energy z.
+    """Two independent routes to the Lyapunov exponent at complex energy z, a
+    scalar or an array of points.
 
     lhs: transfer-matrix route, (1/p) log(spectral radius) of the one-period
     product. rhs: density-of-states route, the log-potential of the band
     measure computed from the scalar Bloch fibers,
     (1 / (2 pi p)) integral of sum_j log|z - lambda_j(theta)|.
+    The fiber eigenvalues do not depend on z: they are computed once, on the
+    grid and on its half for the convergence test, and shared by all points.
     Requires Im z >= THOULESS_MIN_IMAG so the integrand stays smooth.
     """
-    z = complex(z)
-    if z.imag < THOULESS_MIN_IMAG:
-        raise ValueError(f"need Im z >= {THOULESS_MIN_IMAG} for a stable check, got {z.imag}")
+    zs = np.asarray(z, dtype=complex)
+    shape, zs = zs.shape, zs.ravel()
+    if np.any(zs.imag < THOULESS_MIN_IMAG):
+        low = zs.imag[zs.imag < THOULESS_MIN_IMAG][0]
+        raise ValueError(f"need Im z >= {THOULESS_MIN_IMAG} for a stable check, got {low}")
     w = np.atleast_1d(np.asarray(w, dtype=float))
     p = int(p)
     if len(w) != p:
         raise WindowTooShort(f"potential has period {len(w)}, expected {p}")
-    lhs = periodic_lyapunov(z, w)
 
     J = build_operator(scalar_spec(w))
 
-    def dos_side(G):
+    def fiber_eigenvalues(G):
         jf, _ = fiber_matrices(J, 2.0 * np.pi * np.arange(G) / G)
-        lam = np.linalg.eigvalsh(jf)
-        return float(np.sum(np.log(np.abs(z - lam)))) / (G * p)
+        return np.linalg.eigvalsh(jf)
 
-    rhs = dos_side(grid_size)
-    rhs_half = dos_side(max(grid_size // 2, 16))
-    if abs(rhs - rhs_half) > quad_tol:
-        raise QuadratureNotConverged(
-            f"density-of-states quadrature moved by {abs(rhs - rhs_half):.2e} "
-            f"between grids {grid_size // 2} and {grid_size}"
-        )
-    return ThoulessResult(lhs=float(lhs), rhs=float(rhs), gap=float(abs(lhs - rhs)),
-                          grid_size=int(grid_size))
+    half = max(grid_size // 2, 16)
+    lam, lam_half = fiber_eigenvalues(grid_size), fiber_eigenvalues(half)
+    lhs, rhs = np.empty(len(zs)), np.empty(len(zs))
+    for i, zi in enumerate(zs.tolist()):
+        lhs[i] = periodic_lyapunov(zi, w)
+        rhs[i] = np.sum(np.log(np.abs(zi - lam))) / (grid_size * p)
+        rhs_half = np.sum(np.log(np.abs(zi - lam_half))) / (half * p)
+        if abs(rhs[i] - rhs_half) > quad_tol:
+            raise QuadratureNotConverged(
+                f"density-of-states quadrature moved by {abs(rhs[i] - rhs_half):.2e} "
+                f"between grids {grid_size // 2} and {grid_size}"
+            )
+    lhs, rhs = lhs.reshape(shape)[()], rhs.reshape(shape)[()]
+    return ThoulessResult(lhs=lhs, rhs=rhs, gap=np.abs(lhs - rhs), grid_size=int(grid_size))
 
 
 # ---------------------------------------------------------------------------

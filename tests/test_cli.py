@@ -14,6 +14,10 @@ PERIOD2 = {"m": 1, "q": 2,
            "a": [[[1.0, 0.0]], [[1.0, 0.0]]],
            "b": [[[1.0, 0.0]], [[-1.0, 0.0]]]}
 
+GAPPED5_POTENTIAL = [1.5, -0.4, 0.9, -1.2, 0.3]
+GAPPED5 = {"m": 1, "q": 5, "a": [[[1.0, 0.0]]] * 5,
+           "b": [[[v, 0.0]] for v in GAPPED5_POTENTIAL]}
+
 
 def run(tmp_path, capsys, command, config, name="cfg.json"):
     path = tmp_path / name
@@ -166,6 +170,18 @@ def test_bad_energies_exit_2(tmp_path, capsys, energies):
                           "T": "1"}),
     ("derivative-check", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
                           "T": float("inf")}),
+    ("derivative-check", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
+                          "half_width": "x"}),
+    ("evolve", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0}, "times": [1.0],
+                "half_width": 2.7}),
+    ("evolve", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0}, "times": [1.0],
+                "half_width": 0}),
+    ("exponents", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
+                   "times": [1.0, 2.0], "half_width": True}),
+    ("ballistic-check", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
+                         "times": [5.0], "half_width": -5}),
+    ("localization", {"operator": FREE_OPERATOR, "half_width": None, "pairs": [[0, 4]]}),
+    ("localization", {"operator": FREE_OPERATOR, "half_width": 40.0, "pairs": [[0, 4]]}),
 ])
 def test_bad_transfer_and_pair_configs_exit_2(tmp_path, capsys, command, cfg):
     code, _, err = run(tmp_path, capsys, command, cfg)
@@ -338,13 +354,47 @@ def test_derivative_cmd(tmp_path, capsys):
     assert json.loads(out)["residual"] < 1e-6
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
     # scipy is imported inside the functions that need it, so starting a
-    # command does not pay for it
+    # command does not pay for it; bands on a gapped operator never needs
+    # the assignment solver, because every greedy match is certified
     src = os.path.dirname(os.path.dirname(os.path.abspath(blochdyn.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, blochdyn.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    scipy_modules = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    code = f"import sys, blochdyn.cli; print({scipy_modules})"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+    cfg = tmp_path / "bands.json"
+    cfg.write_text(json.dumps({"operator": GAPPED5, "grid_size": 2048}))
+    argv = ["bands", "--config", str(cfg), "--out", str(tmp_path)]
+    code = f"import sys; from blochdyn.cli import main; print(main({argv!r}), {scipy_modules})"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == "0 []"
+    assert len((tmp_path / "bands.csv").read_text().splitlines()) == 3 + 2048 * 5
+
+
+def test_thouless_eigensolves_once_per_command(tmp_path, capsys, monkeypatch):
+    from blochdyn.limitperiodic import thouless_check
+
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    points = [[-2.0, 0.5], [0.1, 0.2], [1.0, 1.0], [2.2, 0.7]]
+    cfg = {"potential": GAPPED5_POTENTIAL, "points": points, "grid_size": 2048}
+    code, _, _ = run(tmp_path, capsys, "thouless", cfg)
+    assert code == 0
+    assert shapes == [(2048, 5, 5), (1024, 5, 5)]
+    rows = (tmp_path / "thouless.csv").read_text().splitlines()[3:]
+    assert len(rows) == len(points)
+    # each row is what a call at that point alone gives
+    for (x, y), row in zip(points, rows):
+        res = thouless_check(5, complex(x, y), GAPPED5_POTENTIAL, grid_size=2048)
+        assert row == ",".join(repr(float(v)) for v in (x, y, res.lhs, res.rhs, res.gap))

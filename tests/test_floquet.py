@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+import blochdyn.floquet as floquet_module
 from blochdyn import (
     BlockSpec,
     WavePacket,
@@ -335,3 +339,83 @@ def test_fiber_properties(J, seed):
     for g in np.flatnonzero(gaps > 0.05):
         order = np.argsort(bs.bands[g])
         assert np.max(np.abs(bs.velocities[g][order] - fd[g])) < 1e-6 * scale
+
+
+# --- band matching ---------------------------------------------------------------
+
+
+def lsa_match(v_prev, v_next):
+    """Reference matching: the optimal assignment on every pair of fibers."""
+    rows, cols = linear_sum_assignment(-np.abs(v_prev.conj().T @ v_next))
+    perm = np.empty(len(rows), dtype=int)
+    perm[rows] = cols
+    return perm
+
+
+def random_unitary(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def counted_assignments():
+    """Patch scipy's linear_sum_assignment with a call-counting wrapper."""
+    return mock.patch("scipy.optimize.linear_sum_assignment", wraps=linear_sum_assignment)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), near=st.booleans(), eps=st.floats(0.0, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_match_order_matches_assignment(n, near, eps, seed):
+    rng = np.random.default_rng(seed)
+    v_prev = random_unitary(rng, n)
+    if near:
+        # a permuted, rephased rotation by at most eps: certified
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = 0.5 * (h + h.conj().T)
+        d, u = np.linalg.eigh(h / np.linalg.norm(h, 2))
+        rot = (u * np.exp(1j * eps * d)) @ u.conj().T
+        step = rot[:, rng.permutation(n)] * np.exp(2j * np.pi * rng.uniform(size=n))
+    else:
+        step = random_unitary(rng, n)
+    v_next = v_prev @ step
+    overlap = np.abs(v_prev.conj().T @ v_next)
+    certified = bool(np.min(np.max(overlap, axis=1)) > 1.0 / np.sqrt(2.0) + 1e-9)
+    assert certified or not near
+    with counted_assignments() as lsa:
+        perm = floquet_module._match_order(v_prev, v_next)
+    assert lsa.call_count == (0 if certified else 1)
+    assert np.array_equal(perm, lsa_match(v_prev, v_next))
+
+
+def test_match_order_falls_back_on_random_unitary():
+    rng = np.random.default_rng(7)
+    v_prev, v_next = random_unitary(rng, 12), random_unitary(rng, 12)
+    with counted_assignments() as lsa:
+        perm = floquet_module._match_order(v_prev, v_next)
+    assert lsa.call_count == 1
+    assert np.array_equal(perm, lsa_match(v_prev, v_next))
+
+
+def test_match_order_near_tie_falls_back():
+    # a rotation by pi/4 + 1e-12 puts every overlap within 1e-12 of
+    # 1/sqrt(2), where roundoff could decide the match: not certified
+    t = np.pi / 4 + 1e-12
+    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]], dtype=complex)
+    with counted_assignments() as lsa:
+        perm = floquet_module._match_order(np.eye(2, dtype=complex), rot)
+    assert lsa.call_count == 1
+    assert np.array_equal(perm, [1, 0])
+
+
+def test_folded_laplacian_bands_match_assignment_everywhere(monkeypatch):
+    # q = 4 copies of the free Laplacian: double eigenvalues on the grid
+    # points theta = 0 and pi, where the greedy match is not certified
+    J = build_operator(scalar_spec([0.0] * 4))
+    with counted_assignments() as lsa:
+        bs = band_structure(J, 16)
+    assert lsa.call_count == 2
+    monkeypatch.setattr(floquet_module, "_match_order", lsa_match)
+    ref = band_structure(J, 16)
+    for field in ("bands", "velocities", "degenerate", "closing_permutation"):
+        assert np.array_equal(getattr(bs, field), getattr(ref, field)), field

@@ -188,6 +188,23 @@ def test_thouless_regularity_margin():
         thouless_check(1, 3.0 + 0.01j, [0.0])
 
 
+def test_thouless_points_match_single_calls():
+    w = [1.0, -1.0]
+    zs = np.array([[0.5 + 0.2j, -1.5 + 0.6j, 2.0 + 1.0j]])
+    res = thouless_check(2, zs, w, grid_size=512)
+    assert res.lhs.shape == res.rhs.shape == res.gap.shape == (1, 3)
+    for i, z in enumerate(zs[0]):
+        one = thouless_check(2, z, w, grid_size=512)
+        assert (res.lhs[0, i], res.rhs[0, i], res.gap[0, i]) == (one.lhs, one.rhs, one.gap)
+
+
+def test_thouless_half_grid_check():
+    # far from the spectrum 32 fibers suffice, at Im z = 0.05 inside a band not
+    with pytest.raises(QuadratureNotConverged):
+        thouless_check(2, [3.0 + 1.0j, 1.5 + 0.05j], [1.0, -1.0], grid_size=32)
+    thouless_check(2, 3.0 + 1.0j, [1.0, -1.0], grid_size=32)
+
+
 # --- transport criterion integral ----------------------------------------------------
 
 
