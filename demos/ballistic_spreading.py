@@ -26,9 +26,9 @@ for name, J, law in [
     traj = moment_trajectory(J, psi, 2.0, times)
     est = transport_exponents(J, psi, 2.0, times)
     print(f"\n== {name}: second moment ({law}) ==")
-    print("t        <|X|^2>       moment/t^2    edge mass")
-    for t, v, tail in zip(traj.times, traj.values, traj.truncation_tail):
-        print(f"{t:6.1f}  {v:12.4f}  {v / t**2:12.6f}  {tail:.1e}")
+    print("t        <|X|^2>       moment/t^2")
+    for t, v in zip(traj.times, traj.values):
+        print(f"{t:6.1f}  {v:12.4f}  {v / t**2:12.6f}")
     print(f"exponent estimates: beta- = {est.beta_minus_hat:.4f}, "
           f"beta+ = {est.beta_plus_hat:.4f} (ballistic = 1)")
 

@@ -349,17 +349,13 @@ def truncate(J: BlockJacobiOperator, N) -> "TruncatedOperator":
 # ---------------------------------------------------------------------------
 
 
-def _chebyshev_coefficients(x):
-    """c_k = (2 - delta_k0) (-i)^k J_k(x) for k = 0..K, so that
-    exp(-i x y) = sum_k c_k T_k(y) on [-1, 1] up to a tail of at most
-    CHEBYSHEV_TAIL.
-
-    K is the last order before the neglected orders' Kapteyn bound
+def chebyshev_order(x):
+    """Order K of the Chebyshev expansion of exp(-i x y) on [-1, 1]: the last
+    order before the neglected orders' Kapteyn bound
     |J_k(x)| <= (z exp(sqrt(1 - z^2)) / (1 + sqrt(1 - z^2)))^k, z = |x|/k <= 1
-    (DLMF 10.14.5), doubled and summed, drops below the tail tolerance. The
-    c_k are the Fourier coefficients of theta -> exp(-i x cos theta), read off
-    one FFT of 2(K+1) samples; the orders they alias with all lie in the
-    neglected tail.
+    (DLMF 10.14.5), doubled and summed, drops below CHEBYSHEV_TAIL. With
+    x = norm_bound * t it is also the light-cone radius of an evolution over
+    time t: a degree-K polynomial in J moves a packet at most K block sites.
     """
     ax = abs(float(x))
     k = np.arange(math.floor(ax) + 1, math.ceil(2.0 * ax) + 60)
@@ -368,7 +364,16 @@ def _chebyshev_coefficients(x):
     with np.errstate(divide="ignore"):
         bound = np.exp(k * (np.log(z) + r - np.log1p(r)))
     tail = 2.0 * np.cumsum(bound[::-1])[::-1]
-    K = int(k[np.argmax(tail <= CHEBYSHEV_TAIL)]) - 1
+    return int(k[np.argmax(tail <= CHEBYSHEV_TAIL)]) - 1
+
+
+def _chebyshev_coefficients(x):
+    """c_k = (2 - delta_k0) (-i)^k J_k(x) for k = 0..chebyshev_order(x), so
+    that exp(-i x y) = sum_k c_k T_k(y) on [-1, 1] up to CHEBYSHEV_TAIL. They
+    are the Fourier coefficients of theta -> exp(-i x cos theta), read off one
+    FFT of 2(K+1) samples; the orders they alias with lie in the neglected tail.
+    """
+    K = chebyshev_order(x)
     M = 2 * (K + 1)
     samples = np.exp(-1j * x * np.cos(2.0 * np.pi * np.arange(M) / M))
     coef = np.fft.fft(samples)[: K + 1] / M

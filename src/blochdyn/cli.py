@@ -81,6 +81,10 @@ def _is_positive_integer(x):
     return _is_integer(x) and x >= 1
 
 
+def _is_positive_number(x):
+    return _is_number(x) and math.isfinite(x) and x > 0
+
+
 def _number_pair(z, what):
     """complex(re, im) from a [re, im] pair of JSON numbers."""
     if isinstance(z, list) and len(z) == 2 and all(_is_number(x) for x in z):
@@ -278,7 +282,7 @@ def cmd_corollary_probe(resolved, outdir):
     J = _operator(resolved)
     result = dynamics.corollary_probe(J, float(resolved["epsilon"]),
                                       [float(t) for t in resolved["times"]],
-                                      int(resolved["K"]),
+                                      resolved["K"],
                                       grid_size=int(resolved["grid_size"]))
     records = result.records
     _write_csv(os.path.join(outdir, "corollary.csv"), resolved, {
@@ -323,7 +327,7 @@ def cmd_xy_velocity(resolved, outdir):
 
 def cmd_xy_verify(resolved, outdir):
     spec = _xy_spec(resolved)
-    lo, hi = (int(x) for x in resolved["window"])
+    lo, hi = resolved["window"]
     chain = xychain.build_spin_hamiltonian(spec, (lo, hi))
     pairs = [(int(l), int(r)) for l, r in resolved["pairs"]]
     times = [float(t) for t in resolved["times"]]
@@ -407,7 +411,7 @@ def cmd_stability(resolved, outdir):
 
 def cmd_generic(resolved, outdir):
     construction = limitperiodic.generic_builder(
-        int(resolved["stages"]), float(resolved["p"]), int(resolved["m_env"]),
+        resolved["stages"], float(resolved["p"]), int(resolved["m_env"]),
         seed=int(resolved["seed"]))
     stage_payload = []
     for rec in construction.records:
@@ -501,8 +505,26 @@ def _validate_phase(command, resolved):
             raise ConfigInvalid(f"'T' must be a finite number, got {resolved['T']!r}")
     if command in ("xy-velocity", "xy-verify"):
         _xy_spec(resolved)
+    if command == "exponents":
+        times = resolved["times"]
+        if not (isinstance(times, list) and all(_is_positive_number(t) for t in times)
+                and len(set(times)) == len(times) >= 2):
+            raise ConfigInvalid(f"'times' must be at least two distinct positive finite "
+                                f"numbers, got {times!r}")
+    if command == "corollary-probe":
+        if not (_is_integer(resolved["K"]) and resolved["K"] >= 0):
+            raise ConfigInvalid(f"'K' must be a nonnegative integer, got {resolved['K']!r}")
+    if command == "localization":
+        t_max, step = resolved["t_max"], resolved["t_step"]
+        if not (_is_positive_number(t_max) and (step is None or _is_positive_number(step))):
+            raise ConfigInvalid(f"'t_max' must be a positive finite number and 't_step' one "
+                                f"or null, got {t_max!r} and {step!r}")
     if command == "xy-verify":
-        lo, hi = (int(x) for x in resolved["window"])
+        window = resolved["window"]
+        if not (isinstance(window, list) and len(window) == 2
+                and all(_is_integer(x) for x in window)):
+            raise ConfigInvalid(f"'window' must be a pair of integer sites, got {window!r}")
+        lo, hi = window
         if hi - lo + 1 > xychain.MAX_SITES:
             raise ConfigInvalid(f"window [{lo}, {hi}] exceeds {xychain.MAX_SITES} sites")
         pairs = resolved["pairs"]
@@ -514,8 +536,10 @@ def _validate_phase(command, resolved):
                     and lo <= pair[0] < pair[1] <= hi):
                 raise ConfigInvalid(f"pairs must be [l, r] integer sites with "
                                     f"{lo} <= l < r <= {hi}, got {pair!r}")
-    if command == "generic" and not 1 <= int(resolved["stages"]) <= 5:
-        raise ConfigInvalid("stages must be between 1 and 5")
+    if command == "generic":
+        stages = resolved["stages"]
+        if not (_is_integer(stages) and 1 <= stages <= 5):
+            raise ConfigInvalid(f"'stages' must be an integer between 1 and 5, got {stages!r}")
 
 
 def _error_json(exc, command):

@@ -10,11 +10,16 @@ diagnostic compute `eigensystem` once and evaluate all their times in that
 eigenbasis. The dense path is capped at MAX_DENSE_DIM rows, the
 window storage at MAX_WINDOW_DIM rows (both in `blockjacobi`).
 
-A window margin rule keeps the light cone away from the open boundary: a
-window admits time t for a packet of support radius r only if it extends at
-least ceil(bound * |t|) + r + MARGIN block sites past the support on each
-side, where bound is the triangle-inequality operator norm bound. Samples
-whose edge mass exceeds TAIL_TOL are rejected.
+One light-cone rule sizes every window: a window admits time t for a packet
+only if it extends K = chebyshev_order(s |t|) block sites (s = norm_bound)
+past the support on each side. The window spectrum lies in [-s, s], so either
+backend applies the degree-K Chebyshev polynomial of exp(-itJ) to psi up to
+CHEBYSHEV_TAIL ||psi||, and that polynomial moves psi at most K block sites,
+never to the open boundary: either backend returns the infinite-chain
+exp(-itJ) psi to within 2 CHEBYSHEV_TAIL ||psi||. The certificate covers one
+forward leg. The pull-back exp(+itJ) X exp(-itJ) psi of
+`check_ballistic_limit` and of the lhs of `check_derivative_identity` runs on
+the same one-leg window; the derivative identity holds exactly on any window.
 """
 
 from __future__ import annotations
@@ -24,13 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockjacobi import BlockJacobiOperator, TruncatedOperator, WavePacket
+from .blockjacobi import BlockJacobiOperator, TruncatedOperator, WavePacket, chebyshev_order
 from .errors import SupportOutsideWindow, WindowTooSmall
 from .floquet import apply_q, q_norm
 
-MARGIN = 20
-TAIL_TOL = 1e-8
-EDGE_WIDTH = 10
 # Simpson nodes per matrix product in check_derivative_identity; it bounds the
 # (dim, QUAD_CHUNK) work arrays whatever quad_steps is
 QUAD_CHUNK = 128
@@ -42,8 +44,9 @@ QUAD_CHUNK = 128
 
 
 def required_half_width(J: BlockJacobiOperator, support_radius: int, t_max: float) -> int:
-    """Smallest symmetric window half-width admitting evolutions up to t_max."""
-    return int(math.ceil(J.norm_bound * abs(t_max))) + int(support_radius) + MARGIN
+    """Smallest symmetric window half-width admitting evolutions up to t_max:
+    the support radius plus the light-cone radius chebyshev_order(s |t_max|)."""
+    return int(support_radius) + chebyshev_order(J.norm_bound * t_max)
 
 
 def _check_margin(trunc: TruncatedOperator, psi: WavePacket, t: float):
@@ -53,7 +56,7 @@ def _check_margin(trunc: TruncatedOperator, psi: WavePacket, t: float):
         raise SupportOutsideWindow(
             f"packet support [{slo}, {shi}] outside window [{lo}, {hi}]"
         )
-    need = math.ceil(trunc.norm_bound * abs(t)) + MARGIN
+    need = chebyshev_order(trunc.norm_bound * t)
     if slo - lo < need or hi - shi < need:
         raise WindowTooSmall(
             f"window [{lo}, {hi}] leaves margin {min(slo - lo, hi - shi)} "
@@ -76,17 +79,6 @@ def evolve(trunc: TruncatedOperator, psi: WavePacket, t: float,
     return trunc.extract(vec, tol=trim)
 
 
-def edge_mass(trunc: TruncatedOperator, packet: WavePacket, width: int = EDGE_WIDTH) -> float:
-    """Probability mass on the outermost `width` block sites of the window."""
-    lo, hi = trunc.window
-    total = 0.0
-    for s in range(lo, min(lo + width, hi + 1)):
-        total += float(np.sum(np.abs(packet.block(s)) ** 2))
-    for s in range(max(hi - width + 1, lo + width), hi + 1):
-        total += float(np.sum(np.abs(packet.block(s)) ** 2))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Moments and transport exponents
 # ---------------------------------------------------------------------------
@@ -103,8 +95,6 @@ class MomentTrajectory:
     times: np.ndarray
     p: float
     values: np.ndarray
-    truncation_tail: np.ndarray
-    rejected_times: tuple
 
     def __post_init__(self):
         if np.any(self.values < 0):
@@ -115,32 +105,23 @@ def moment_trajectory(J: BlockJacobiOperator, psi: WavePacket, p: float, times,
                       half_width: int | None = None) -> MomentTrajectory:
     """Moments <psi(t), |X|^p psi(t)> along a shared truncation.
 
-    Samples whose window edge mass reaches TAIL_TOL are dropped and reported
-    in rejected_times.
+    psi is embedded once and the sorted samples are chained, each propagated
+    from the previous one; the default window admits the largest |t|.
     """
     times = np.asarray(sorted(times), dtype=float)
+    t_far = np.max(np.abs(times))
     if half_width is None:
-        # 15% beyond the minimum rule keeps the edge mass of long evolutions
-        # far below the rejection threshold
-        half_width = required_half_width(J, psi.support_radius(), 1.15 * times[-1])
+        half_width = required_half_width(J, psi.support_radius(), t_far)
     trunc = J.truncate(half_width)
-    values, tails, keep, rejected = [], [], [], []
+    _check_margin(trunc, psi, t_far)
+    weights = np.abs(trunc.position_diagonal) ** p
+    vec = trunc.embed(psi)
+    values, t_prev = [], 0.0
     for t in times:
-        pt = evolve(trunc, psi, t, trim=0.0)
-        tail = edge_mass(trunc, pt)
-        if tail >= TAIL_TOL:
-            rejected.append(float(t))
-            continue
-        values.append(moment(pt, p))
-        tails.append(tail)
-        keep.append(t)
-    return MomentTrajectory(
-        times=np.array(keep),
-        p=float(p),
-        values=np.array(values),
-        truncation_tail=np.array(tails),
-        rejected_times=tuple(rejected),
-    )
+        vec = trunc.propagate(vec, t - t_prev)
+        values.append(float(weights @ np.abs(vec) ** 2))
+        t_prev = t
+    return MomentTrajectory(times=times, p=float(p), values=np.array(values))
 
 
 @dataclass(frozen=True)
@@ -165,7 +146,7 @@ def exponent_estimate(traj: MomentTrajectory) -> ExponentEstimate:
     the reported residual is the RMS deviation of a single-line log-log fit.
     """
     if len(traj.times) < 2:
-        raise WindowTooSmall("fewer than two accepted samples; enlarge the window")
+        raise ValueError("need at least two sample times")
     p = traj.p
     logs = np.log(traj.values)
     logt = np.log(traj.times)
@@ -208,7 +189,7 @@ def check_ballistic_limit(J: BlockJacobiOperator, psi: WavePacket, times,
     if half_width is None:
         # the window must also hold Q psi, whose trimmed support can reach
         # past the light cone of psi at short times
-        half_width = max(required_half_width(J, psi.support_radius(), 1.15 * times[-1]),
+        half_width = max(required_half_width(J, psi.support_radius(), times[-1]),
                          q_psi.support_radius())
     trunc = J.truncate(half_width)
     _check_margin(trunc, psi, times[-1])

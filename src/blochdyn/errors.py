@@ -35,8 +35,8 @@ class SizeLimitExceeded(SpecError):
 # --- Floquet / quadrature --------------------------------------------------
 
 class GridTooCoarse(SpecError):
-    """The quasi-momentum grid is below the minimum size or the quadrature
-    error estimate exceeds the requested tolerance."""
+    """The quasi-momentum grid size is not an integer or is below the minimum
+    size, or the quadrature error estimate exceeds the requested tolerance."""
 
 
 # --- time evolution --------------------------------------------------------
@@ -46,8 +46,8 @@ class SupportOutsideWindow(SpecError):
 
 
 class WindowTooSmall(SpecError):
-    """Truncation window violates the evolution margin rule for the
-    requested time."""
+    """Truncation window does not reach the light-cone radius certifying an
+    evolution over time t, chebyshev_order(norm_bound * |t|), past the packet support."""
 
 
 # --- XY chain ---------------------------------------------------------------

@@ -19,6 +19,7 @@ crossings on grid points.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,10 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def check_grid(grid_size) -> int:
-    """The grid size as an int; raises GridTooCoarse below MIN_GRID."""
+    """The grid size as an int; raises GridTooCoarse unless it is an integer
+    of at least MIN_GRID."""
+    if isinstance(grid_size, bool) or not isinstance(grid_size, numbers.Integral):
+        raise GridTooCoarse(f"grid size must be an integer, got {grid_size!r}")
     G = int(grid_size)
     if G < MIN_GRID:
         raise GridTooCoarse(f"grid size {G} below minimum {MIN_GRID}")

@@ -190,6 +190,44 @@ def test_bad_transfer_and_pair_configs_exit_2(tmp_path, capsys, command, cfg):
     assert not list(tmp_path.glob("*.csv"))
 
 
+XY_SMALL = {"mu": [1.0], "gamma": [0.5], "nu": [1.0], "pairs": [[1, 3]], "times": [0.5]}
+DELTA0 = {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0}}
+
+
+@pytest.mark.parametrize("command, cfg, error", [
+    ("bands", {"operator": FREE_OPERATOR, "grid_size": 64.9}, "GridTooCoarse"),
+    ("qnorm", {"operator": FREE_OPERATOR, "grid_size": 64.0}, "GridTooCoarse"),
+    ("xy-verify", dict(XY_SMALL, window=[1.5, 4]), "ConfigInvalid"),
+    ("xy-verify", dict(XY_SMALL, window=[1, 4, 5]), "ConfigInvalid"),
+    ("corollary-probe", {"operator": FREE_OPERATOR, "epsilon": 0.2, "K": 2.7,
+                         "times": [10.0]}, "ConfigInvalid"),
+    ("corollary-probe", {"operator": FREE_OPERATOR, "epsilon": 0.2, "K": -1,
+                         "times": [10.0]}, "ConfigInvalid"),
+    ("generic", {"stages": 1.9}, "ConfigInvalid"),
+    ("localization", {"operator": FREE_OPERATOR, "half_width": 40, "pairs": [[0, 4]],
+                      "t_step": "x"}, "ConfigInvalid"),
+    ("localization", {"operator": FREE_OPERATOR, "half_width": 40, "pairs": [[0, 4]],
+                      "t_step": 0.0}, "ConfigInvalid"),
+    ("localization", {"operator": FREE_OPERATOR, "half_width": 40, "pairs": [[0, 4]],
+                      "t_max": -1}, "ConfigInvalid"),
+    ("localization", {"operator": FREE_OPERATOR, "half_width": 40, "pairs": [[0, 4]],
+                      "t_max": float("inf")}, "ConfigInvalid"),
+    ("exponents", dict(DELTA0, times=[0.0, 5.0]), "ConfigInvalid"),
+    ("exponents", dict(DELTA0, times=[5.0]), "ConfigInvalid"),
+    ("exponents", dict(DELTA0, times=["5", 10.0]), "ConfigInvalid"),
+    ("exponents", dict(DELTA0, times=[5.0, 5.0]), "ConfigInvalid"),
+    ("exponents", dict(DELTA0, times=[-5.0, 10.0]), "ConfigInvalid"),
+])
+def test_non_integer_and_bad_time_configs_exit_2(tmp_path, capsys, command, cfg, error):
+    # integer fields are never truncated, and times are validated before any
+    # evolution runs
+    code, out, err = run(tmp_path, capsys, command, cfg)
+    assert code == 2
+    assert out == ""
+    assert _one_json_error(err)["error"] == error
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("evolve", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0}, "times": [1.0],
                 "half_width": 3000000}),

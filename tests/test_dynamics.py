@@ -17,6 +17,7 @@ from blochdyn import (
     check_derivative_identity,
     corollary_probe,
     evolve,
+    exponent_estimate,
     localization_diagnostic,
     moment,
     moment_trajectory,
@@ -86,32 +87,32 @@ def test_evolve_unitary_and_reversible():
 
 
 def test_evolve_free_beyond_dense_ceiling(tmp_path, capsys):
-    # psi(t)_n = (-i)^|n| J_|n|(2t); the window is past the dense ceiling, so
-    # only the Chebyshev backend can evolve it. The default margin
-    # ceil(2t) + 20 leaves amplitudes ~1e-3 at this t's window edge, so the
-    # window gets 200 more sites.
+    # psi(t)_n = (-i)^|n| J_|n|(2t) on the default window, which is past the
+    # dense ceiling, so only the Chebyshev backend can evolve it; every window
+    # site is compared
     from scipy.special import jv
 
     t = 2500.0
-    half = 5200
-    trunc = free_laplacian().truncate(half)
+    J, psi = free_laplacian(), WavePacket.delta_scalar(0, 1)
+    trunc = J.truncate(required_half_width(J, 0, t))
     assert trunc.dim > MAX_DENSE_DIM
-    out = evolve(trunc, WavePacket.delta_scalar(0, 1), t)
+    out = evolve(trunc, psi, t, trim=0.0)
+    assert out.support() == trunc.window
     n = np.abs(out.sites)
     exact = (-1j) ** n * jv(n, 2.0 * t)
-    assert np.max(np.abs(out.coeffs[:, 0] - exact)) < 1e-10
+    assert np.max(np.abs(out.coeffs[:, 0] - exact)) < 1e-12
     assert abs(out.norm() - 1.0) < 1e-12
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "operator": {"m": 1, "q": 1, "a": [[[1.0, 0.0]]], "b": [[[0.0, 0.0]]]},
-        "state": {"delta_scalar": 0}, "times": [t], "half_width": half}))
+        "state": {"delta_scalar": 0}, "times": [t]}))
     assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     rows = (tmp_path / "evolve.csv").read_text().splitlines()[3:]
     sites = np.array([int(r.split(",")[1]) for r in rows])
     amps = np.array([complex(float(r.split(",")[3]), float(r.split(",")[4])) for r in rows])
-    assert np.max(np.abs(amps - (-1j) ** np.abs(sites) * jv(np.abs(sites), 2.0 * t))) < 1e-10
+    assert np.max(np.abs(amps - (-1j) ** np.abs(sites) * jv(np.abs(sites), 2.0 * t))) < 1e-12
 
 
 def test_evolve_window_guards():
@@ -144,8 +145,7 @@ def test_free_second_moment_bessel_identity():
     times = [2.0, 5.0, 11.0]
     traj = moment_trajectory(J, psi, 2.0, times)
     assert len(traj.times) == len(times)
-    for t, val, tail in zip(traj.times, traj.values, traj.truncation_tail):
-        assert tail < 1e-8
+    for t, val in zip(traj.times, traj.values):
         assert val == pytest.approx(2.0 * t * t, rel=1e-8)
         ns = np.arange(-200, 201)
         oracle = float(np.sum(ns**2 * jv(ns, 2 * t) ** 2))
@@ -166,6 +166,33 @@ def test_transport_exponents_period2():
     assert 0.9 <= est.beta_minus_hat <= est.beta_plus_hat
     # finite-time slack over the ballistic ceiling stays tight
     assert est.beta_plus_hat <= 1.05
+
+
+def test_exponent_estimate_needs_two_samples():
+    traj = moment_trajectory(free_laplacian(), WavePacket.delta_scalar(0, 1), 2.0, [5.0])
+    with pytest.raises(ValueError, match="two sample times") as exc:
+        exponent_estimate(traj)
+    assert not isinstance(exc.value, WindowTooSmall)
+
+
+def test_moment_trajectory_chains_samples(monkeypatch):
+    # one propagation per sample, each from the previous sample's time, on
+    # the window of the largest time
+    J, psi = period2(1.0), WavePacket.delta_scalar(0, 1)
+    steps = []
+    propagate = TruncatedOperator.propagate
+
+    def recording_propagate(self, vec, t):
+        steps.append((self.window, t))
+        return propagate(self, vec, t)
+
+    monkeypatch.setattr(TruncatedOperator, "propagate", recording_propagate)
+    traj = moment_trajectory(J, psi, 2.0, [20.0, 5.0, 10.0])
+    half = required_half_width(J, 0, 20.0)
+    assert steps == [((-half, half), 5.0), ((-half, half), 5.0), ((-half, half), 10.0)]
+    monkeypatch.undo()
+    for t, val in zip(traj.times, traj.values):
+        assert val == pytest.approx(moment(evolve(J.truncate(half), psi, t), 2.0), rel=1e-12)
 
 
 def test_constant_diagonal_matches_free_moments():
@@ -200,16 +227,16 @@ def test_ballistic_limit_period2_decreasing():
 
 def test_ballistic_limit_window_holds_q_psi(windows):
     # at short times the trimmed Q psi (support [-57, 57] here) reaches past
-    # the light-cone window of delta_0 ([-55, 55]); at long times the window
-    # is the light-cone one
+    # the light-cone window of delta_0 ([-44, 44] at t = 5); at long times the
+    # window is the light-cone one
     built, _ = windows
     J, psi = period2(1.0), WavePacket.delta_scalar(0, 1)
-    errs = check_ballistic_limit(J, psi, [5.0, 10.0], grid_size=512)
+    errs = check_ballistic_limit(J, psi, [2.5, 5.0], grid_size=512)
     assert errs.shape == (2,) and np.all(np.isfinite(errs))
-    assert built[-1].window[1] > required_half_width(J, 0, 1.15 * 10.0)
+    assert built[-1].window[1] > required_half_width(J, 0, 5.0)
     check_ballistic_limit(J, psi, [50.0, 100.0, 150.0, 200.0], grid_size=1024)
-    assert built[-1].window == (-required_half_width(J, 0, 1.15 * 200.0),
-                                required_half_width(J, 0, 1.15 * 200.0))
+    assert built[-1].window == (-required_half_width(J, 0, 200.0),
+                                required_half_width(J, 0, 200.0))
 
 
 # --- derivative identity ----------------------------------------------------------
@@ -278,6 +305,26 @@ def test_derivative_identity_matches_per_node_loop(m, q, real, T, quad_steps, se
     psi = (1.0 / psi.norm()) * psi
     ref = derivative_residual_per_node(J, psi, T, quad_steps)
     assert abs(check_derivative_identity(J, psi, T, quad_steps) - ref) <= 1e-13 + 1e-10 * ref
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from([1, 2]), q=st.integers(1, 3), real=st.booleans(),
+       t=st.floats(-20.0, 20.0), prime=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_default_window_matches_double_window(m, q, real, t, prime, seed):
+    # the light-cone certificate: on the required_half_width window either
+    # backend returns the infinite-chain evolution to 2 CHEBYSHEV_TAIL, so a
+    # window twice as wide cannot change the result
+    rng = np.random.default_rng(seed)
+    J = build_operator(random_spec(rng, m, q, real))
+    psi = WavePacket(-1, rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m)))
+    psi = (1.0 / psi.norm()) * psi
+    half = required_half_width(J, psi.support_radius(), t)
+    trunc = J.truncate(half)
+    if prime:
+        trunc.eigensystem
+    out = evolve(trunc, psi, t, trim=0.0)
+    wide = evolve(J.truncate(2 * half), psi, t, trim=0.0)
+    assert (out - wide).norm() <= 1e-12
 
 
 @pytest.mark.parametrize("quad_steps", [64, 1024])
