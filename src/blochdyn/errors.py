@@ -29,7 +29,9 @@ class DimensionMismatch(SpecError):
 
 
 class SizeLimitExceeded(SpecError):
-    """Requested dense truncation exceeds the dense-solver guard."""
+    """A window beyond the dense (MAX_DENSE_DIM) or block storage
+    (MAX_WINDOW_DIM) row limit, or a time grid whose samples times window
+    rows exceed MAX_WINDOW_DIM."""
 
 
 # --- Floquet / quadrature --------------------------------------------------
@@ -67,7 +69,8 @@ class WindowTooShort(SpecError):
 
 
 class QuadratureNotConverged(NumericsError):
-    """Adaptive or grid quadrature failed to reach the requested accuracy."""
+    """A Simpson refinement or fiber-grid quadrature failed to reach the
+    requested accuracy."""
 
 
 class PsiEnvelopeViolated(SpecError):

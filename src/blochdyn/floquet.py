@@ -409,22 +409,7 @@ def apply_q(J: BlockJacobiOperator, psi: WavePacket, grid_size: int = 512,
     inverse-transforms. The quadrature error is estimated against the half
     grid; coefficients below coeff_floor are dropped and reported as tail
     mass. Raises GridTooCoarse when the error estimate exceeds tol.
-
-    With grid_size=None the grid starts at 512 and doubles until both the
-    Parseval residual and the half-grid comparison fall below tol.
     """
-    if grid_size is None:
-        G = 512
-        while True:
-            res = apply_q(J, psi, grid_size=G, tol=np.inf, coeff_floor=coeff_floor)
-            parseval = floquet_parseval_check(J, psi, G)
-            if res.quadrature_error < tol and parseval < tol:
-                return res
-            G *= 2
-            if G > 16384:
-                raise GridTooCoarse(
-                    f"velocity-operator quadrature did not reach {tol} by grid 16384"
-                )
     G = check_grid(grid_size)
     full = _apply_q_raw(J, psi, G)
     half = _apply_q_raw(J, psi, max(G // 2, 8))  # error estimator only

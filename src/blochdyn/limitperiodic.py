@@ -201,15 +201,16 @@ def family_lyapunov(n: int, energy, members, periodic: bool = False) -> float:
     return float(np.mean([finite_lyapunov(n, energy, w, periodic) for w in members]))
 
 
-def periodic_lyapunov(energy, w_period) -> float:
+def periodic_lyapunov(energy, w_period):
     """Exact asymptotic exponent for a periodic potential: (1/p) log of the
-    spectral radius of the one-period product, branch >= 1."""
+    spectral radius of the one-period product, branch >= 1, at a scalar
+    energy (a float) or elementwise over an energy array."""
     w = np.atleast_1d(np.asarray(w_period, dtype=float))
     p = len(w)
     prod = transfer_matrix(p, energy, w)
-    eigs = np.linalg.eigvals(prod.scaled)
-    rho = float(np.max(np.abs(eigs)))
-    return max(prod.log_scale + math.log(rho), 0.0) / p
+    rho = np.max(np.abs(np.linalg.eigvals(prod.scaled)), axis=-1)
+    exponent = np.maximum(prod.log_scale + _log(rho), 0.0) / p
+    return float(exponent) if np.ndim(exponent) == 0 else exponent
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +263,8 @@ def thouless_check(p: int, z, w, grid_size: int = 2048, quad_tol: float = 1e-4) 
 
     half = max(grid_size // 2, 16)
     lam, lam_half = fiber_eigenvalues(grid_size), fiber_eigenvalues(half)
-    lhs, rhs = np.empty(len(zs)), np.empty(len(zs))
+    lhs, rhs = periodic_lyapunov(zs, w), np.empty(len(zs))
     for i, zi in enumerate(zs.tolist()):
-        lhs[i] = periodic_lyapunov(zi, w)
         rhs[i] = np.sum(np.log(np.abs(zi - lam))) / (grid_size * p)
         rhs_half = np.sum(np.log(np.abs(zi - lam_half))) / (half * p)
         if abs(rhs[i] - rhs_half) > quad_tol:

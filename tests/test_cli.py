@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import blochdyn
-from blochdyn.cli import main
+from blochdyn import cli
+from blochdyn.cli import SCHEMAS, main
 
 FREE_OPERATOR = {"m": 1, "q": 1, "a": [[[1.0, 0.0]]], "b": [[[0.0, 0.0]]]}
 PERIOD2 = {"m": 1, "q": 2,
@@ -226,6 +227,96 @@ def test_non_integer_and_bad_time_configs_exit_2(tmp_path, capsys, command, cfg,
     assert out == ""
     assert _one_json_error(err)["error"] == error
     assert not list(tmp_path.glob("*.csv"))
+
+
+# one valid config per command: the schema test breaks one field at a time
+VALID = {
+    "bands": {"operator": FREE_OPERATOR},
+    "qnorm": {"operator": FREE_OPERATOR},
+    "evolve": dict(DELTA0, times=[1.0]),
+    "exponents": dict(DELTA0, times=[1.0, 2.0]),
+    "ballistic-check": dict(DELTA0, times=[5.0]),
+    "derivative-check": DELTA0,
+    "corollary-probe": {"operator": FREE_OPERATOR, "epsilon": 0.2, "K": 0, "times": [10.0]},
+    "localization": {"operator": FREE_OPERATOR, "half_width": 40, "pairs": [[0, 4]]},
+    "xy-velocity": {"mu": [1.0], "gamma": [0.5], "nu": [1.0]},
+    "xy-verify": dict(XY_SMALL, window=[1, 4]),
+    "lyapunov": {"potential": [0.0], "energies": [[1.0, 0.0]]},
+    "thouless": {"potential": [0.0], "points": [[0.5, 1.0]]},
+    "dt-criterion": {"potential": [1.0, -1.0], "coupling": 1.0, "K": 1.0, "T": 50.0},
+    "stability": {"base_potential": [0.0], "perturbed_potential": [0.1, -0.1],
+                  "state": {"delta_scalar": 0}, "t": 2.0},
+    "generic": {"stages": 1},
+}
+WRONG_VALUES = [True, "x", None, float("nan"), float("inf"), [], {}, ["x"]]
+
+
+def _assert_rejected(tmp_path, capsys, command, cfg):
+    code, out, err = run(tmp_path, capsys, command, cfg)
+    assert (code, out) == (2, ""), (command, cfg, err)
+    assert _one_json_error(err)["command"] == command
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_valid_configs_cover_every_command():
+    assert set(VALID) == set(SCHEMAS)
+    for command, cfg in VALID.items():
+        cli._resolve(cfg, command)
+
+
+@pytest.mark.parametrize("command, field",
+                         [(command, field) for command in SCHEMAS for field in SCHEMAS[command]])
+def test_every_schema_field_rejects_wrong_values(tmp_path, capsys, command, field):
+    # null is a wrong value unless the field defaults to null
+    nullable = SCHEMAS[command][field][0] is None
+    for i, wrong in enumerate(WRONG_VALUES):
+        if wrong is None and nullable:
+            continue
+        out = tmp_path / str(i)
+        out.mkdir()
+        _assert_rejected(out, capsys, command, dict(VALID[command], **{field: wrong}))
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("ballistic-check", dict(DELTA0, times=[0.0, 5.0])),
+    ("evolve", dict(DELTA0, times=["x"])),
+    ("evolve", dict(DELTA0, times=[1.0], threshold="x")),
+    ("stability", dict(VALID["stability"], t="x")),
+    ("stability", dict(VALID["stability"], m_env=0)),
+    ("corollary-probe", dict(VALID["corollary-probe"], epsilon=-0.2)),
+    ("corollary-probe", dict(VALID["corollary-probe"], times=[0.0])),
+    ("xy-verify", dict(VALID["xy-verify"], checks=["bogus"])),
+    ("xy-verify", dict(VALID["xy-verify"], cases=[5])),
+    ("xy-verify", dict(VALID["xy-verify"], times="x")),
+    ("xy-verify", dict(VALID["xy-verify"], gamma=[1.0])),
+    ("xy-velocity", dict(VALID["xy-velocity"], gamma=[-1.0])),
+    ("xy-velocity", dict(VALID["xy-velocity"], mu=1.0)),
+    ("generic", {"stages": 1, "p": "x"}),
+    ("generic", {"stages": 1, "seed": 1.5}),
+    ("generic", {"stages": 6}),
+    ("exponents", dict(DELTA0, times=[1.0, 2.0], p=0)),
+    ("exponents", dict(DELTA0, times=[1.0, 2.0, 2.0])),
+    ("bands", {"operator": FREE_OPERATOR, "gap_tol": "x"}),
+    ("localization", dict(VALID["localization"], pairs=[[0]])),
+    ("localization", dict(VALID["localization"], pairs=[[0, 400]])),
+    ("localization", dict(VALID["localization"], pairs=[[-41, 0]])),
+    ("localization", dict(VALID["localization"], t_max=1e9)),
+    ("dt-criterion", dict(VALID["dt-criterion"], p_period="2")),
+    ("lyapunov", dict(VALID["lyapunov"], energies=[[1.0, float("nan")]])),
+    ("thouless", dict(VALID["thouless"], points=[])),
+    ("evolve", dict(VALID["evolve"], state={"base": 0, "coeffs": [[[float("inf"), 0.0]]]})),
+])
+def test_config_errors_exit_2_before_running(tmp_path, capsys, command, cfg):
+    _assert_rejected(tmp_path, capsys, command, cfg)
+
+
+def test_oversized_time_grid_is_a_size_error(tmp_path, capsys):
+    # (time samples) x (window rows) over MAX_WINDOW_DIM, refused before the
+    # grid is allocated
+    cfg = dict(VALID["localization"], t_max=1e9)
+    code, _, err = run(tmp_path, capsys, "localization", cfg)
+    assert code == 2
+    assert _one_json_error(err)["error"] == "SizeLimitExceeded"
 
 
 @pytest.mark.parametrize("command, cfg", [

@@ -132,6 +132,19 @@ def test_free_asymptotic_lyapunov():
     assert periodic_lyapunov(3.0, [0.0]) == pytest.approx(target, abs=1e-12)
 
 
+def test_periodic_lyapunov_batch_matches_single_energies():
+    # one batched product and eigensolve reproduce the per-energy calls bit
+    # for bit, on the real axis (inside and outside the spectrum) and off it
+    rng = np.random.default_rng(7)
+    w = rng.uniform(-1.5, 1.5, 5)
+    zs = rng.uniform(-4.0, 4.0, 200) + 1j * rng.uniform(0.0, 1.0, 200)
+    zs[:40] = zs[:40].real
+    batch = periodic_lyapunov(zs, w)
+    assert batch.shape == (200,)
+    assert np.array_equal(batch, [periodic_lyapunov(z, w) for z in zs])
+    assert type(periodic_lyapunov(3.0, [0.0])) is float
+
+
 def test_family_average():
     w = [0.3, -0.3]
     assert family_lyapunov(8, 2.5, [w], periodic=True) == finite_lyapunov(
@@ -196,6 +209,20 @@ def test_thouless_points_match_single_calls():
     for i, z in enumerate(zs[0]):
         one = thouless_check(2, z, w, grid_size=512)
         assert (res.lhs[0, i], res.rhs[0, i], res.gap[0, i]) == (one.lhs, one.rhs, one.gap)
+
+
+def test_thouless_one_transfer_product_for_all_points(monkeypatch):
+    calls = []
+    kernel = limitperiodic.transfer_matrix
+
+    def counting(n, energy, *args, **kwargs):
+        calls.append((n, np.shape(energy)))
+        return kernel(n, energy, *args, **kwargs)
+
+    monkeypatch.setattr(limitperiodic, "transfer_matrix", counting)
+    thouless_check(2, [0.5 + 0.2j, -1.5 + 0.6j, 2.0 + 1.0j, 0.1 + 0.3j], [1.0, -1.0],
+                   grid_size=512)
+    assert calls == [(2, (4,))]
 
 
 def test_thouless_half_grid_check():
