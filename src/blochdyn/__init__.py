@@ -15,11 +15,8 @@ from .blockjacobi import (
     BlockSpec,
     TruncatedOperator,
     WavePacket,
-    apply,
-    apply_current,
     build_operator,
     scalar_spec,
-    truncate,
 )
 from .dynamics import (
     ExponentEstimate,
@@ -37,12 +34,10 @@ from .dynamics import (
 )
 from .floquet import (
     BandStructure,
-    FloquetFiber,
     QApplication,
     abs_velocity_expectation,
     apply_q,
     band_structure,
-    build_fiber,
     fiber_matrices,
     floquet_parseval_check,
     floquet_transform,
@@ -52,11 +47,9 @@ from .floquet import (
 from .limitperiodic import (
     GenericConstruction,
     GrowthCertificate,
-    PotentialFamily,
     StageRecord,
     TransferProduct,
     dt_criterion,
-    family_lyapunov,
     finite_lyapunov,
     generic_builder,
     growth_certificate,
@@ -69,7 +62,6 @@ from .limitperiodic import (
 from .xychain import (
     SpinChain,
     XYChainSpec,
-    build_spin_hamiltonian,
     commutator_norm,
     free_fermion_residual,
     lr_velocity_bound,

@@ -113,11 +113,14 @@ class BlockSpec:
 
     @classmethod
     def from_json_dict(cls, data):
-        try:
-            m = int(data["m"])
-            q = int(data["q"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DimensionMismatch(f"spec JSON must carry integer m and q: {exc}") from exc
+        if set(data) != {"m", "q", "a", "b"}:
+            raise DimensionMismatch(f"spec JSON must have exactly the keys a, b, m, q, "
+                                    f"got {sorted(data)}")
+        m, q = data["m"], data["q"]
+        for name, value in (("m", m), ("q", q)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise DimensionMismatch(f"spec JSON {name} must be an integer >= 1, "
+                                        f"got {value!r}")
 
         def decode(entries, name):
             if not isinstance(entries, list) or len(entries) != q:
@@ -330,18 +333,6 @@ class BlockJacobiOperator:
 def build_operator(spec: BlockSpec) -> BlockJacobiOperator:
     """Validate a BlockSpec and return the operator handle."""
     return BlockJacobiOperator(spec)
-
-
-def apply(J: BlockJacobiOperator, u: WavePacket) -> WavePacket:
-    return J.apply(u)
-
-
-def apply_current(J: BlockJacobiOperator, u: WavePacket) -> WavePacket:
-    return J.apply_current(u)
-
-
-def truncate(J: BlockJacobiOperator, N) -> "TruncatedOperator":
-    return J.truncate(N)
 
 
 # ---------------------------------------------------------------------------

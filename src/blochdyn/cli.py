@@ -115,14 +115,15 @@ def _state(key, value, parsed):
     m = parsed["operator"].m if "operator" in parsed else 1
     if not isinstance(value, dict):
         raise ConfigInvalid(f"'{key}' must be a JSON object")
-    if "delta_scalar" in value:
+    keys = set(value)
+    if keys == {"delta_scalar"}:
         return WavePacket.delta_scalar(_state_integer(value, "delta_scalar"), m)
-    if "delta_block" in value:
+    if keys in ({"delta_block"}, {"delta_block", "component"}):
         component = _state_integer(value, "component", 0)
         if not 0 <= component < m:
             raise ConfigInvalid(f"state component must lie in [0, {m - 1}], got {component}")
         return WavePacket.delta_block(_state_integer(value, "delta_block"), component, m)
-    if "base" in value and "coeffs" in value:
+    if keys == {"base", "coeffs"}:
         coeffs = value["coeffs"]
         if not (isinstance(coeffs, list) and coeffs
                 and all(isinstance(block, list) and len(block) == m
@@ -131,7 +132,8 @@ def _state(key, value, parsed):
                                 f"[re, im] pairs of finite numbers, got {coeffs!r}")
         arr = np.array([[complex(*z) for z in block] for block in coeffs], dtype=complex)
         return WavePacket(_state_integer(value, "base"), arr)
-    raise ConfigInvalid("state needs 'delta_scalar', 'delta_block', or 'base' + 'coeffs'")
+    raise ConfigInvalid("state must have exactly the keys 'delta_scalar', or 'delta_block' "
+                        f"and optionally 'component', or 'base' and 'coeffs'; got {sorted(keys)}")
 
 
 # ---------------------------------------------------------------------------
@@ -408,25 +410,25 @@ def cmd_xy_velocity(a, out):
 
 
 def cmd_xy_verify(a, out):
-    spec, pairs, times, checks = a["spec"], a["pairs"], a["times"], a["checks"]
-    chain = xychain.build_spin_hamiltonian(spec, a["window"])
+    pairs, times, checks = a["pairs"], a["times"], a["checks"]
+    chain = xychain.SpinChain(a["spec"], a["window"])
     rows = []
     if "free-fermion" in checks:
         for l, _ in pairs:
             for t in times:
-                res = xychain.free_fermion_residual(chain, spec, l, t)
+                res = xychain.free_fermion_residual(chain, l, t)
                 rows.append(("free_fermion", l, l, t, res, 1e-8, res < 1e-8))
     if "lower" in checks:
         for l, r in pairs:
             for t in times:
                 for case in a["cases"]:
-                    chk = xychain.propagation_lower_bound(chain, spec, l, r, t, case)
+                    chk = xychain.propagation_lower_bound(chain, l, r, t, case)
                     rows.append((f"lower_case{case}", l, r, t, chk.commutator,
                                  chk.entry_abs, chk.ok))
     if "upper" in checks:
         for l, r in pairs:
             for t in times:
-                chk = xychain.propagation_upper_bound(chain, spec, l, r, t)
+                chk = xychain.propagation_upper_bound(chain, l, r, t)
                 rows.append(("upper", l, r, t, chk.lhs, chk.rhs, chk.ok))
     header = ("check_name", "l", "r", "t", "lhs", "rhs", "ok")
     out.write_csv("xy_verify.csv", dict(zip(header, zip(*rows))))

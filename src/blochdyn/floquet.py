@@ -98,26 +98,6 @@ def fiber_matrices(J: BlockJacobiOperator, theta):
     return jf, af
 
 
-@dataclass(frozen=True)
-class FloquetFiber:
-    """Fiber matrices at one quasi-momentum with their eigendecomposition."""
-
-    theta: float
-    j_matrix: np.ndarray
-    a_matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def build_fiber(J: BlockJacobiOperator, theta: float) -> FloquetFiber:
-    """Fiber at theta in [0, 2pi) with eigenpairs attached (ascending)."""
-    if not 0.0 <= theta < 2.0 * np.pi:
-        raise ValueError(f"theta must lie in [0, 2pi), got {theta}")
-    jf, af = fiber_matrices(J, theta)
-    w, v = np.linalg.eigh(jf)
-    return FloquetFiber(theta=float(theta), j_matrix=jf, a_matrix=af, eigenvalues=w, eigenvectors=v)
-
-
 def _clusters(eigenvalues, tol=DEGENERACY_TOL):
     """Split ascending eigenvalues into groups separated by gaps >= tol."""
     groups = []

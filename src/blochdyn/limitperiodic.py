@@ -171,36 +171,6 @@ def finite_lyapunov(n: int, energy, w, periodic: bool = False):
     return transfer_matrix(n, energy, w, periodic).log_norm / n
 
 
-@dataclass(frozen=True)
-class PotentialFamily:
-    """Finite family of periodic potentials sharing one period."""
-
-    members: tuple
-    period: int
-
-    def __post_init__(self):
-        members = tuple(np.atleast_1d(np.asarray(m, dtype=float)) for m in self.members)
-        if not members:
-            raise WindowTooShort("family must be nonempty")
-        if any(len(m) != self.period for m in members):
-            raise WindowTooShort(
-                f"every member must have period {self.period}"
-            )
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "period", int(self.period))
-
-
-def family_lyapunov(n: int, energy, members, periodic: bool = False) -> float:
-    """Average of finite_lyapunov over a family of potentials (a
-    PotentialFamily, always tiled, or any iterable of potential arrays)."""
-    if isinstance(members, PotentialFamily):
-        members, periodic = members.members, True
-    members = list(members)
-    if not members:
-        raise WindowTooShort("family must be nonempty")
-    return float(np.mean([finite_lyapunov(n, energy, w, periodic) for w in members]))
-
-
 def periodic_lyapunov(energy, w_period):
     """Exact asymptotic exponent for a periodic potential: (1/p) log of the
     spectral radius of the one-period product, branch >= 1, at a scalar

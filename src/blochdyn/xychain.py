@@ -32,7 +32,6 @@ from .errors import ChainTooLong, DimensionMismatch, InvalidSpec
 from .floquet import q_norm
 
 MAX_SITES = 12
-SVD_SITES = 10
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -172,7 +171,6 @@ class SpinChain:
         self._sector_hamiltonians = tuple(self._build_sector(sector)
                                           for sector in self._states)
         self._images = {}
-        self._windows = {}
         self._propagators = {}
 
     def _build_sector(self, states):
@@ -329,24 +327,23 @@ class SpinChain:
             self._images[key] = self._eigen(self._terms_blocks(terms))
         return self._images[key]
 
-    def _propagator(self, spec, t):
-        """e^{-itM} on the chain's window, from one eigensolve of M per spec."""
-        if spec not in self._windows:
-            self._windows[spec] = np.linalg.eigh(single_particle_window(spec, self.lam))
-        key = (spec, float(t))
-        if key not in self._propagators:
-            w, u = self._windows[spec]
-            self._propagators[key] = u @ (np.exp(-1j * t * w)[:, None] * u.conj().T)
-        return self._propagators[key]
+    @cached_property
+    def _window(self):
+        """(w, u) of the chain's free-fermion window M: one eigensolve."""
+        return np.linalg.eigh(single_particle_window(self.spec, self.lam))
+
+    def _propagator(self, t):
+        """e^{-itM} on the chain's window, formed once per time."""
+        t = float(t)
+        if t not in self._propagators:
+            w, u = self._window
+            self._propagators[t] = u @ (np.exp(-1j * t * w)[:, None] * u.conj().T)
+        return self._propagators[t]
 
     def heisenberg(self, A, t):
         """tau_t(A) = e^{itH} A e^{-itH} through the sector spectra."""
         blocks = self._site_blocks(np.asarray(A, dtype=complex))
         return self._assemble(self._site(self._evolve(self._eigen(blocks), t)))
-
-
-def build_spin_hamiltonian(spec: XYChainSpec, lam) -> SpinChain:
-    return SpinChain(spec, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -375,41 +372,19 @@ def _product(a, b):
     return out
 
 
-def _power_norm(matvec, rmatvec, dim, tol=1e-9, max_iter=10000, seed=11):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = rmatvec(matvec(v))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        new_sigma = math.sqrt(nw)
-        v = w / nw
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1.0):
-            return new_sigma
-        sigma = new_sigma
-    return sigma
-
-
 def _block_norm(chain: SpinChain, blocks) -> float:
-    """Spectral norm of an operator given by sector blocks (any basis).
+    """Spectral norm of an operator given by sector blocks (any basis): the
+    largest singular value, by a dense SVD at every chain size.
 
     With definite parity (only diagonal or only off-diagonal blocks) the
+    operator is block diagonal up to a permutation of the sectors, so its
     norm is the larger block norm; otherwise it is taken on the assembled
-    matrix. Dense SVD up to SVD_SITES sites, power iteration beyond.
+    matrix. The SVD is exact to roundoff, so a bound check that passes on
+    it holds to roundoff.
     """
     kinds = {x == y for x, y in blocks}
     mats = [chain._assemble(blocks)] if len(kinds) > 1 else list(blocks.values())
-    norms = [0.0]
-    for m in mats:
-        if chain.n_sites <= SVD_SITES:
-            norms.append(float(np.linalg.norm(m, 2)))
-        else:
-            mh = m.conj().T
-            norms.append(float(_power_norm(lambda v: m @ v, lambda v: mh @ v, m.shape[1])))
-    return max(norms)
+    return max([0.0] + [float(np.linalg.norm(m, 2)) for m in mats])
 
 
 def commutator_norm(chain: SpinChain, A, B, t) -> float:
@@ -426,7 +401,7 @@ def commutator_norm(chain: SpinChain, A, B, t) -> float:
     return _block_norm(chain, _combine(_product(ta, b), _product(b, ta), -1.0))
 
 
-def free_fermion_residual(chain: SpinChain, spec: XYChainSpec, j: int, t: float) -> float:
+def free_fermion_residual(chain: SpinChain, j: int, t: float) -> float:
     """Exactness check of the quadratic reduction: spectral-norm residual of
 
         tau_t(c_j) = sum_k [e^{-itM}]_{row(c_j), k} C^(k)
@@ -434,7 +409,7 @@ def free_fermion_residual(chain: SpinChain, spec: XYChainSpec, j: int, t: float)
     with M the windowed free-fermion matrix and C the Jordan-Wigner vector
     (c_lo, c_lo^*, c_lo+1, c_lo+1^*, ...).
     """
-    return _free_fermion_residual(chain, chain._propagator(spec, t), j, t)
+    return _free_fermion_residual(chain, chain._propagator(t), j, t)
 
 
 def _free_fermion_residual(chain, mt, j, t):
@@ -475,8 +450,8 @@ class LowerBoundCheck:
     ok: bool
 
 
-def propagation_lower_bound(chain: SpinChain, spec: XYChainSpec, l: int, r: int,
-                            t: float, case: int) -> LowerBoundCheck:
+def propagation_lower_bound(chain: SpinChain, l: int, r: int, t: float,
+                            case: int) -> LowerBoundCheck:
     """Commutator norm against the matching propagator entry.
 
     Case 1 pairs (c_l, a_r^*) with the (row c_l, row c_r) entry of e^{-itM};
@@ -493,7 +468,7 @@ def propagation_lower_bound(chain: SpinChain, spec: XYChainSpec, l: int, r: int,
     b = chain._image("lower", r)
     p_t = commutator_norm(chain, _adjoint(a) if l_dag else a,
                           _adjoint(b) if b_raising else b, t)
-    mt = chain._propagator(spec, t)
+    mt = chain._propagator(t)
     entry = mt[scalar_row(chain.lam, l, l_dag), scalar_row(chain.lam, r, r_dag)]
     return LowerBoundCheck(
         commutator=float(p_t),
@@ -509,8 +484,8 @@ class UpperBoundCheck:
     ok: bool
 
 
-def propagation_upper_bound(chain: SpinChain, spec: XYChainSpec, s: int, r: int,
-                            t: float, B=None) -> UpperBoundCheck:
+def propagation_upper_bound(chain: SpinChain, s: int, r: int, t: float,
+                            B=None) -> UpperBoundCheck:
     """Leibniz-rule upper bound for a string observable against B at site r:
 
         ||[tau_t(a_s), B]|| <= 8 ||B|| sum_{k <= row(c_s)} sum_{k' >= row(c_r)}
@@ -525,7 +500,7 @@ def propagation_upper_bound(chain: SpinChain, spec: XYChainSpec, s: int, r: int,
         site_b = chain._site_blocks(np.asarray(B, dtype=complex))
         b, b_norm = chain._eigen(site_b), _block_norm(chain, site_b)
     lhs = commutator_norm(chain, chain._image("lower", s), b, t)
-    mt = chain._propagator(spec, t)
+    mt = chain._propagator(t)
     srow = scalar_row(chain.lam, s)
     rrow = scalar_row(chain.lam, r)
     tail_sum = float(np.sum(np.abs(mt[: srow + 1, rrow:])))

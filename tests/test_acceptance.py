@@ -24,8 +24,8 @@ from blochdyn import (
 )
 from blochdyn.limitperiodic import dt_criterion, generic_builder, growth_certificate, thouless_check
 from blochdyn.xychain import (
+    SpinChain,
     XYChainSpec,
-    build_spin_hamiltonian,
     free_fermion_residual,
     lr_velocity_bound,
     propagation_lower_bound,
@@ -145,32 +145,32 @@ def test_c07_free_fermion_exactness():
     worst = 0.0
     for spec in XY_SPECS:
         for lam in [(1, 4), (1, 6)]:
-            chain = build_spin_hamiltonian(spec, lam)
+            chain = SpinChain(spec, lam)
             for j in range(lam[0], lam[1] + 1):
                 for t in (0.5, 1.0, 2.0):
-                    worst = max(worst, free_fermion_residual(chain, spec, j, t))
+                    worst = max(worst, free_fermion_residual(chain, j, t))
     report(7, "free-fermion exactness", worst < 1e-8, f"worst residual={worst:.2e}")
 
 
 def test_c08_propagator_lower_bound():
-    chain = build_spin_hamiltonian(ANISO, (1, 6))
+    chain = SpinChain(ANISO, (1, 6))
     ok = True
     margin = np.inf
     for l, r in [(2, 4), (1, 5)]:
         for t in (0.5, 1.0, 2.0):
             for case in (1, 2, 3, 4):
-                chk = propagation_lower_bound(chain, ANISO, l, r, t, case)
+                chk = propagation_lower_bound(chain, l, r, t, case)
                 ok = ok and chk.ok
                 margin = min(margin, chk.commutator - chk.entry_abs)
     report(8, "propagator lower bound", ok, f"min slack={margin:.3e}")
 
 
 def test_c09_propagation_upper_bound():
-    chain = build_spin_hamiltonian(ANISO, (1, 6))
+    chain = SpinChain(ANISO, (1, 6))
     ok = True
     for s, r in [(2, 4), (1, 5)]:
         for t in (0.5, 1.0, 2.0):
-            chk = propagation_upper_bound(chain, ANISO, s, r, t)
+            chk = propagation_upper_bound(chain, s, r, t)
             ok = ok and chk.ok
     report(9, "string-observable upper bound", ok)
 

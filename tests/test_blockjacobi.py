@@ -3,15 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochdyn import (
-    BlockSpec,
-    WavePacket,
-    apply,
-    apply_current,
-    build_operator,
-    scalar_spec,
-    truncate,
-)
+from blochdyn import BlockSpec, WavePacket, build_operator, scalar_spec
 from blochdyn.blockjacobi import (
     CHEBYSHEV_TAIL,
     MAX_DENSE_DIM,
@@ -99,7 +91,7 @@ def test_spec_json_round_trip():
 
 def test_apply_free_delta():
     J = free_laplacian()
-    out = apply(J, WavePacket.delta_scalar(0, 1))
+    out = J.apply(WavePacket.delta_scalar(0, 1))
     assert out.block(-1)[0] == pytest.approx(1.0)
     assert out.block(1)[0] == pytest.approx(1.0)
     assert abs(out.block(0)[0]) < 1e-15
@@ -107,7 +99,7 @@ def test_apply_free_delta():
 
 def test_apply_constant_diagonal():
     J = build_operator(scalar_spec([3.0]))
-    out = apply(J, WavePacket.delta_scalar(0, 1))
+    out = J.apply(WavePacket.delta_scalar(0, 1))
     assert out.block(0)[0] == pytest.approx(3.0)
     assert out.block(1)[0] == pytest.approx(1.0)
     assert out.block(-1)[0] == pytest.approx(1.0)
@@ -117,7 +109,7 @@ def test_apply_period2_phase_convention():
     # site 0 carries the first listed diagonal value
     v = 0.7
     J = build_operator(scalar_spec([v, -v]))
-    out = apply(J, WavePacket.delta_scalar(0, 1))
+    out = J.apply(WavePacket.delta_scalar(0, 1))
     assert out.block(0)[0] == pytest.approx(v)
     assert out.block(1)[0] == pytest.approx(1.0)
     assert out.block(-1)[0] == pytest.approx(1.0)
@@ -125,14 +117,14 @@ def test_apply_period2_phase_convention():
 
 def test_apply_current_free_delta():
     J = free_laplacian()
-    out = apply_current(J, WavePacket.delta_scalar(0, 1))
+    out = J.apply_current(WavePacket.delta_scalar(0, 1))
     assert out.block(-1)[0] == pytest.approx(1j)
     assert out.block(1)[0] == pytest.approx(-1j)
 
 
 def test_apply_current_zero_packet():
     J = free_laplacian()
-    out = apply_current(J, WavePacket.zero(1))
+    out = J.apply_current(WavePacket.zero(1))
     assert out.norm() == 0.0
 
 
@@ -142,7 +134,7 @@ def test_apply_current_xy_isotropic_blocks():
     b = np.zeros((1, 2, 2), dtype=complex)
     J = build_operator(BlockSpec(m=2, q=1, a=a, b=b))
     e1 = WavePacket.delta_block(0, 0, 2)
-    out = apply_current(J, e1)
+    out = J.apply_current(e1)
     assert np.allclose(out.block(1), -1j * gamma_blk.conj().T @ np.array([1.0, 0.0]))
     assert np.allclose(out.block(-1), 1j * gamma_blk @ np.array([1.0, 0.0]))
 
@@ -152,8 +144,8 @@ def test_current_is_position_commutator():
     for m, q in [(1, 1), (1, 2), (2, 3)]:
         J = build_operator(random_spec(rng, m, q))
         u = random_packet(rng, m)
-        lhs = apply_current(J, u)
-        rhs = 1j * (apply(J, u.position_applied()) - apply(J, u).position_applied())
+        lhs = J.apply_current(u)
+        rhs = 1j * (J.apply(u.position_applied()) - J.apply(u).position_applied())
         assert (lhs - rhs).norm() < 1e-12 * max(1.0, u.norm())
 
 
@@ -162,7 +154,7 @@ def test_current_is_position_commutator():
 
 def test_truncate_free_3x3():
     J = free_laplacian()
-    tr = truncate(J, 1)
+    tr = J.truncate(1)
     assert np.allclose(tr.matrix.real, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     # closed-form path-graph eigenvalues
     assert np.allclose(tr.eigenvalues, [-np.sqrt(2), 0.0, np.sqrt(2)], atol=1e-12)
@@ -186,7 +178,7 @@ def test_truncation_interior_matches_apply():
     tr = J.truncate(N)
     u = random_packet(rng, 2, lo=-N + 2, width=5)
     dense = tr.matrix @ tr.embed(u)
-    direct = tr.embed(apply(J, u))
+    direct = tr.embed(J.apply(u))
     assert np.max(np.abs(dense - direct)) < 1e-12
 
 

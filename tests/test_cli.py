@@ -218,15 +218,29 @@ DELTA0 = {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0}}
     ("exponents", dict(DELTA0, times=["5", 10.0]), "ConfigInvalid"),
     ("exponents", dict(DELTA0, times=[5.0, 5.0]), "ConfigInvalid"),
     ("exponents", dict(DELTA0, times=[-5.0, 10.0]), "ConfigInvalid"),
+    ("qnorm", {"operator": dict(FREE_OPERATOR, m=1.5, q="1", bogus=3)}, "DimensionMismatch"),
+    ("qnorm", {"operator": dict(FREE_OPERATOR, m=1.5)}, "DimensionMismatch"),
+    ("qnorm", {"operator": dict(FREE_OPERATOR, q="1")}, "DimensionMismatch"),
+    ("qnorm", {"operator": dict(FREE_OPERATOR, m=True)}, "DimensionMismatch"),
+    ("qnorm", {"operator": dict(FREE_OPERATOR, q=0)}, "DimensionMismatch"),
+    ("qnorm", {"operator": {"m": 1, "q": 1, "b": [[[0.0, 0.0]]]}}, "DimensionMismatch"),
+    ("evolve", dict(DELTA0, times=[1.0], state={"delta_scalar": 0, "delta_block": 5,
+                                                "bogus": 1}), "ConfigInvalid"),
+    ("evolve", dict(DELTA0, times=[1.0], state={"delta_scalar": 0, "delta_block": 5}),
+     "ConfigInvalid"),
+    ("evolve", dict(DELTA0, times=[1.0], state={"delta_scalar": 0, "component": 0}),
+     "ConfigInvalid"),
+    ("evolve", dict(DELTA0, times=[1.0], state={"base": 0, "coeffs": [[[1.0, 0.0]]],
+                                                "delta_block": 0}), "ConfigInvalid"),
 ])
 def test_non_integer_and_bad_time_configs_exit_2(tmp_path, capsys, command, cfg, error):
-    # integer fields are never truncated, and times are validated before any
-    # evolution runs
+    # integer fields are never truncated, operator and state specs are
+    # strict, and times are validated before any evolution runs
     code, out, err = run(tmp_path, capsys, command, cfg)
     assert code == 2
     assert out == ""
     assert _one_json_error(err)["error"] == error
-    assert not list(tmp_path.glob("*.csv"))
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 # one valid config per command: the schema test breaks one field at a time

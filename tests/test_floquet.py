@@ -13,11 +13,12 @@ from blochdyn import (
     abs_velocity_expectation,
     apply_q,
     band_structure,
-    build_fiber,
     build_operator,
+    evolve,
     fiber_matrices,
     floquet_parseval_check,
     q_norm,
+    required_half_width,
     scalar_spec,
     velocity_maximum,
 )
@@ -41,15 +42,15 @@ def xy_operator(mu, gamma, nu):
 
 
 def test_fiber_free_theta0():
-    fib = build_fiber(free_laplacian(), 0.0)
-    assert fib.j_matrix[0, 0] == pytest.approx(2.0)
-    assert fib.a_matrix[0, 0] == pytest.approx(0.0)
+    jf, af = fiber_matrices(free_laplacian(), 0.0)
+    assert jf[0, 0] == pytest.approx(2.0)
+    assert af[0, 0] == pytest.approx(0.0)
 
 
 def test_fiber_free_theta_half_pi():
-    fib = build_fiber(free_laplacian(), np.pi / 2)
-    assert fib.j_matrix[0, 0] == pytest.approx(0.0, abs=1e-15)
-    assert fib.a_matrix[0, 0] == pytest.approx(-2.0)
+    jf, af = fiber_matrices(free_laplacian(), np.pi / 2)
+    assert jf[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert af[0, 0] == pytest.approx(-2.0)
 
 
 def test_fiber_corner_blocks():
@@ -69,14 +70,8 @@ def test_fiber_corner_blocks():
 
 
 def test_fiber_eigenvectors_unitary():
-    fib = build_fiber(xy_operator(1.0, 0.5, 1.0), 1.3)
-    v = fib.eigenvectors
+    _, v = np.linalg.eigh(fiber_matrices(xy_operator(1.0, 0.5, 1.0), 1.3)[0])
     assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))) < 1e-10
-
-
-def test_build_fiber_range_check():
-    with pytest.raises(ValueError):
-        build_fiber(free_laplacian(), 7.0)
 
 
 # --- band structure -------------------------------------------------------------
@@ -339,6 +334,46 @@ def test_fiber_properties(J, seed):
     for g in np.flatnonzero(gaps > 0.05):
         order = np.argsort(bs.bands[g])
         assert np.max(np.abs(bs.velocities[g][order] - fd[g])) < 1e-6 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(J=block_operators(), G=st.integers(16, 64), cell=st.integers(-50, 50),
+       data=st.data())
+def test_parseval_random_packets(J, G, cell, data):
+    # a packet whose sites lie in at most G consecutive cells meets every
+    # cell index once mod G, so the G-point quadrature is exact
+    cells = data.draw(st.integers(1, G))
+    offset = data.draw(st.integers(0, J.q - 1))
+    length = data.draw(st.integers(1, cells * J.q - offset))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    c = rng.standard_normal((length, J.m)) + 1j * rng.standard_normal((length, J.m))
+    psi = WavePacket(cell * J.q + offset, c)
+    assert floquet_parseval_check(J, psi, G) <= 1e-12 * psi.norm() ** 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(J=block_operators(), t=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_current_is_the_derivative_of_the_position(J, t, seed):
+    # d/dt <psi(t), X psi(t)> = <psi(t), A psi(t)> with A = i[J, X], by a
+    # central difference of step h = 1e-4 / s, s = norm_bound >= ||J||, ||A||.
+    # Its truncation error is at most (h^2 / 6) ||[J, [J, A]]|| <= (2/3) s^3 h^2
+    # = 6.7e-9 s per unit norm; the tolerance 2e-8 s leaves room for roundoff.
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((3, J.m)) + 1j * rng.standard_normal((3, J.m))
+    psi = WavePacket(-1, c)
+    s = J.norm_bound
+    h = 1e-4 / s
+    trunc = J.truncate(required_half_width(J, psi.support_radius(), t + h))
+
+    def position(tau):
+        p = evolve(trunc, psi, tau, trim=0.0)
+        return p.inner(p.position_applied()).real
+
+    derivative = (position(t + h) - position(t - h)) / (2.0 * h)
+    p = evolve(trunc, psi, t, trim=0.0)
+    current = p.inner(J.apply_current(p))
+    assert abs(current.imag) <= 1e-12 * s * psi.norm() ** 2
+    assert abs(derivative - current.real) <= 2e-8 * s * psi.norm() ** 2
 
 
 # --- band matching ---------------------------------------------------------------

@@ -15,7 +15,6 @@ from blochdyn.errors import (
 from blochdyn.limitperiodic import (
     dt_criterion,
     envelope_packet,
-    family_lyapunov,
     finite_lyapunov,
     generic_builder,
     growth_certificate,
@@ -143,28 +142,6 @@ def test_periodic_lyapunov_batch_matches_single_energies():
     assert batch.shape == (200,)
     assert np.array_equal(batch, [periodic_lyapunov(z, w) for z in zs])
     assert type(periodic_lyapunov(3.0, [0.0])) is float
-
-
-def test_family_average():
-    w = [0.3, -0.3]
-    assert family_lyapunov(8, 2.5, [w], periodic=True) == finite_lyapunov(
-        8, 2.5, w, periodic=True)
-    both = family_lyapunov(8, 2.5, [w, [0.0, 0.0]], periodic=True)
-    single = 0.5 * (finite_lyapunov(8, 2.5, w, periodic=True)
-                    + finite_lyapunov(8, 2.5, [0.0], periodic=True))
-    assert both == pytest.approx(single)
-
-
-def test_potential_family_container():
-    from blochdyn import PotentialFamily
-
-    fam = PotentialFamily(members=([0.3, -0.3], [0.0, 0.0]), period=2)
-    val = family_lyapunov(8, 2.5, fam)
-    assert val == pytest.approx(family_lyapunov(8, 2.5, list(fam.members), periodic=True))
-    with pytest.raises(WindowTooShort):
-        PotentialFamily(members=([0.3, -0.3], [0.0]), period=2)
-    with pytest.raises(WindowTooShort):
-        PotentialFamily(members=(), period=2)
 
 
 def test_off_spectrum_growth():

@@ -15,8 +15,8 @@ from blochdyn.xychain import (
     SX,
     SY,
     SZ,
+    SpinChain,
     XYChainSpec,
-    build_spin_hamiltonian,
     commutator_norm,
     free_fermion_residual,
     lr_velocity_bound,
@@ -41,7 +41,7 @@ def test_zero_coupling_rejected():
 
 def test_ising_point_allowed_for_spin_chain_only():
     ising = XYChainSpec(mu=[1.0], gamma=[1.0], nu=[0.0])
-    chain = build_spin_hamiltonian(ising, (1, 2))
+    chain = SpinChain(ising, (1, 2))
     assert np.allclose(chain.hamiltonian, 2.0 * np.kron(SX, SX))
     with pytest.raises(InvalidSpec):
         single_particle_matrix(ising)
@@ -123,28 +123,28 @@ def test_velocity_anisotropic_brute_force():
 
 
 def test_single_site_field():
-    chain = build_spin_hamiltonian(XYChainSpec(mu=[1.0], gamma=[0.0], nu=[3.0]), (5, 5))
+    chain = SpinChain(XYChainSpec(mu=[1.0], gamma=[0.0], nu=[3.0]), (5, 5))
     assert np.allclose(chain.hamiltonian, 3.0 * SZ)
 
 
 def test_two_site_isotropic_spectrum():
-    chain = build_spin_hamiltonian(ISO, (1, 2))
+    chain = SpinChain(ISO, (1, 2))
     assert np.allclose(np.linalg.eigvalsh(chain.hamiltonian), [-2.0, 0.0, 0.0, 2.0])
 
 
 def test_chain_too_long():
     with pytest.raises(ChainTooLong):
-        build_spin_hamiltonian(ISO, (1, 13))
+        SpinChain(ISO, (1, 13))
 
 
 def test_hamiltonian_hermitian():
     for spec in (ISO, ANISO, XYChainSpec(mu=[1.0, -0.5], gamma=[0.3], nu=[0.0, 1.0, 2.0])):
-        chain = build_spin_hamiltonian(spec, (1, 5))
+        chain = SpinChain(spec, (1, 5))
         assert np.max(np.abs(chain.hamiltonian - chain.hamiltonian.conj().T)) < 1e-10
 
 
 def test_canonical_anticommutation():
-    chain = build_spin_hamiltonian(ANISO, (1, 5))
+    chain = SpinChain(ANISO, (1, 5))
     ident = np.eye(chain.dim)
     for j in range(1, 6):
         for k in range(1, 6):
@@ -157,7 +157,7 @@ def test_canonical_anticommutation():
 
 
 def test_sigma_z_number_identity():
-    chain = build_spin_hamiltonian(ANISO, (1, 4))
+    chain = SpinChain(ANISO, (1, 4))
     for j in range(1, 5):
         lhs = chain.sigma(j, "z")
         rhs = 2.0 * chain.jw_creator(j) @ chain.jw_annihilator(j) - np.eye(chain.dim)
@@ -166,7 +166,7 @@ def test_sigma_z_number_identity():
 
 def test_heisenberg_automorphism():
     rng = np.random.default_rng(4)
-    chain = build_spin_hamiltonian(ANISO, (1, 4))
+    chain = SpinChain(ANISO, (1, 4))
     A = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     B = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     t = 0.8
@@ -179,13 +179,13 @@ def test_heisenberg_automorphism():
 
 
 def test_commutator_zero_at_t0_disjoint():
-    chain = build_spin_hamiltonian(ANISO, (1, 5))
+    chain = SpinChain(ANISO, (1, 5))
     assert commutator_norm(chain, chain.sigma(1, "x"), chain.sigma(4, "x"), 0.0) < 1e-14
 
 
 def test_commutator_trivial_bound():
     rng = np.random.default_rng(6)
-    chain = build_spin_hamiltonian(ANISO, (1, 4))
+    chain = SpinChain(ANISO, (1, 4))
     A = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     B = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     for t in (0.3, 1.1):
@@ -195,7 +195,7 @@ def test_commutator_trivial_bound():
 
 def test_commutator_short_time_series():
     # P_t = t ||[i[H, A], B]|| + O(t^2)
-    chain = build_spin_hamiltonian(ANISO, (1, 4))
+    chain = SpinChain(ANISO, (1, 4))
     A, B = chain.sigma(2, "x"), chain.sigma(3, "y")
     t = 1e-3
     K = 1j * (chain.hamiltonian @ A - A @ chain.hamiltonian)
@@ -204,72 +204,71 @@ def test_commutator_short_time_series():
 
 
 def test_commutator_dimension_guard():
-    chain = build_spin_hamiltonian(ANISO, (1, 4))
+    chain = SpinChain(ANISO, (1, 4))
     with pytest.raises(DimensionMismatch):
         commutator_norm(chain, np.eye(4), np.eye(16), 0.1)
 
 
-def test_power_norm_matches_svd():
-    from blochdyn.xychain import _power_norm
-
-    rng = np.random.default_rng(21)
-    M = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    Mh = M.conj().T
-    est = _power_norm(lambda v: M @ v, lambda v: Mh @ v, 40)
-    assert est == pytest.approx(np.linalg.norm(M, 2), rel=1e-6)
+def test_commutator_norm_is_the_dense_svd_at_11_sites():
+    # above 10 sites too, the norm is the largest singular value to roundoff
+    chain = SpinChain(ANISO, (1, 11))
+    A, B = chain.jw_annihilator(1), chain.lowering(6)
+    tA = chain.heisenberg(A, 1.0)
+    dense = np.linalg.norm(tA @ B - B @ tA, 2)
+    assert commutator_norm(chain, A, B, 1.0) == pytest.approx(dense, rel=1e-12)
 
 
 # --- free-fermion reduction ------------------------------------------------------------
 
 
 def test_free_fermion_residual_t0():
-    chain = build_spin_hamiltonian(ANISO, (1, 4))
-    assert free_fermion_residual(chain, ANISO, 2, 0.0) < 1e-13
+    chain = SpinChain(ANISO, (1, 4))
+    assert free_fermion_residual(chain, 2, 0.0) < 1e-13
 
 
 @pytest.mark.parametrize("spec", [ISO, ANISO, XYChainSpec(mu=[1.0], gamma=[-0.5], nu=[2.0])])
 def test_free_fermion_residual_exact(spec):
-    chain = build_spin_hamiltonian(spec, (1, 4))
+    chain = SpinChain(spec, (1, 4))
     for j in (1, 3):
         for t in (1.0, 2.0):
-            assert free_fermion_residual(chain, spec, j, t) < 1e-8
+            assert free_fermion_residual(chain, j, t) < 1e-8
 
 
 # --- propagation bounds ------------------------------------------------------------------
 
 
 def test_lower_bound_t0():
-    chain = build_spin_hamiltonian(ANISO, (1, 6))
-    chk = propagation_lower_bound(chain, ANISO, 2, 4, 0.0, 1)
+    chain = SpinChain(ANISO, (1, 6))
+    chk = propagation_lower_bound(chain, 2, 4, 0.0, 1)
     assert chk.commutator < 1e-12 and chk.entry_abs < 1e-12 and chk.ok
 
 
 def test_lower_bound_all_cases():
-    chain = build_spin_hamiltonian(ANISO, (1, 6))
+    chain = SpinChain(ANISO, (1, 6))
     for case in (1, 2, 3, 4):
         for t in (0.5, 1.5):
-            chk = propagation_lower_bound(chain, ANISO, 2, 4, t, case)
+            chk = propagation_lower_bound(chain, 2, 4, t, case)
             assert chk.ok
 
 
 def test_lower_bound_isotropic():
-    chain = build_spin_hamiltonian(ISO, (1, 6))
+    chain = SpinChain(ISO, (1, 6))
     for case in (1, 2, 3, 4):
-        chk = propagation_lower_bound(chain, ISO, 2, 4, 1.0, case)
+        chk = propagation_lower_bound(chain, 2, 4, 1.0, case)
         assert chk.ok
 
 
 def test_upper_bound_t0():
-    chain = build_spin_hamiltonian(ANISO, (1, 6))
-    chk = propagation_upper_bound(chain, ANISO, 2, 5, 0.0)
+    chain = SpinChain(ANISO, (1, 6))
+    chk = propagation_upper_bound(chain, 2, 5, 0.0)
     assert chk.lhs < 1e-12 and chk.ok
 
 
 def test_upper_bound_examples():
-    chain = build_spin_hamiltonian(ANISO, (1, 6))
-    chk = propagation_upper_bound(chain, ANISO, 2, 5, 1.0, B=chain.sigma(5, "x"))
+    chain = SpinChain(ANISO, (1, 6))
+    chk = propagation_upper_bound(chain, 2, 5, 1.0, B=chain.sigma(5, "x"))
     assert chk.ok
-    chk2 = propagation_upper_bound(chain, ANISO, 2, 5, 1.0, B=chain.raising(5))
+    chk2 = propagation_upper_bound(chain, 2, 5, 1.0, B=chain.raising(5))
     assert chk2.ok
     assert chk2.lhs <= chk2.rhs
 
@@ -314,7 +313,7 @@ def _implicit_commutator_norm(chain, A, B, t, tol=1e-6, iters=400):
 def test_light_cone_speed_matches_velocity_bound():
     # threshold-crossing speed of the commutator front stays within 20% of v0
     spec = ISO
-    chain = build_spin_hamiltonian(spec, (1, 10))
+    chain = SpinChain(spec, (1, 10))
     v0 = lr_velocity_bound(spec)
     A = chain.jw_annihilator(2)
     crossings = {}
@@ -394,7 +393,7 @@ def test_sector_route_matches_site_basis(mu, gamma, nu, lo, n, t, data):
     hi = lo + n - 1
     l = data.draw(st.integers(lo, hi - 1))
     r = data.draw(st.integers(l + 1, hi))
-    chain = build_spin_hamiltonian(spec, (lo, hi))
+    chain = SpinChain(spec, (lo, hi))
     ref = _Reference(spec, lo, hi)
     assert np.max(np.abs(chain.hamiltonian - _reference_hamiltonian(spec, lo, hi))) < 1e-12
     for j in (l, r):
@@ -411,7 +410,7 @@ def test_sector_route_matches_site_basis(mu, gamma, nu, lo, n, t, data):
     for case, (b_raising, l_dag, r_dag) in cases.items():
         A = _kron_site(n, l - lo, RAISE if l_dag else LOWER, string=True)
         B = _kron_site(n, r - lo, RAISE if b_raising else LOWER)
-        chk = propagation_lower_bound(chain, spec, l, r, t, case)
+        chk = propagation_lower_bound(chain, l, r, t, case)
         _close(chk.commutator, ref.commutator_norm(A, B, t))
         _close(chk.entry_abs, abs(mt[row[l, l_dag], row[r, r_dag]]))
 
@@ -420,10 +419,10 @@ def test_sector_route_matches_site_basis(mu, gamma, nu, lo, n, t, data):
     # sigma^x, sigma^+, and one B of norm != 1 without definite parity
     for mat in (SX, RAISE, 1.5 * SX + 0.5 * SZ):
         B = _kron_site(n, r - lo, mat)
-        chk = propagation_upper_bound(chain, spec, l, r, t, B=B)
+        chk = propagation_upper_bound(chain, l, r, t, B=B)
         _close(chk.lhs, ref.commutator_norm(A, B, t))
         _close(chk.rhs, 8.0 * np.linalg.norm(B, 2) * tail)
-    default = propagation_upper_bound(chain, spec, l, r, t)
+    default = propagation_upper_bound(chain, l, r, t)
     _close(default.lhs, ref.commutator_norm(A, _kron_site(n, r - lo, SX), t))
     _close(default.rhs, 8.0 * tail)
 
@@ -433,7 +432,7 @@ def test_sector_route_matches_site_basis(mu, gamma, nu, lo, n, t, data):
     _close(commutator_norm(chain, A, B, t), ref.commutator_norm(A, B, t))
     assert np.max(np.abs(chain.heisenberg(A, t) - ref.heisenberg(A, t))) < 1e-10
 
-    assert free_fermion_residual(chain, spec, l, t) < 1e-8
+    assert free_fermion_residual(chain, l, t) < 1e-8
     if t >= 0.5:
         # the check sees a propagator that is off by 0.01 in time
         assert xychain._free_fermion_residual(chain, ref.propagator(t + 0.01), l, t) > 1e-4
