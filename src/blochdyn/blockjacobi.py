@@ -86,17 +86,19 @@ class BlockSpec:
         object.__setattr__(self, "b", _block_array(self.b, self.m, self.q, "b"))
 
     def validate(self):
-        """Check the invertibility and Hermiticity invariants."""
-        for j in range(self.q):
-            if abs(np.linalg.det(self.a[j])) <= DET_TOL:
+        """Check the invertibility and Hermiticity invariants; the error names
+        the first failing block, its off-diagonal block checked first."""
+        dets = np.abs(np.linalg.det(self.a))
+        devs = np.max(np.abs(self.b - np.conj(np.swapaxes(self.b, 1, 2))), axis=(1, 2))
+        singular = dets <= DET_TOL
+        bad = np.flatnonzero(singular | (devs >= HERMITICITY_TOL))
+        if bad.size:
+            j = bad[0]
+            if singular[j]:
                 raise SingularOffDiagonal(
-                    f"off-diagonal block {j} has |det| = {abs(np.linalg.det(self.a[j])):.3e} <= {DET_TOL}"
-                )
-            dev = np.max(np.abs(self.b[j] - self.b[j].conj().T))
-            if dev >= HERMITICITY_TOL:
-                raise NonHermitianDiagonal(
-                    f"diagonal block {j} deviates from Hermitian by {dev:.3e}"
-                )
+                    f"off-diagonal block {j} has |det| = {dets[j]:.3e} <= {DET_TOL}")
+            raise NonHermitianDiagonal(
+                f"diagonal block {j} deviates from Hermitian by {devs[j]:.3e}")
         return self
 
     # JSON schema: {"m": int, "q": int, "a": [block...], "b": [block...]},
@@ -289,8 +291,8 @@ class BlockJacobiOperator:
     @cached_property
     def norm_bound(self):
         """Triangle-inequality bound max ||b|| + 2 max ||a|| on the operator norm."""
-        bmax = max(np.linalg.norm(blk, 2) for blk in self.spec.b)
-        amax = max(np.linalg.norm(blk, 2) for blk in self.spec.a)
+        bmax = np.linalg.norm(self.spec.b, 2, axis=(1, 2)).max()
+        amax = np.linalg.norm(self.spec.a, 2, axis=(1, 2)).max()
         return float(bmax + 2.0 * amax)
 
     @cached_property

@@ -278,6 +278,20 @@ def test_valid_configs_cover_every_command():
         cli._resolve(cfg, command)
 
 
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_reruns_are_byte_identical(tmp_path, capsys, command):
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        out.mkdir()
+        code, stdout, err = run(out, capsys, command, VALID[command])
+        assert code == 0, (command, err)
+        artifacts = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(artifacts) > 1, artifacts
+        runs.append((stdout, artifacts))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("command, field",
                          [(command, field) for command in SCHEMAS for field in SCHEMAS[command]])
 def test_every_schema_field_rejects_wrong_values(tmp_path, capsys, command, field):

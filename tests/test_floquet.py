@@ -22,6 +22,7 @@ from blochdyn import (
     scalar_spec,
     velocity_maximum,
 )
+from blochdyn.blockjacobi import CHEBYSHEV_TAIL, chebyshev_order
 from blochdyn.errors import GridTooCoarse
 from blochdyn.xychain import XYChainSpec, single_particle_matrix
 
@@ -374,6 +375,44 @@ def test_current_is_the_derivative_of_the_position(J, t, seed):
     current = p.inner(J.apply_current(p))
     assert abs(current.imag) <= 1e-12 * s * psi.norm() ** 2
     assert abs(derivative - current.real) <= 2e-8 * s * psi.norm() ** 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(J=block_operators(), t=st.floats(-8.0, 8.0), width=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_propagate_is_unitary_under_both_backends(J, t, width, seed):
+    # Tolerances per unit ||v||, with eps the double epsilon, s = norm_bound
+    # >= ||J_window|| and dim the window's rows:
+    # - Chebyshev: the neglected orders weigh at most CHEBYSHEV_TAIL. A
+    #   rounding error e made at order j reaches order k multiplied by
+    #   U_{k-j}(J / s), of norm at most k - j + 1, so each of the K + 1 orders
+    #   carries at most (K + 1)^2 e / 2, with e <= (3m + 2) eps since a row of
+    #   the block-tridiagonal matvec sums 3m products. The coefficients
+    #   2 |J_k(s t)| sum to at most 2 sqrt(K + 1), as sum_k J_k^2 <= 1.
+    # - eigensystem: eigh's eigenvectors are orthonormal to a small multiple
+    #   of dim eps, and each of the two products with them adds dim eps, so
+    #   8 dim eps bounds the change of norm. Its eigenpairs are exact for a
+    #   matrix within 2 dim eps s of J_window, which moves exp(-itJ) by |t|
+    #   times that.
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((width, J.m)) + 1j * rng.standard_normal((width, J.m))
+    psi = WavePacket(-(width // 2), c)
+    chebyshev, spectral = J.truncate(12), J.truncate(12)
+    vec = chebyshev.embed(psi)
+    eps, s, dim = np.finfo(float).eps, J.norm_bound, chebyshev.dim
+    K = chebyshev_order(s * t)
+    tol_chebyshev = CHEBYSHEV_TAIL + (K + 1) ** 2.5 * (3 * J.m + 2) * eps
+    tol_spectral = 8 * dim * eps
+
+    out_chebyshev = chebyshev.propagate(vec, t)
+    assert "eigensystem" not in chebyshev.__dict__
+    spectral.eigensystem  # cached: propagate now uses the spectrum
+    out_spectral = spectral.propagate(vec, t)
+    norm = np.linalg.norm(vec)
+    assert abs(np.linalg.norm(out_chebyshev) - norm) <= tol_chebyshev * norm
+    assert abs(np.linalg.norm(out_spectral) - norm) <= tol_spectral * norm
+    assert (np.linalg.norm(out_chebyshev - out_spectral)
+            <= (tol_chebyshev + tol_spectral + 2 * abs(t) * s * dim * eps) * norm)
 
 
 # --- band matching ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,6 +105,73 @@ def test_running_peak_of_log_norms():
     peak = transfer_matrix(40, E, w, periodic=True).peak_log_norm
     per_n = [transfer_matrix(m, E, w, periodic=True).log_norm for m in range(1, 41)]
     np.testing.assert_allclose(peak, np.max(per_n, axis=0), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [99, 100, 101, 10000, 10001])
+def test_block_boundaries_match_reference(n):
+    # the kernel cuts n steps into blocks of ceil(sqrt(n)): 100 and 10000 fill
+    # the last block, 99 leaves it one step short, 101 and 10001 leave it two
+    # steps long. The energies lie in the spectrum or just off it, so the
+    # unscaled reference stays finite at n = 10^4.
+    w = [0.7, -0.4, 1.1]
+    energies = [0.3, 2.0, 0.3 + 0.01j, -1.5 + 0.005j]
+    prod = transfer_matrix(n, np.array(energies), w, periodic=True)
+    log_norm = prod.log_norm
+    for k, energy in enumerate(energies):
+        products = reference_products(n, energy, w)
+        ref = products[-1]
+        got = prod.scaled[k] * math.exp(prod.log_scale[k])
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        ref_log_norms = [math.log(np.linalg.norm(m, 2)) for m in products]
+        assert log_norm[k] == pytest.approx(ref_log_norms[-1], rel=1e-12)
+        assert prod.peak_log_norm[k] == pytest.approx(max(ref_log_norms), rel=1e-12)
+        one = transfer_matrix(n, energy, w, periodic=True)
+        assert one.log_norm == log_norm[k]
+        assert np.array_equal(one.scaled, prod.scaled[k])
+        assert (one.log_scale, one.peak_log_norm) == (prod.log_scale[k], prod.peak_log_norm[k])
+
+
+def test_free_laplacian_million_steps():
+    n = 10**6
+    # E = 3 = 2 cosh a: U_k = sinh((k + 1) a) / sinh a, which equals
+    # e^{(k+1) a} / (2 sinh a) to double precision at these k, so
+    # log ||Phi(n)|| = (n + 1) a + log(1 + e^{-2a}) - log(2 sinh a)
+    a = math.acosh(1.5)
+    off_band = (n + 1) * a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0 * math.sinh(a))
+    # E = s = fl(sqrt 3) = 2 cos theta in the band, theta = pi/6 + delta with
+    # delta = sqrt(3) - s (to first order, delta ~ 1e-16), found exactly from
+    # 3 - s^2; U_k = sin((k + 1) theta) / sin theta, with (k + 1) pi / 6
+    # reduced mod 2 pi exactly
+    s = math.sqrt(3.0)
+    delta = float((3 - Fraction(s) ** 2) / Fraction(2.0 * s))
+    theta = math.pi / 6.0 + delta
+
+    def u(k):
+        return math.sin((k + 1) % 12 * math.pi / 6.0 + (k + 1) * delta) / math.sin(theta)
+
+    # Phi(n) = [[U_n, -U_{n-1}], [U_{n-1}, -U_{n-2}]] has determinant 1
+    frob = u(n) ** 2 + 2.0 * u(n - 1) ** 2 + u(n - 2) ** 2
+    in_band = 0.5 * math.log((frob + math.sqrt(frob * frob - 4.0)) / 2.0)
+    prod = transfer_matrix(n, np.array([3.0, s]), [0.0], periodic=True)
+    assert prod.log_norm[0] == pytest.approx(off_band, rel=1e-12)
+    assert prod.log_norm[1] == pytest.approx(in_band, rel=1e-12)
+    log_det, arg_det = prod.det_deviation()
+    assert np.all(log_det < 1e-10) and np.all(arg_det < 1e-8)
+
+
+def test_kernel_takes_order_sqrt_n_vectorized_steps(monkeypatch):
+    steps = []
+    kernel_step = limitperiodic._step
+
+    def counting(m, d):
+        steps.append(m.shape)
+        kernel_step(m, d)
+
+    monkeypatch.setattr(limitperiodic, "_step", counting)
+    n = 10**4
+    transfer_matrix(n, np.linspace(-3.0, 3.0, 21), [0.5, -0.5], periodic=True)
+    # pass 1 steps the block products, pass 3 the replays and the segments
+    assert len(steps) <= 3 * math.ceil(math.sqrt(n))
 
 
 def test_lyapunov_nonnegative_and_submultiplicative():
