@@ -398,10 +398,9 @@ class TruncatedOperator:
     cached; both are capped at MAX_DENSE_DIM rows, the block storage at
     MAX_WINDOW_DIM rows.
 
-    `propagate` has two backends and no switch: it applies the cached
-    spectrum when `eigensystem` has already been computed, and a Chebyshev
-    expansion on the block-tridiagonal matvec otherwise. A caller that spreads
-    one window over many propagations computes `eigensystem` first.
+    `propagate` is a Chebyshev expansion on the block-tridiagonal matvec and
+    never uses the dense matrix or `eigensystem`; a caller that spreads one
+    window over many times works in `eigensystem` itself.
     All state is immutable after construction, so instances are safe to share.
     """
 
@@ -498,21 +497,11 @@ class TruncatedOperator:
         """exp(-i t J_window) applied to a (dim,) vector or to the columns of
         a (dim, k) block.
 
-        Uses the spectral decomposition if `eigensystem` has already been
-        computed, and the Chebyshev expansion otherwise; both are unitary up
-        to roundoff, and the Chebyshev tail is below CHEBYSHEV_TAIL ||vec||.
+        Computes sum_k c_k T_k(J / s) vec, s = norm_bound >= ||J_window||, by
+        the three-term recurrence T_{k+1} = 2 (J/s) T_k - T_{k-1}; it is
+        unitary up to roundoff and the neglected orders weigh at most
+        CHEBYSHEV_TAIL ||vec||.
         """
-        if "eigensystem" in self.__dict__:
-            w, u = self.eigensystem
-            phases = np.exp(-1j * t * w)
-            if np.ndim(vec) == 2:
-                phases = phases[:, None]
-            return u @ (phases * (u.conj().T @ vec))
-        return self._chebyshev_propagate(vec, t)
-
-    def _chebyshev_propagate(self, vec, t):
-        """sum_k c_k T_k(J / s) vec, s = norm_bound >= ||J_window||, by the
-        three-term recurrence T_{k+1} = 2 (J/s) T_k - T_{k-1}."""
         coef = _chebyshev_coefficients(self.norm_bound * t)
         v = np.asarray(vec, dtype=complex)
         cur = v.reshape(len(self.diag_blocks), self.m, -1)

@@ -8,7 +8,8 @@ the kind SCHEMAS names for it, and all defaults are echoed back into the
 outputs. CSV artifacts start with '#' header lines carrying the resolved
 config; JSON artifacts embed it under a "config" key. Exit codes: 0 success,
 2 config/validation error (including a window too large for the dense or
-block storage limits), 3 numerical failure (or any other error at run time).
+block storage limits, or a dt-criterion grid over its point limit),
+3 numerical failure (or any other error at run time).
 Errors are reported as a single JSON object on stderr, never as a traceback.
 """
 
@@ -141,7 +142,6 @@ def _state(key, value, parsed):
 # takes null
 # ---------------------------------------------------------------------------
 
-_OPTIONAL_HALF_WIDTH = (None, _positive_int)
 _XY = {"mu": (REQUIRED, _numbers), "gamma": (REQUIRED, _numbers), "nu": (REQUIRED, _numbers)}
 
 SCHEMAS = {
@@ -149,17 +149,13 @@ SCHEMAS = {
               "gap_tol": (1e-8, _nonnegative)},
     "qnorm": {"operator": (REQUIRED, _operator), "grid_size": (512, _grid)},
     "evolve": {"operator": (REQUIRED, _operator), "state": (REQUIRED, _state),
-               "times": (REQUIRED, _numbers), "half_width": _OPTIONAL_HALF_WIDTH,
-               "threshold": (1e-12, _nonnegative)},
+               "times": (REQUIRED, _numbers), "threshold": (1e-12, _nonnegative)},
     "exponents": {"operator": (REQUIRED, _operator), "state": (REQUIRED, _state),
-                  "times": (REQUIRED, _positive_numbers), "p": (2.0, _positive),
-                  "half_width": _OPTIONAL_HALF_WIDTH},
+                  "times": (REQUIRED, _positive_numbers), "p": (2.0, _positive)},
     "ballistic-check": {"operator": (REQUIRED, _operator), "state": (REQUIRED, _state),
-                        "times": (REQUIRED, _positive_numbers), "grid_size": (1024, _grid),
-                        "half_width": _OPTIONAL_HALF_WIDTH},
+                        "times": (REQUIRED, _positive_numbers), "grid_size": (1024, _grid)},
     "derivative-check": {"operator": (REQUIRED, _operator), "state": (REQUIRED, _state),
-                         "T": (1.0, _number), "quad_steps": (256, _positive_int),
-                         "half_width": _OPTIONAL_HALF_WIDTH},
+                         "T": (1.0, _number), "quad_steps": (256, _positive_int)},
     "corollary-probe": {"operator": (REQUIRED, _operator), "epsilon": (REQUIRED, _positive),
                         "K": (REQUIRED, _nonnegative_int),
                         "times": (REQUIRED, _positive_numbers), "grid_size": (512, _grid)},
@@ -320,10 +316,9 @@ def cmd_qnorm(a, out):
 
 
 def cmd_evolve(a, out):
-    J, psi, times, half = a["operator"], a["state"], a["times"], a["half_width"]
-    if half is None:
-        half = dynamics.required_half_width(J, psi.support_radius(), max(abs(t) for t in times))
-    trunc = J.truncate(half)
+    J, psi, times = a["operator"], a["state"], a["times"]
+    trunc = J.truncate(dynamics.required_half_width(J, psi.support_radius(),
+                                                    max(abs(t) for t in times)))
     columns = {"t": [], "site": [], "component": [], "re": [], "im": []}
     for t in times:
         pt = dynamics.evolve(trunc, psi, t)
@@ -341,8 +336,7 @@ def cmd_evolve(a, out):
 
 def cmd_exponents(a, out):
     p = a["p"]
-    traj = dynamics.moment_trajectory(a["operator"], a["state"], p, a["times"],
-                                      half_width=a["half_width"])
+    traj = dynamics.moment_trajectory(a["operator"], a["state"], p, a["times"])
     est = dynamics.exponent_estimate(traj)
     slopes = np.diff(np.log(traj.values)) / (p * np.diff(np.log(traj.times)))
     out.write_csv("exponents.csv", {
@@ -358,15 +352,14 @@ def cmd_exponents(a, out):
 def cmd_ballistic_check(a, out):
     times = sorted(a["times"])
     errors = dynamics.check_ballistic_limit(a["operator"], a["state"], times,
-                                            grid_size=a["grid_size"],
-                                            half_width=a["half_width"])
+                                            grid_size=a["grid_size"])
     out.write_csv("ballistic.csv", {"t": times, "error": errors})
     return None
 
 
 def cmd_derivative_check(a, out):
     residual = dynamics.check_derivative_identity(a["operator"], a["state"], a["T"],
-                                                  a["quad_steps"], half_width=a["half_width"])
+                                                  a["quad_steps"])
     payload = {"residual": residual, "T": a["T"], "quad_steps": a["quad_steps"]}
     out.write_json("derivative.json", payload)
     return payload

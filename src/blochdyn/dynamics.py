@@ -1,25 +1,27 @@
 """Finite-window unitary evolution, moments, and transport diagnostics.
 
 Evolution runs on window truncations through `TruncatedOperator.propagate`,
-which has two backends and picks one without a switch: the window's cached
-spectral decomposition if `eigensystem` has already been computed, and a
-Chebyshev expansion on the block-tridiagonal matvec otherwise. Single-time
-evolutions (moments, the ballistic limit, stability, the light-cone probe)
-never diagonalize their window; the derivative identity and the localization
-diagnostic compute `eigensystem` once and evaluate all their times in that
-eigenbasis. The dense path is capped at MAX_DENSE_DIM rows, the
-window storage at MAX_WINDOW_DIM rows (both in `blockjacobi`).
+one Chebyshev expansion on the block-tridiagonal matvec that never
+diagonalizes its window; single-time evolutions (moments, the ballistic
+limit, stability, the light-cone probe) use it. The derivative identity and
+the localization diagnostic compute `eigensystem` once and evaluate all
+their times in that eigenbasis. The dense path is capped at MAX_DENSE_DIM
+rows, the window storage at MAX_WINDOW_DIM rows (both in `blockjacobi`).
 
-One light-cone rule sizes every window: a window admits time t for a packet
-only if it extends K = chebyshev_order(s |t|) block sites (s = norm_bound)
-past the support on each side. The window spectrum lies in [-s, s], so either
-backend applies the degree-K Chebyshev polynomial of exp(-itJ) to psi up to
-CHEBYSHEV_TAIL ||psi||, and that polynomial moves psi at most K block sites,
-never to the open boundary: either backend returns the infinite-chain
-exp(-itJ) psi to within 2 CHEBYSHEV_TAIL ||psi||. The certificate covers one
-forward leg. The pull-back exp(+itJ) X exp(-itJ) psi of
-`check_ballistic_limit` and of the lhs of `check_derivative_identity` runs on
-the same one-leg window; the derivative identity holds exactly on any window.
+One light-cone rule sizes every evolution window: a window admits time t for
+a packet only if it extends K = chebyshev_order(s |t|) block sites
+(s = norm_bound) past the support on each side. Each window is built here
+from the inputs by `required_half_width`; only `evolve` takes its window from
+the caller, and checks it. The window spectrum lies in [-s, s], so the
+recurrence and the eigenbasis both give the degree-K Chebyshev polynomial of
+exp(-itJ) applied to psi up to CHEBYSHEV_TAIL ||psi||, and that polynomial
+moves psi at most K block sites, never to the open boundary: either returns
+the infinite-chain exp(-itJ) psi to within 2 CHEBYSHEV_TAIL ||psi||. The
+certificate covers one forward leg. The pull-back exp(+itJ) X exp(-itJ) psi
+of `check_ballistic_limit` and of the lhs of `check_derivative_identity` runs
+on the same one-leg window; the derivative identity holds exactly on any
+window. The localization diagnostic's window is its own finite system, not a
+light cone.
 """
 
 from __future__ import annotations
@@ -49,31 +51,25 @@ def required_half_width(J: BlockJacobiOperator, support_radius: int, t_max: floa
     return int(support_radius) + chebyshev_order(J.norm_bound * t_max)
 
 
-def _check_margin(trunc: TruncatedOperator, psi: WavePacket, t: float):
-    lo, hi = trunc.window
-    slo, shi = psi.support()
-    if slo < lo or shi > hi:
-        raise SupportOutsideWindow(
-            f"packet support [{slo}, {shi}] outside window [{lo}, {hi}]"
-        )
-    need = chebyshev_order(trunc.norm_bound * t)
-    if slo - lo < need or hi - shi < need:
-        raise WindowTooSmall(
-            f"window [{lo}, {hi}] leaves margin {min(slo - lo, hi - shi)} "
-            f"but time {t} needs {need}"
-        )
-
-
 def evolve(trunc: TruncatedOperator, psi: WavePacket, t: float,
            trim: float | None = None) -> WavePacket:
-    """psi(t) = exp(-i t J) psi on the truncation window.
+    """psi(t) = exp(-i t J) psi on a truncation window the caller built.
 
-    The default trim (1e-12 relative) sits above the roundoff of either
-    propagation backend and the Chebyshev tail (1e-15 relative), so the
-    returned support tracks the true light cone instead of the window.
+    Raises SupportOutsideWindow if psi does not fit the window and
+    WindowTooSmall if the window leaves less than the light-cone margin
+    chebyshev_order(norm_bound |t|) past the support on either side.
+    The default trim (1e-12 relative) sits above the propagation roundoff
+    and the Chebyshev tail (1e-15 relative), so the returned support tracks
+    the true light cone instead of the window.
     """
-    _check_margin(trunc, psi, t)
-    vec = trunc.propagate(trunc.embed(psi), t)
+    vec = trunc.embed(psi)
+    lo, hi = trunc.window
+    slo, shi = psi.support()
+    margin, need = min(slo - lo, hi - shi), chebyshev_order(trunc.norm_bound * t)
+    if margin < need:
+        raise WindowTooSmall(f"window [{lo}, {hi}] leaves margin {margin} "
+                             f"but time {t} needs {need}")
+    vec = trunc.propagate(vec, t)
     if trim is None:
         trim = 1e-12 * psi.norm()
     return trunc.extract(vec, tol=trim)
@@ -101,19 +97,15 @@ class MomentTrajectory:
             raise ValueError("moment values must be nonnegative")
 
 
-def moment_trajectory(J: BlockJacobiOperator, psi: WavePacket, p: float, times,
-                      half_width: int | None = None) -> MomentTrajectory:
+def moment_trajectory(J: BlockJacobiOperator, psi: WavePacket, p: float,
+                      times) -> MomentTrajectory:
     """Moments <psi(t), |X|^p psi(t)> along a shared truncation.
 
     psi is embedded once and the sorted samples are chained, each propagated
-    from the previous one; the default window admits the largest |t|.
+    from the previous one, on the light-cone window of the largest |t|.
     """
     times = np.asarray(sorted(times), dtype=float)
-    t_far = np.max(np.abs(times))
-    if half_width is None:
-        half_width = required_half_width(J, psi.support_radius(), t_far)
-    trunc = J.truncate(half_width)
-    _check_margin(trunc, psi, t_far)
+    trunc = J.truncate(required_half_width(J, psi.support_radius(), np.max(np.abs(times))))
     weights = np.abs(trunc.position_diagonal) ** p
     vec = trunc.embed(psi)
     values, t_prev = [], 0.0
@@ -164,10 +156,10 @@ def exponent_estimate(traj: MomentTrajectory) -> ExponentEstimate:
     )
 
 
-def transport_exponents(J: BlockJacobiOperator, psi: WavePacket, p: float, times,
-                        half_width: int | None = None) -> ExponentEstimate:
+def transport_exponents(J: BlockJacobiOperator, psi: WavePacket, p: float,
+                        times) -> ExponentEstimate:
     """Estimate the transport exponents of psi under J at moment order p."""
-    return exponent_estimate(moment_trajectory(J, psi, p, times, half_width))
+    return exponent_estimate(moment_trajectory(J, psi, p, times))
 
 
 # ---------------------------------------------------------------------------
@@ -176,23 +168,20 @@ def transport_exponents(J: BlockJacobiOperator, psi: WavePacket, p: float, times
 
 
 def check_ballistic_limit(J: BlockJacobiOperator, psi: WavePacket, times,
-                          grid_size: int = 1024, half_width: int | None = None) -> np.ndarray:
+                          grid_size: int = 1024) -> np.ndarray:
     """Errors ||(1/t) X(t) psi - Q psi|| along the time grid.
 
-    X(t) psi is evaluated as exp(+itJ) X exp(-itJ) psi on the truncation;
-    Q psi comes from the fiber quadrature.
+    X(t) psi is evaluated as exp(+itJ) X exp(-itJ) psi on the light-cone
+    window of the largest time; Q psi comes from the fiber quadrature.
     """
     times = np.asarray(sorted(times), dtype=float)
     if np.any(times <= 0):
         raise ValueError("ballistic-limit times must be positive")
     q_psi = apply_q(J, psi, grid_size=grid_size).packet
-    if half_width is None:
-        # the window must also hold Q psi, whose trimmed support can reach
-        # past the light cone of psi at short times
-        half_width = max(required_half_width(J, psi.support_radius(), times[-1]),
-                         q_psi.support_radius())
-    trunc = J.truncate(half_width)
-    _check_margin(trunc, psi, times[-1])
+    # the window must also hold Q psi, whose trimmed support can reach past
+    # the light cone of psi at short times
+    trunc = J.truncate(max(required_half_width(J, psi.support_radius(), times[-1]),
+                           q_psi.support_radius()))
     qvec = trunc.embed(q_psi)
     vec = trunc.embed(psi)
     x_diag = trunc.position_diagonal
@@ -204,7 +193,7 @@ def check_ballistic_limit(J: BlockJacobiOperator, psi: WavePacket, times,
 
 
 def check_derivative_identity(J: BlockJacobiOperator, psi: WavePacket, T: float,
-                              quad_steps: int, half_width: int | None = None) -> float:
+                              quad_steps: int) -> float:
     """Residual || X(T) psi - X psi - integral_0^T A(t) psi dt ||.
 
     The time integral uses composite Simpson with quad_steps intervals
@@ -213,28 +202,28 @@ def check_derivative_identity(J: BlockJacobiOperator, psi: WavePacket, T: float,
     Simpson node is evaluated in that eigenbasis: with a = U^* A U and
     phi = U^* psi, A(t) psi = U (conj(e_t) * (a @ (e_t * phi))) where
     e_t = exp(-i t lambda), so the nodes are stacked QUAD_CHUNK at a time
-    into matrix products instead of two propagations each.
+    into matrix products instead of two propagations each. X(T) psi =
+    U (conj(e_T) * (U^* (X U (e_T * phi)))) is formed in the same eigenbasis.
     """
     if T == 0:
         return 0.0
     steps = int(quad_steps)
     if steps % 2:
         steps += 1
-    if half_width is None:
-        half_width = required_half_width(J, psi.support_radius() + 1, T)
-    trunc = J.truncate(half_width)
+    trunc = J.truncate(required_half_width(J, psi.support_radius() + 1, T))
     w, u = trunc.eigensystem
     vec = trunc.embed(psi)
     x_diag = trunc.position_diagonal
+    u_h = u.conj().T
+    phi = u_h @ vec
 
-    lhs = trunc.propagate(x_diag * trunc.propagate(vec, T), -T) - x_diag * vec
+    psi_T = u @ (np.exp(-1j * T * w) * phi)
+    lhs = u @ (np.exp(1j * T * w) * (u_h @ (x_diag * psi_T))) - x_diag * vec
 
     # current operator as a dense window matrix: A = i [J, X], entrywise
     # A_jk = i J_jk (x_k - x_j)
     a_mat = 1j * trunc.matrix * (x_diag[None, :] - x_diag[:, None])
-    u_h = u.conj().T
     a_eig = u_h @ a_mat @ u
-    phi = u_h @ vec
     ts = np.linspace(0.0, T, steps + 1)
     weights = np.ones(steps + 1)
     weights[1:-1:2] = 4.0

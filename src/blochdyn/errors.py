@@ -30,8 +30,10 @@ class DimensionMismatch(SpecError):
 
 class SizeLimitExceeded(SpecError):
     """A window beyond the dense (MAX_DENSE_DIM) or block storage
-    (MAX_WINDOW_DIM) row limit, or a time grid whose samples times window
-    rows exceed MAX_WINDOW_DIM."""
+    (MAX_WINDOW_DIM) row limit, whether sized from the evolution times or
+    given as localization's half_width; a time grid whose samples times
+    window rows exceed MAX_WINDOW_DIM; or a dt-criterion energy grid of
+    spacing 1/T that needs more than DT_MAX_POINTS points."""
 
 
 # --- Floquet / quadrature --------------------------------------------------

@@ -315,22 +315,23 @@ def q_norm(J: BlockJacobiOperator, grid_size: int = 512) -> float:
 # ---------------------------------------------------------------------------
 
 
-def floquet_transform(J: BlockJacobiOperator, psi: WavePacket, thetas) -> np.ndarray:
-    """Sampled transform (F psi)_k(theta) = sum_l psi_{k+lq} e^{-il theta};
-    returns an array of shape (len(thetas), q, m)."""
-    thetas = np.asarray(thetas, dtype=float)
-    out = np.zeros((len(thetas), J.q, J.m), dtype=complex)
-    for i, s in enumerate(psi.sites):
-        k = s % J.q
-        l = s // J.q
-        out[:, k, :] += np.exp(-1j * l * thetas)[:, None] * psi.coeffs[i]
-    return out
+def floquet_transform(J: BlockJacobiOperator, psi: WavePacket, G: int) -> np.ndarray:
+    """Sampled transform (F psi)_k(theta) = sum_l psi_{k+lq} e^{-il theta} on
+    the uniform grid theta = 2 pi g / G; returns an array of shape (G, q, m).
+
+    e^{-il theta} depends on the cell l only mod G there, so the packet's
+    cells are folded mod G and one FFT over the cell axis gives every theta.
+    """
+    sites = psi.sites
+    cells = np.zeros((G, J.q, J.m), dtype=complex)
+    np.add.at(cells, (sites // J.q % G, sites % J.q), psi.coeffs)
+    return np.fft.fft(cells, axis=0)
 
 
 def floquet_parseval_check(J: BlockJacobiOperator, psi: WavePacket, grid_size: int) -> float:
     """|trapezoid of ||F psi(theta)||^2 - ||psi||^2| on the uniform grid."""
     G = check_grid(grid_size)
-    hat = floquet_transform(J, psi, _theta_grid(G))
+    hat = floquet_transform(J, psi, G)
     quad = float(np.mean(np.sum(np.abs(hat) ** 2, axis=(1, 2))))
     return abs(quad - psi.norm() ** 2)
 
@@ -369,16 +370,14 @@ class QApplication:
     tail_mass: float
 
 
-def _apply_q_raw(J, psi, G, absolute=False):
+def _apply_q_raw(J, psi, G):
+    """Q psi on the cells -(G // 2) .. G - G // 2 - 1: the inverse FFT of the
+    velocity fibers applied to F psi, rolled so that cell -(G // 2) comes first."""
     thetas = _theta_grid(G)
-    hat = floquet_transform(J, psi, thetas).reshape(G, J.q * J.m)
-    y = _velocity_fibers_apply(J, thetas, hat, absolute).reshape(G, J.q, J.m)
-    ls = np.arange(-(G // 2), G - G // 2)
-    phases = np.exp(1j * np.outer(ls, thetas)) / G
-    coeff = np.einsum("lg,gkm->lkm", phases, y)
-    blocks = coeff.reshape(len(ls) * J.q, J.m)
-    base = int(ls[0]) * J.q
-    return WavePacket(base, blocks)
+    hat = floquet_transform(J, psi, G).reshape(G, J.q * J.m)
+    y = _velocity_fibers_apply(J, thetas, hat)
+    coeff = np.roll(np.fft.ifft(y, axis=0), G // 2, axis=0)
+    return WavePacket(-(G // 2) * J.q, coeff.reshape(G * J.q, J.m))
 
 
 def apply_q(J: BlockJacobiOperator, psi: WavePacket, grid_size: int = 512,
@@ -392,7 +391,7 @@ def apply_q(J: BlockJacobiOperator, psi: WavePacket, grid_size: int = 512,
     """
     G = check_grid(grid_size)
     full = _apply_q_raw(J, psi, G)
-    half = _apply_q_raw(J, psi, max(G // 2, 8))  # error estimator only
+    half = _apply_q_raw(J, psi, G // 2)  # error estimator only
     err = (full - half).norm()
     packet = full.trimmed(coeff_floor)
     tail = max(full.norm() ** 2 - packet.norm() ** 2, 0.0)
@@ -409,6 +408,6 @@ def abs_velocity_expectation(J: BlockJacobiOperator, psi: WavePacket,
     """<psi, |Q| psi> by fiberwise quadrature, |Q| taken spectrally per fiber."""
     G = check_grid(grid_size)
     thetas = _theta_grid(G)
-    hat = floquet_transform(J, psi, thetas).reshape(G, J.q * J.m)
+    hat = floquet_transform(J, psi, G).reshape(G, J.q * J.m)
     qhat = _velocity_fibers_apply(J, thetas, hat, absolute=True)
     return float(np.mean(np.real(np.sum(hat.conj() * qhat, axis=-1))))

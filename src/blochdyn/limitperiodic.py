@@ -22,14 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockjacobi import WavePacket, build_operator, scalar_spec
-from .dynamics import moment_trajectory, required_half_width
+from .dynamics import moment_trajectory
 from .errors import (
     NoCertificateFound,
     PsiEnvelopeViolated,
     QuadratureNotConverged,
+    SizeLimitExceeded,
     WindowTooShort,
 )
-from .floquet import fiber_matrices
+from .floquet import _theta_grid, fiber_matrices
 
 DEFAULT_SEED = 20240901
 
@@ -313,7 +314,7 @@ def thouless_check(p: int, z, w, grid_size: int = 2048, quad_tol: float = 1e-4) 
     J = build_operator(scalar_spec(w))
 
     def fiber_eigenvalues(G):
-        jf, _ = fiber_matrices(J, 2.0 * np.pi * np.arange(G) / G)
+        jf, _ = fiber_matrices(J, _theta_grid(G))
         return np.linalg.eigvalsh(jf)
 
     half = max(grid_size // 2, 16)
@@ -346,6 +347,10 @@ def check_dt_args(w, K: float, T: float, alpha: float = 1.0, p_period: int | Non
         raise ValueError("need K > 0, T > 0, and alpha in (0, 1]")
     if p_period is not None and len(w) != int(p_period):
         raise WindowTooShort(f"potential period {len(w)} does not match declared {p_period}")
+    # the first Simpson grid has 2 ceil(K T) + 1 points
+    if K * T > (DT_MAX_POINTS - 1) // 2:
+        raise SizeLimitExceeded(f"K T = {K * T:g} needs a grid of spacing 1/T with more "
+                                f"than {DT_MAX_POINTS} points")
 
 
 def dt_criterion(w, coupling: float, K: float, T: float, alpha: float = 1.0,
@@ -358,7 +363,8 @@ def dt_criterion(w, coupling: float, K: float, T: float, alpha: float = 1.0,
     each refinement halves the spacing and evaluates only the new midpoints.
     The estimate is accepted once two successive halvings each move it by at
     most rel_tol relative; QuadratureNotConverged is raised if that needs
-    more than DT_MAX_POINTS points.
+    more than DT_MAX_POINTS points, and SizeLimitExceeded (by check_dt_args)
+    if the first grid alone does.
 
     Order-1 values signal transport (transfer matrices stay polynomially
     bounded on the spectrum); exponentially small values signal a spectral
@@ -375,9 +381,6 @@ def dt_criterion(w, coupling: float, K: float, T: float, alpha: float = 1.0,
         return np.exp(-2.0 * peak)
 
     intervals = 2 * math.ceil(K * T)
-    if intervals + 1 > DT_MAX_POINTS:
-        raise QuadratureNotConverged(
-            f"a grid of spacing 1/T needs {intervals + 1} points, above {DT_MAX_POINTS}")
     f = integrand(np.linspace(-K, K, intervals + 1))
     estimates = []
     while True:
@@ -430,15 +433,11 @@ def envelope_packet(m_env: int, cutoff: int | None = None) -> WavePacket:
 
 def perturbation_stability(W, V, psi: WavePacket, t: float, p: float,
                            m_env: int) -> float:
-    """|moment(t; base potential) - moment(t; perturbed potential)| with both
-    evolutions run on a common truncation sized for the larger norm bound."""
+    """|moment(t; base potential) - moment(t; perturbed potential)|, each
+    evolution run on the light-cone window of its own operator."""
     check_envelope(psi, m_env)
-    jw = schroedinger_operator(W)
-    jv = schroedinger_operator(V)
-    half = max(required_half_width(jw, psi.support_radius(), t),
-               required_half_width(jv, psi.support_radius(), t))
-    mw = moment_trajectory(jw, psi, p, [t], half_width=half)
-    mv = moment_trajectory(jv, psi, p, [t], half_width=half)
+    mw = moment_trajectory(schroedinger_operator(W), psi, p, [t])
+    mv = moment_trajectory(schroedinger_operator(V), psi, p, [t])
     return float(abs(mw.values[0] - mv.values[0]))
 
 

@@ -102,7 +102,7 @@ def test_c04_ballistic_limit():
     psi = WavePacket.delta_scalar(0, 1)
     err_free = check_ballistic_limit(free_laplacian(), psi, [100.0], grid_size=64)[0]
     errs = check_ballistic_limit(period2(1.0), psi, [25.0, 50.0, 100.0, 200.0],
-                                 grid_size=1024, half_width=1024)
+                                 grid_size=1024)
     ok = err_free < 0.05 and np.all(np.diff(errs) <= 0)
     report(4, "ballistic limit", ok,
            f"free@100={err_free:.3e}, period-2 errors={np.array2string(errs, precision=4)}")

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,11 +103,14 @@ def test_invalid_spec_exits_2(tmp_path, capsys):
 
 
 def test_runtime_failure_exits_3(tmp_path, capsys):
-    cfg = {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
-           "times": [50.0], "half_width": 30}
-    code, _, err = run(tmp_path, capsys, "evolve", cfg)
+    # a gap of 0.05 is too narrow for the velocity-operator quadrature at
+    # the default grid, which only the run itself finds out
+    near_free = {"m": 1, "q": 2, "a": [[[1.0, 0.0]], [[1.0, 0.0]]],
+                 "b": [[[1.0, 0.0]], [[0.95, 0.0]]]}
+    cfg = {"operator": near_free, "state": {"delta_scalar": 0}, "times": [5.0]}
+    code, _, err = run(tmp_path, capsys, "ballistic-check", cfg)
     assert code == 3
-    assert json.loads(err)["error"] == "WindowTooSmall"
+    assert json.loads(err)["error"] == "GridTooCoarse"
 
 
 def _one_json_error(err):
@@ -278,6 +283,19 @@ def test_valid_configs_cover_every_command():
         cli._resolve(cfg, command)
 
 
+def test_readme_field_table_matches_schemas():
+    # each row of the README's per-command table names its command's schema
+    # fields, in schema order, each optionally followed by "(default)"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Per-command fields", 1)[1].split("\n\n")[1].splitlines()
+    assert table[0] == "| command | fields |"
+    rows = [line.strip("|").split("|") for line in table[2:]]
+    listed = [(command.strip(), [re.fullmatch(r"\s*(\w+)( \(.*\))?\s*", f).group(1)
+                                 for f in fields.split(",")])
+              for command, fields in rows]
+    assert listed == [(command, list(schema)) for command, schema in SCHEMAS.items()]
+
+
 @pytest.mark.parametrize("command", sorted(VALID))
 def test_reruns_are_byte_identical(tmp_path, capsys, command):
     runs = []
@@ -333,6 +351,10 @@ def test_every_schema_field_rejects_wrong_values(tmp_path, capsys, command, fiel
     ("lyapunov", dict(VALID["lyapunov"], energies=[[1.0, float("nan")]])),
     ("thouless", dict(VALID["thouless"], points=[])),
     ("evolve", dict(VALID["evolve"], state={"base": 0, "coeffs": [[[float("inf"), 0.0]]]})),
+    ("evolve", dict(VALID["evolve"], half_width=40)),
+    ("exponents", dict(VALID["exponents"], half_width=40)),
+    ("ballistic-check", dict(VALID["ballistic-check"], half_width=40)),
+    ("derivative-check", dict(VALID["derivative-check"], half_width=40)),
 ])
 def test_config_errors_exit_2_before_running(tmp_path, capsys, command, cfg):
     _assert_rejected(tmp_path, capsys, command, cfg)
@@ -347,12 +369,22 @@ def test_oversized_time_grid_is_a_size_error(tmp_path, capsys):
     assert _one_json_error(err)["error"] == "SizeLimitExceeded"
 
 
+def test_oversized_dt_grid_is_a_size_error(tmp_path, capsys):
+    # K T = 3e5 asks for a first Simpson grid of 600001 points, over
+    # DT_MAX_POINTS; the config alone decides that, so nothing runs
+    cfg = {"potential": [1, -1], "coupling": 1, "K": 3000, "T": 100}
+    code, out, err = run(tmp_path, capsys, "dt-criterion", cfg)
+    assert (code, out) == (2, "")
+    assert _one_json_error(err)["error"] == "SizeLimitExceeded"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("command, cfg", [
-    ("evolve", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0}, "times": [1.0],
-                "half_width": 3000000}),
+    ("evolve", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
+                "times": [1.1e6]}),
     ("localization", {"operator": FREE_OPERATOR, "half_width": 5000, "pairs": [[0, 4]]}),
     ("derivative-check", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
-                          "half_width": 5000}),
+                          "T": 2100.0}),
 ])
 def test_oversized_window_exits_2(tmp_path, capsys, command, cfg):
     # over MAX_WINDOW_DIM (evolve) or MAX_DENSE_DIM (the eigensolving commands)

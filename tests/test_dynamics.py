@@ -264,13 +264,18 @@ def test_derivative_identity_simpson_order():
 def derivative_residual_per_node(J, psi, T, quad_steps):
     """Reference for check_derivative_identity: the same Simpson nodes and
     weights, each node evaluated by two spectral propagations and one dense
-    matvec, propagate(A propagate(psi, t), -t)."""
+    matvec, propagate(A propagate(psi, t), -t), where propagate applies
+    exp(-itJ) through the window's eigensystem."""
     steps = quad_steps + quad_steps % 2
     trunc = J.truncate(required_half_width(J, psi.support_radius() + 1, T))
-    trunc.eigensystem
+    w, u = trunc.eigensystem
+
+    def propagate(v, t):
+        return u @ (np.exp(-1j * t * w) * (u.conj().T @ v))
+
     vec = trunc.embed(psi)
     x = trunc.position_diagonal
-    lhs = trunc.propagate(x * trunc.propagate(vec, T), -T) - x * vec
+    lhs = propagate(x * propagate(vec, T), -T) - x * vec
     a_mat = 1j * trunc.matrix * (x[None, :] - x[:, None])
     ts = np.linspace(0.0, T, steps + 1)
     weights = np.ones(steps + 1)
@@ -279,7 +284,7 @@ def derivative_residual_per_node(J, psi, T, quad_steps):
     weights *= (T / steps) / 3.0
     acc = np.zeros_like(vec)
     for wgt, t in zip(weights, ts):
-        acc += wgt * trunc.propagate(a_mat @ trunc.propagate(vec, t), -t)
+        acc += wgt * propagate(a_mat @ propagate(vec, t), -t)
     return float(np.linalg.norm(lhs - acc))
 
 
@@ -355,14 +360,16 @@ def test_derivative_identity_work_count(monkeypatch, quad_steps):
 def test_derivative_identity_memory_flat_in_quad_steps():
     # the nodes are processed in fixed chunks, so 16x the nodes must not
     # raise the peak of traced allocations (here about the 401-row window's
-    # dense matrices)
-    J, psi = period2(1.0), WavePacket.delta_scalar(0, 1)
-    check_derivative_identity(J, psi, 1.0, 256, half_width=200)
+    # dense matrices: the packet at site 178 plus the light cone of T = 1
+    # gives the half-width 200)
+    J, psi = period2(1.0), WavePacket.delta_scalar(178, 1)
+    assert required_half_width(J, psi.support_radius() + 1, 1.0) == 200
+    check_derivative_identity(J, psi, 1.0, 256)
     peaks = []
     for quad_steps in (256, 4096):
         tracemalloc.start()
         try:
-            check_derivative_identity(J, psi, 1.0, quad_steps, half_width=200)
+            check_derivative_identity(J, psi, 1.0, quad_steps)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

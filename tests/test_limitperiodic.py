@@ -11,6 +11,7 @@ from blochdyn.errors import (
     NoCertificateFound,
     PsiEnvelopeViolated,
     QuadratureNotConverged,
+    SizeLimitExceeded,
     WindowTooShort,
 )
 from blochdyn.limitperiodic import (
@@ -351,9 +352,10 @@ def test_dt_criterion_reuses_samples(monkeypatch):
 
 @pytest.mark.parametrize("cap", [101, 1201])
 def test_dt_criterion_point_cap(monkeypatch, cap):
-    # K T = 150: the first grid has 301 points, and convergence needs 9601
+    # K T = 150: the first grid has 301 points, and convergence needs 9601;
+    # a cap below the first grid is a size error the arguments alone decide
     monkeypatch.setattr(limitperiodic, "DT_MAX_POINTS", cap)
-    with pytest.raises(QuadratureNotConverged):
+    with pytest.raises(SizeLimitExceeded if cap < 301 else QuadratureNotConverged):
         dt_criterion([1.0, -1.0], 1.0, 3.0, 50.0)
 
 
