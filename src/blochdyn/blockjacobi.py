@@ -349,8 +349,16 @@ def chebyshev_order(x):
     (DLMF 10.14.5), doubled and summed, drops below CHEBYSHEV_TAIL. With
     x = norm_bound * t it is also the light-cone radius of an evolution over
     time t: a degree-K polynomial in J moves a packet at most K block sites.
+
+    K >= floor(|x|), so every window sized by it holds at least 2K + 1 rows.
+    When that alone exceeds MAX_WINDOW_DIM, SizeLimitExceeded is raised
+    before the bound is tabulated (48 bytes per unit of |x|).
     """
     ax = abs(float(x))
+    rows = 2 * np.floor(ax) + 1
+    if not rows <= MAX_WINDOW_DIM:
+        raise SizeLimitExceeded(f"the light cone of x = {ax:g} needs a window of at least "
+                                f"{rows:.0f} rows (limit {MAX_WINDOW_DIM})")
     k = np.arange(math.floor(ax) + 1, math.ceil(2.0 * ax) + 60)
     z = ax / k
     r = np.sqrt(1.0 - z * z)

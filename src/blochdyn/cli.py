@@ -405,24 +405,27 @@ def cmd_xy_velocity(a, out):
 def cmd_xy_verify(a, out):
     pairs, times, checks = a["pairs"], a["times"], a["checks"]
     chain = xychain.SpinChain(a["spec"], a["window"])
-    rows = []
-    if "free-fermion" in checks:
-        for l, _ in pairs:
-            for t in times:
-                res = xychain.free_fermion_residual(chain, l, t)
-                rows.append(("free_fermion", l, l, t, res, 1e-8, res < 1e-8))
-    if "lower" in checks:
+    # Rows are computed time by time, since the chain keeps e^{itH} for the
+    # latest time only, and written check by check, pair by pair, time by time.
+    found = {}
+    for t in times:
         for l, r in pairs:
-            for t in times:
+            if "free-fermion" in checks:
+                res = xychain.free_fermion_residual(chain, l, t)
+                found["free_fermion", l, r, t] = (l, l, t, res, 1e-8, res < 1e-8)
+            if "lower" in checks:
                 for case in a["cases"]:
                     chk = xychain.propagation_lower_bound(chain, l, r, t, case)
-                    rows.append((f"lower_case{case}", l, r, t, chk.commutator,
-                                 chk.entry_abs, chk.ok))
-    if "upper" in checks:
-        for l, r in pairs:
-            for t in times:
+                    found[f"lower_case{case}", l, r, t] = (l, r, t, chk.commutator,
+                                                           chk.entry_abs, chk.ok)
+            if "upper" in checks:
                 chk = xychain.propagation_upper_bound(chain, l, r, t)
-                rows.append(("upper", l, r, t, chk.lhs, chk.rhs, chk.ok))
+                found["upper", l, r, t] = (l, r, t, chk.lhs, chk.rhs, chk.ok)
+    groups = {"free-fermion": ["free_fermion"], "upper": ["upper"],
+              "lower": [f"lower_case{case}" for case in a["cases"]]}
+    rows = [(name,) + found[name, l, r, t]
+            for check in ("free-fermion", "lower", "upper") if check in checks
+            for l, r in pairs for t in times for name in groups[check]]
     header = ("check_name", "l", "r", "t", "lhs", "rhs", "ok")
     out.write_csv("xy_verify.csv", dict(zip(header, zip(*rows))))
     payload = {"checks": len(rows), "all_ok": bool(all(r[-1] for r in rows))}

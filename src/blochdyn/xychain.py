@@ -14,9 +14,11 @@ The spin dynamics is dense exact diagonalization, run in the two parity
 sectors of P = prod_j sigma^z_j (Lieb, Schultz & Mattis, Ann. Phys. 16, 407
 (1961)): H is quadratic in the Jordan-Wigner fermions and conserves P, and
 every operator the bound checks use is parity-odd. Each sector is
-diagonalized once; Heisenberg evolution is a phase on eigenbasis blocks, and
-the commutator of two odd operators is block diagonal, so its norm is the
-larger of two block norms.
+diagonalized once, and e^{itH} is formed from that in the site basis once per
+time. Every local operator the checks use is a signed partial permutation, so
+its Heisenberg image costs one product per sector block and its products with
+a dense block are index gathers. The commutator of two odd operators is block
+diagonal, so its norm is the larger of two block norms.
 """
 
 from __future__ import annotations
@@ -144,10 +146,14 @@ class SpinChain:
     Basis state s carries site lo + i in bit n - 1 - i (the kron order), bit
     0 meaning spin up. H conserves the parity P = prod_j sigma^z_j, so it is
     stored and diagonalized as its even and odd blocks of 2^(n-1) states.
-    Operators are handled as sector blocks: dicts {(x, y): block} mapping
-    sector y to sector x (0 even, 1 odd), in the site basis or in the
-    eigenbasis, with blocks that vanish left out. Every local operator the
-    checks use is parity-odd and has only the (0, 1) and (1, 0) blocks.
+    Operators are handled as site-basis sector blocks: dicts {(x, y): block}
+    mapping sector y to sector x (0 even, 1 odd), with blocks that vanish
+    left out. Every local operator the checks use is parity-odd and has only
+    the (0, 1) and (1, 0) blocks.
+
+    The chain keeps e^{itH} and one Heisenberg image for the latest time
+    only (each 128 MB at 12 sites), so a caller running many checks should
+    run all of one time before the next.
     """
 
     def __init__(self, spec: XYChainSpec, lam):
@@ -170,7 +176,9 @@ class SpinChain:
             self._pos[sector] = np.arange(len(sector))
         self._sector_hamiltonians = tuple(self._build_sector(sector)
                                           for sector in self._states)
-        self._images = {}
+        self._now = None  # (t, W_t on each sector): the latest time only
+        self._image_now = None  # (key, blocks) of the latest local Heisenberg image
+        self._lower = {}  # (l, r, t, raising) -> ||[tau_t(c_l), sigma^{+ or -}_r]||
         self._propagators = {}
 
     def _build_sector(self, states):
@@ -240,7 +248,7 @@ class SpinChain:
         if string:
             vals = vals * np.tile(np.where(_parity(s >> (p + 1), i), -1.0, 1.0), 2)
         if np.iscomplexobj(vals) and not np.any(vals.imag):
-            vals = vals.real  # real operators get real eigenbasis images: half the memory
+            vals = vals.real  # real gather weights: half the work of complex ones
         keep = vals != 0
         return rows[keep], cols[keep], vals[keep]
 
@@ -282,6 +290,17 @@ class SpinChain:
                 blocks[x, y] = blk
         return blocks
 
+    def _odd_terms(self, terms):
+        """{(x, 1 - x): (rows, cols, vals)} in sector positions, for a
+        parity-odd signed partial permutation (at most one entry in each row
+        and each column): its products with dense blocks are index gathers."""
+        rows, cols, vals = terms
+        out = {}
+        for x in (0, 1):
+            mask = self._parity[rows] == x
+            out[x, 1 - x] = (self._pos[rows[mask]], self._pos[cols[mask]], vals[mask])
+        return out
+
     def _site_blocks(self, M):
         """Site-basis sector blocks of a dense matrix; exactly zero ones are skipped."""
         if M.shape != (self.dim, self.dim):
@@ -295,16 +314,6 @@ class SpinChain:
                 blocks[x, y] = blk
         return blocks
 
-    def _eigen(self, blocks):
-        """Site-basis sector blocks -> eigenbasis sector blocks (u_x^T B u_y)."""
-        u = [us for _, us in self.sectors]
-        return {(x, y): u[x].T @ blk @ u[y] for (x, y), blk in blocks.items()}
-
-    def _site(self, blocks):
-        """Eigenbasis sector blocks -> site-basis sector blocks (u_x B u_y^T)."""
-        u = [us for _, us in self.sectors]
-        return {(x, y): u[x] @ blk @ u[y].T for (x, y), blk in blocks.items()}
-
     def _assemble(self, blocks):
         dtype = np.result_type(float, *blocks.values())
         out = np.zeros((self.dim, self.dim), dtype=dtype)
@@ -312,20 +321,43 @@ class SpinChain:
             out[np.ix_(self._states[x], self._states[y])] = blk
         return out
 
-    def _evolve(self, blocks, t):
-        """tau_t on eigenbasis blocks: X_ab -> e^{itw_a} X_ab e^{-itw_b}."""
-        ph = [np.exp(1j * t * w) for w, _ in self.sectors]
-        return {(x, y): ph[x][:, None] * blk * ph[y].conj()[None, :]
-                for (x, y), blk in blocks.items()}
+    # --- Heisenberg evolution in the site basis ---
 
-    def _image(self, kind, j):
-        """Cached eigenbasis blocks of c_j (kind "c") or sigma^-_j ("lower");
-        adjoints and sums of these are formed from them."""
-        key = (kind, j)
-        if key not in self._images:
-            terms = self._local_terms(j, LOWER, string=kind == "c")
-            self._images[key] = self._eigen(self._terms_blocks(terms))
-        return self._images[key]
+    def _unitary(self, t):
+        """(W_0, W_1): W_t = e^{itH} on the even and on the odd sector, as
+        u diag(e^{itw}) u^T from two real products each. H is real, so W_t is
+        symmetric and W_t^* = conj(W_t). Only the latest time's pair is kept:
+        at 12 sites it takes 128 MB."""
+        t = float(t)
+        if self._now is None or self._now[0] != t:
+            self._now = self._image_now = None  # free the old pair first
+            pair = []
+            for w, u in self.sectors:
+                W = np.empty(u.shape, dtype=complex)
+                W.real = (u * np.cos(t * w)) @ u.T
+                W.imag = (u * np.sin(t * w)) @ u.T
+                pair.append(W)
+            self._now = (t, tuple(pair))
+        return self._now[1]
+
+    def _heisenberg_blocks(self, blocks, t):
+        """tau_t on dense site-basis sector blocks: X_xy -> W_x X_xy W_y^*."""
+        W = self._unitary(t)
+        return {(x, y): W[x] @ blk @ W[y].conj() for (x, y), blk in blocks.items()}
+
+    def _image(self, kind, j, t):
+        """Sector blocks of tau_t(c_j) (kind "c") or tau_t(sigma^-_j)
+        ("lower"). W_t A is a column gather of W_t and A W_t^* a row gather of
+        conj(W_t), so each block is one complex product. Only the latest
+        image is kept, as large as W_t."""
+        key = (kind, j, float(t))
+        if self._image_now is None or self._image_now[0] != key:
+            self._image_now = None
+            W = self._unitary(t)
+            terms = self._odd_terms(self._local_terms(j, LOWER, string=kind == "c"))
+            self._image_now = (key, {(x, y): (W[x][:, rows] * vals) @ W[y][cols].conj()
+                                     for (x, y), (rows, cols, vals) in terms.items()})
+        return self._image_now[1]
 
     @cached_property
     def _window(self):
@@ -341,9 +373,9 @@ class SpinChain:
         return self._propagators[t]
 
     def heisenberg(self, A, t):
-        """tau_t(A) = e^{itH} A e^{-itH} through the sector spectra."""
+        """tau_t(A) = e^{itH} A e^{-itH}, blockwise in the parity sectors."""
         blocks = self._site_blocks(np.asarray(A, dtype=complex))
-        return self._assemble(self._site(self._evolve(self._eigen(blocks), t)))
+        return self._assemble(self._heisenberg_blocks(blocks, t))
 
 
 # ---------------------------------------------------------------------------
@@ -351,29 +383,37 @@ class SpinChain:
 # ---------------------------------------------------------------------------
 
 
-def _adjoint(blocks):
-    return {(y, x): blk.conj().T for (x, y), blk in blocks.items()}
-
-
-def _combine(a, b, sign=1.0):
-    """Blocks of a + sign * b."""
-    out = dict(a)
-    for key, blk in b.items():
-        out[key] = out[key] + sign * blk if key in out else sign * blk
-    return out
-
-
-def _product(a, b):
+def _commutator(a, b):
+    """Sector blocks of [a, b] for dense sector blocks; absent blocks are zero."""
     out = {}
     for (x, z), p in a.items():
         for (w, y), q in b.items():
             if z == w:
-                out[x, y] = out[x, y] + p @ q if (x, y) in out else p @ q
+                out[x, y] = out.get((x, y), 0) + p @ q
+            if y == x:
+                out[w, z] = out.get((w, z), 0) - q @ p
+    return out
+
+
+def _odd_commutator(ta, b):
+    """Sector blocks of [T, B] for parity-odd T (dense sector blocks) and B
+    (`_odd_terms`). The commutator is block diagonal, [T, B]_xx =
+    T_xy B_yx - B_xy T_yx, where T_xy B_yx gathers columns of T_xy and
+    B_xy T_yx gathers rows of T_yx."""
+    out = {}
+    for x, y in ((0, 1), (1, 0)):
+        t_xy, t_yx = ta[x, y], ta[y, x]
+        blk = np.zeros((t_xy.shape[0], t_yx.shape[1]), dtype=complex)
+        rows, cols, vals = b[y, x]
+        blk[:, cols] = t_xy[:, rows] * vals
+        rows, cols, vals = b[x, y]
+        blk[rows] -= vals[:, None] * t_yx[cols]
+        out[x, x] = blk
     return out
 
 
 def _block_norm(chain: SpinChain, blocks) -> float:
-    """Spectral norm of an operator given by sector blocks (any basis): the
+    """Spectral norm of an operator given by site-basis sector blocks: the
     largest singular value, by a dense SVD at every chain size.
 
     With definite parity (only diagonal or only off-diagonal blocks) the
@@ -390,15 +430,11 @@ def _block_norm(chain: SpinChain, blocks) -> float:
 def commutator_norm(chain: SpinChain, A, B, t) -> float:
     """Propagation indicator ||[tau_t(A), B]|| (largest singular value).
 
-    A and B are dense matrices in the site basis, or eigenbasis sector
-    blocks of the chain (as the bound checks pass them). The commutator is
-    formed on the blocks; see _block_norm for the norm.
+    A and B are dense matrices in the site basis. The commutator is formed
+    on their sector blocks; see _block_norm for the norm.
     """
-    a, b = (op if isinstance(op, dict)
-            else chain._eigen(chain._site_blocks(np.asarray(op, dtype=complex)))
-            for op in (A, B))
-    ta = chain._evolve(a, t)
-    return _block_norm(chain, _combine(_product(ta, b), _product(b, ta), -1.0))
+    a, b = (chain._site_blocks(np.asarray(op, dtype=complex)) for op in (A, B))
+    return _block_norm(chain, _commutator(chain._heisenberg_blocks(a, t), b))
 
 
 def free_fermion_residual(chain: SpinChain, j: int, t: float) -> float:
@@ -423,10 +459,10 @@ def _free_fermion_residual(chain, mt, j, t):
             rows.append(r)
             cols.append(c)
             vals.append(mt[row, 2 * k + dagger] * v)
-    rhs = chain._eigen(chain._terms_blocks(
-        (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))))
-    lhs = chain._evolve(chain._image("c", j), t)
-    return _block_norm(chain, _combine(lhs, rhs, -1.0))
+    rhs = chain._terms_blocks((np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)))
+    lhs = chain._image("c", j, t)
+    return _block_norm(chain, {key: np.subtract(blk, rhs[key], out=rhs[key])
+                               for key, blk in lhs.items()})
 
 
 # case -> (A is a creator?, B is the raising operator?, entry column is a
@@ -450,6 +486,16 @@ class LowerBoundCheck:
     ok: bool
 
 
+def _lower_commutator(chain, l, r, t, raising):
+    """||[tau_t(c_l), sigma^+_r]|| (raising) or ||[tau_t(c_l), sigma^-_r]||,
+    computed once per chain and kept as a float."""
+    key = (l, r, float(t), raising)
+    if key not in chain._lower:
+        b = chain._odd_terms(chain._local_terms(r, RAISE if raising else LOWER))
+        chain._lower[key] = _block_norm(chain, _odd_commutator(chain._image("c", l, t), b))
+    return chain._lower[key]
+
+
 def propagation_lower_bound(chain: SpinChain, l: int, r: int, t: float,
                             case: int) -> LowerBoundCheck:
     """Commutator norm against the matching propagator entry.
@@ -458,20 +504,21 @@ def propagation_lower_bound(chain: SpinChain, l: int, r: int, t: float,
     cases 2-4 run through (c_l, a_r), (c_l^*, a_r), (c_l^*, a_r^*) against
     the entries with the creator rows swapped in accordingly. The commutator
     norm must dominate the entry modulus (up to 1e-8 slack).
+
+    tau_t(c^*) = tau_t(c)^* and ||[X^*, Y^*]|| = ||[Y, X]||, so case 3 has
+    the commutator norm of case 1 and case 4 that of case 2; each is
+    computed once per (l, r, t).
     """
     if case not in _LOWER_CASES:
         raise ValueError(f"case must be 1..4, got {case}")
     if not l < r:
         raise ValueError("need l < r")
     l_dag, b_raising, r_dag = _LOWER_CASES[case]
-    a = chain._image("c", l)
-    b = chain._image("lower", r)
-    p_t = commutator_norm(chain, _adjoint(a) if l_dag else a,
-                          _adjoint(b) if b_raising else b, t)
+    p_t = _lower_commutator(chain, l, r, t, b_raising != l_dag)
     mt = chain._propagator(t)
     entry = mt[scalar_row(chain.lam, l, l_dag), scalar_row(chain.lam, r, r_dag)]
     return LowerBoundCheck(
-        commutator=float(p_t),
+        commutator=p_t,
         entry_abs=float(abs(entry)),
         ok=bool(p_t >= abs(entry) - 1e-8),
     )
@@ -493,16 +540,17 @@ def propagation_upper_bound(chain: SpinChain, s: int, r: int, t: float,
     """
     if not s < r:
         raise ValueError("need s < r")
-    if B is None:  # sigma^x_r = sigma^-_r + sigma^+_r, of norm 1
-        low = chain._image("lower", r)
-        b, b_norm = _combine(low, _adjoint(low)), 1.0
+    ta = chain._image("lower", s, t)
+    if B is None:  # sigma^x_r, of norm 1
+        lhs = _block_norm(chain, _odd_commutator(ta, chain._odd_terms(chain._local_terms(r, SX))))
+        b_norm = 1.0
     else:
         site_b = chain._site_blocks(np.asarray(B, dtype=complex))
-        b, b_norm = chain._eigen(site_b), _block_norm(chain, site_b)
-    lhs = commutator_norm(chain, chain._image("lower", s), b, t)
+        lhs = _block_norm(chain, _commutator(ta, site_b))
+        b_norm = _block_norm(chain, site_b)
     mt = chain._propagator(t)
     srow = scalar_row(chain.lam, s)
     rrow = scalar_row(chain.lam, r)
     tail_sum = float(np.sum(np.abs(mt[: srow + 1, rrow:])))
     rhs = 8.0 * b_norm * tail_sum
-    return UpperBoundCheck(lhs=float(lhs), rhs=rhs, ok=bool(lhs <= rhs + 1e-8))
+    return UpperBoundCheck(lhs=lhs, rhs=rhs, ok=bool(lhs <= rhs + 1e-8))

@@ -9,6 +9,7 @@ from blochdyn.blockjacobi import (
     MAX_DENSE_DIM,
     MAX_WINDOW_DIM,
     _chebyshev_coefficients,
+    chebyshev_order,
 )
 from blochdyn.errors import (
     DimensionMismatch,
@@ -193,6 +194,14 @@ def test_truncate_size_guard():
         tr.matrix
     with pytest.raises(SizeLimitExceeded):
         J.truncate(MAX_WINDOW_DIM // 2)
+
+
+def test_chebyshev_order_refuses_a_light_cone_wider_than_any_window():
+    # K >= floor(|x|), and a window of 2K + 1 rows would exceed
+    # MAX_WINDOW_DIM: refused before the 48 bytes per unit of x are allocated
+    for x in (MAX_WINDOW_DIM / 2, -1e8, float("inf")):
+        with pytest.raises(SizeLimitExceeded):
+            chebyshev_order(x)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +378,22 @@ def test_oversized_dt_grid_is_a_size_error(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert _one_json_error(err)["error"] == "SizeLimitExceeded"
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_huge_time_is_refused_before_the_light_cone_is_tabulated(tmp_path, capsys):
+    # t = 1e8 on the free Laplacian needs a window of more than 4e8 rows;
+    # sizing its light cone would take about 10 GB, the refusal a few kB
+    cfg = {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0}, "times": [1e8]}
+    tracemalloc.start()
+    try:
+        code, out, err = run(tmp_path, capsys, "evolve", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert _one_json_error(err)["error"] == "SizeLimitExceeded"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("command, cfg", [

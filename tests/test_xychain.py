@@ -438,6 +438,82 @@ def test_sector_route_matches_site_basis(mu, gamma, nu, lo, n, t, data):
         assert xychain._free_fermion_residual(chain, ref.propagator(t + 0.01), l, t) > 1e-4
 
 
+@settings(max_examples=25, deadline=None)
+@given(mu=st.lists(_COUPLING, min_size=1, max_size=3),
+       gamma=st.lists(_ANISOTROPY, min_size=1, max_size=3),
+       nu=st.lists(_FIELD, min_size=1, max_size=3),
+       lo=st.integers(-3, 3), n=st.integers(3, 6), t=st.floats(0.0, 3.0),
+       dt=st.sampled_from([1e-7, 0.5]), data=st.data())
+def test_adjoint_paired_cases_match_site_basis(mu, gamma, nu, lo, n, t, dt, data):
+    # cases 1 and 3 share one commutator norm per (l, r, t), and so do 2 and
+    # 4: a lone case 3 or 4, and all four cases at two pairs and two close
+    # times in shuffled order, must each match the dense reference
+    spec = XYChainSpec(mu=mu, gamma=gamma, nu=nu)
+    hi = lo + n - 1
+    l = data.draw(st.integers(lo, hi - 2))
+    r1 = data.draw(st.integers(l + 1, hi - 1))
+    r2 = data.draw(st.integers(r1 + 1, hi))
+    ref = _Reference(spec, lo, hi)
+    # case -> (B raising?, A = c_l^*?)
+    cases = {1: (True, 0), 2: (False, 0), 3: (False, 1), 4: (True, 1)}
+
+    def expected(case, r, t):
+        b_raising, l_dag = cases[case]
+        A = _kron_site(n, l - lo, RAISE if l_dag else LOWER, string=True)
+        B = _kron_site(n, r - lo, RAISE if b_raising else LOWER)
+        return ref.commutator_norm(A, B, t)
+
+    lone = data.draw(st.sampled_from([3, 4]))
+    chk = propagation_lower_bound(SpinChain(spec, (lo, hi)), l, r1, t, lone)
+    _close(chk.commutator, expected(lone, r1, t))
+    chain = SpinChain(spec, (lo, hi))
+    runs = data.draw(st.permutations([(case, r, s) for case in cases
+                                      for r in (r1, r2) for s in (t, t + dt)]))
+    for case, r, s in runs:
+        _close(propagation_lower_bound(chain, l, r, s, case).commutator, expected(case, r, s))
+
+
+def test_xy_verify_work_count(tmp_path, capsys, monkeypatch):
+    # per (pair, time) 8 SVDs of sector blocks: 2 for the free-fermion
+    # residual, 4 for the lower cases (1 and 3, 2 and 4 share a commutator)
+    # and 2 for the upper check. The sector eigenvectors enter only e^{itH},
+    # two real products per sector and time: no local operator is
+    # transformed to the eigenbasis.
+    pairs, times, sector = [[1, 4], [0, 5]], [0.5, 1.0, 2.0], (64, 64)
+    svds, products = [], []
+    svd, eigh = np.linalg._linalg.svd, np.linalg.eigh
+
+    class Eigenvectors(np.ndarray):
+        """Counts the matrix products it enters; other ufuncs keep the tag."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [x.view(np.ndarray) if isinstance(x, Eigenvectors) else x for x in inputs]
+            result = getattr(ufunc, method)(*plain, **kwargs)
+            if ufunc is np.matmul:
+                products.append(ufunc)
+                return result
+            return result.view(Eigenvectors)
+
+    def counting_svd(a, *args, **kwargs):
+        if a.shape == sector:
+            svds.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    def tagging_eigh(a, *args, **kwargs):
+        w, u = eigh(a, *args, **kwargs)
+        return w, u.view(Eigenvectors) if a.shape == sector else u
+
+    monkeypatch.setattr(np.linalg._linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "eigh", tagging_eigh)
+    cfg = tmp_path / "xy.json"
+    cfg.write_text(json.dumps({"mu": [1.0, 0.7], "gamma": [0.5, 0.2, -0.3], "nu": [0.4],
+                               "window": [0, 6], "pairs": pairs, "times": times}))
+    assert main(["xy-verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"all_ok": True, "checks": 36}
+    assert len(svds) == 8 * len(pairs) * len(times)
+    assert len(products) == 2 * 2 * len(times)
+
+
 @pytest.mark.parametrize("pairs, times, cases", [
     ([[1, 4], [0, 5]], [0.5, 1.0, 2.0], [1, 2, 3, 4]),
     ([[2, 3]], [1.0], [3]),
