@@ -15,7 +15,6 @@ import numpy as np
 from blochdyn.xychain import (
     SpinChain,
     XYChainSpec,
-    commutator_norm,
     free_fermion_residual,
     lr_velocity_bound,
     propagation_lower_bound,
@@ -52,8 +51,8 @@ iso = XYChainSpec(mu=[1.0], gamma=[0.0], nu=[0.0])
 chain8 = SpinChain(iso, (1, 8))
 print("distance   first t with commutator >= 0.1")
 for r in (4, 5, 6, 7):
-    A, B = chain8.jw_annihilator(2), chain8.raising(r)
     for t in np.arange(0.1, 3.01, 0.1):
-        if commutator_norm(chain8, A, B, t) >= 0.1:
+        # case 1 is ||[tau_t(c_2), sigma^+_r]||
+        if propagation_lower_bound(chain8, 2, r, t, 1).commutator >= 0.1:
             print(f"{r - 2:6d}     {t:.1f}")
             break

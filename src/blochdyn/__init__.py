@@ -62,14 +62,12 @@ from .limitperiodic import (
 from .xychain import (
     SpinChain,
     XYChainSpec,
-    commutator_norm,
     free_fermion_residual,
     lr_velocity_bound,
     propagation_lower_bound,
     propagation_upper_bound,
     scalar_row,
     single_particle_matrix,
-    single_particle_window,
 )
 
 __version__ = "0.1.0"

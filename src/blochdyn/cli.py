@@ -559,7 +559,7 @@ def main(argv=None) -> int:
         payload = RUNNERS[command](parsed, _Artifacts(args.out, resolved))
     except Exception as exc:  # numerical failures and anything unforeseen
         print(_error_json(exc, command), file=sys.stderr)
-        # a window beyond the dense or block storage limit is a config error
+        # a size beyond the dense or block storage limits is a config error
         return 2 if isinstance(exc, SizeLimitExceeded) else 3
     if payload is not None:
         print(json.dumps(payload, sort_keys=True))

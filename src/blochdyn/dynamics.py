@@ -31,8 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockjacobi import BlockJacobiOperator, TruncatedOperator, WavePacket, chebyshev_order
-from .errors import SupportOutsideWindow, WindowTooSmall
+from .blockjacobi import (
+    MAX_DENSE_DIM,
+    BlockJacobiOperator,
+    TruncatedOperator,
+    WavePacket,
+    chebyshev_order,
+)
+from .errors import SizeLimitExceeded, SupportOutsideWindow, WindowTooSmall
 from .floquet import apply_q, q_norm
 
 # Simpson nodes per matrix product in check_derivative_identity; it bounds the
@@ -267,6 +273,9 @@ def corollary_probe(J: BlockJacobiOperator, epsilon: float, t_grid, K: int,
     and sources |k| <= K are scanned for the largest |<delta_n, e^{-iTJ}
     delta_k>|^2. A coefficient c_tilde is fitted by least squares to
     mass ~ c/T; each record passes when its mass reaches c_tilde / (2T).
+    The sources form one (window rows, 2K + 1) block, refused with
+    SizeLimitExceeded before allocation when it is larger than the largest
+    dense matrix, MAX_DENSE_DIM^2 entries.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -281,6 +290,9 @@ def corollary_probe(J: BlockJacobiOperator, epsilon: float, t_grid, K: int,
     lo, hi = trunc.window
 
     scalar_lo = lo * m
+    if trunc.dim * (2 * K + 1) > MAX_DENSE_DIM**2:
+        raise SizeLimitExceeded(f"{2 * K + 1} sources on a window of {trunc.dim} rows need "
+                                f"{trunc.dim * (2 * K + 1)} entries (limit {MAX_DENSE_DIM**2})")
     # the 2K+1 sources delta_k, |k| <= K, as the columns of one block
     sources = np.zeros((trunc.dim, 2 * K + 1), dtype=complex)
     sources[np.arange(-K, K + 1) - scalar_lo, np.arange(2 * K + 1)] = 1.0

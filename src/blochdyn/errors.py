@@ -1,8 +1,13 @@
 """Exception hierarchy shared by all modules.
 
-Two bases: `SpecError` marks invalid inputs or violated preconditions
-(the CLI maps these to exit code 2), `NumericsError` marks runtime
-numerical failures such as unmet tolerances (exit code 3).
+Two bases: `SpecError` marks invalid inputs or violated preconditions,
+`NumericsError` marks runtime numerical failures such as unmet tolerances.
+
+The CLI's exit code follows where an error is raised, not its base. Any
+error while the config is read and parsed exits 2. Once a command runs,
+only `SizeLimitExceeded` exits 2; every other error exits 3, a `SpecError`
+raised at run time included (e.g. `GridTooCoarse` from `apply_q`'s
+quadrature error estimate).
 """
 
 
@@ -32,8 +37,10 @@ class SizeLimitExceeded(SpecError):
     """A window beyond the dense (MAX_DENSE_DIM) or block storage
     (MAX_WINDOW_DIM) row limit, whether sized from the evolution times or
     given as localization's half_width; a time grid whose samples times
-    window rows exceed MAX_WINDOW_DIM; or a dt-criterion energy grid of
-    spacing 1/T that needs more than DT_MAX_POINTS points."""
+    window rows exceed MAX_WINDOW_DIM; a stack of Bloch fibers or a
+    corollary-probe source block of more than MAX_DENSE_DIM^2 entries; or a
+    dt-criterion energy grid of spacing 1/T that needs more than
+    DT_MAX_POINTS points."""
 
 
 # --- Floquet / quadrature --------------------------------------------------

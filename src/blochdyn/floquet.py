@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockjacobi import BlockJacobiOperator, WavePacket
-from .errors import GridTooCoarse
+from .blockjacobi import MAX_DENSE_DIM, BlockJacobiOperator, WavePacket
+from .errors import GridTooCoarse, SizeLimitExceeded
 
 MIN_GRID = 16
 DEGENERACY_TOL = 1e-8
@@ -68,11 +68,18 @@ def fiber_matrices(J: BlockJacobiOperator, theta):
 
     theta broadcasts: a scalar gives two (mq, mq) matrices, an array gives
     two stacks of shape theta.shape + (mq, mq) whose entries equal the
-    scalar calls bit for bit.
+    scalar calls bit for bit. A stack larger than the largest dense matrix,
+    MAX_DENSE_DIM^2 entries, raises SizeLimitExceeded before anything is
+    allocated.
     """
     m, q = J.m, J.q
     a, b = J.spec.a, J.spec.b
     dim = m * q
+    theta = np.asarray(theta, dtype=float)
+    if theta.size * dim**2 > MAX_DENSE_DIM**2:
+        raise SizeLimitExceeded(f"{theta.size} fibers of {dim}x{dim} need "
+                                f"{theta.size * dim**2} entries per stack "
+                                f"(limit {MAX_DENSE_DIM**2})")
     j0 = np.zeros((dim, dim), dtype=complex)
     a0 = np.zeros((dim, dim), dtype=complex)
     for k in range(q):
@@ -85,7 +92,6 @@ def fiber_matrices(J: BlockJacobiOperator, theta):
         a0[sl, sr] += 1j * a[k]
         a0[sr, sl] += -1j * a[k].conj().T
 
-    theta = np.asarray(theta, dtype=float)
     ph = np.exp(1j * theta)[..., None, None]
     jf = np.broadcast_to(j0, theta.shape + j0.shape).copy()
     af = np.broadcast_to(a0, theta.shape + a0.shape).copy()

@@ -18,7 +18,9 @@ diagonalized once, and e^{itH} is formed from that in the site basis once per
 time. Every local operator the checks use is a signed partial permutation, so
 its Heisenberg image costs one product per sector block and its products with
 a dense block are index gathers. The commutator of two odd operators is block
-diagonal, so its norm is the larger of two block norms.
+diagonal, so its norm is the larger of two block norms. The one-particle
+propagator e^{-itM} on the chain's window is `TruncatedOperator.propagate`
+applied to the identity, once per time.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ MAX_SITES = 12
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 LOWER = 0.5 * (SX - 1j * SY)
 RAISE = 0.5 * (SX + 1j * SY)
 
@@ -110,12 +111,6 @@ def lr_velocity_bound(spec: XYChainSpec, grid_size: int = 512) -> float:
     """Strictly positive lower bound for any propagation velocity of the chain:
     the maximal band speed of the free-fermion matrix."""
     return q_norm(single_particle_matrix(spec), grid_size=grid_size)
-
-
-def single_particle_window(spec: XYChainSpec, lam) -> np.ndarray:
-    """Dense restriction of the free-fermion matrix to spin sites [lo, hi]."""
-    lo, hi = lam
-    return single_particle_matrix(spec).truncate_window(lo, hi).matrix
 
 
 def scalar_row(lam, site, dagger=False) -> int:
@@ -199,12 +194,6 @@ class SpinChain:
         return h
 
     @cached_property
-    def hamiltonian(self):
-        """H as a dense matrix in the site basis."""
-        return self._assemble({(x, x): h.astype(complex)
-                               for x, h in enumerate(self._sector_hamiltonians)})
-
-    @cached_property
     def sectors(self):
         """(energies, eigenvectors) of H on the even and on the odd sector:
         one eigensolve of 2^(n-1) rows each."""
@@ -215,20 +204,6 @@ class SpinChain:
             u.setflags(write=False)
             out.append((w, u))
         return tuple(out)
-
-    @cached_property
-    def eigensystem(self):
-        """Full (w, u) of H with ascending w, assembled from `sectors`."""
-        w = np.concatenate([we for we, _ in self.sectors])
-        cols = np.cumsum([0] + [len(we) for we, _ in self.sectors])
-        u = np.zeros((self.dim, self.dim), dtype=complex)
-        for (_, us), sector, c0, c1 in zip(self.sectors, self._states, cols[:-1], cols[1:]):
-            u[sector, c0:c1] = us
-        order = np.argsort(w, kind="stable")
-        w, u = w[order], u[:, order]
-        w.setflags(write=False)
-        u.setflags(write=False)
-        return w, u
 
     # --- local operators: signed, possibly partial, permutations ---
 
@@ -251,30 +226,6 @@ class SpinChain:
             vals = vals.real  # real gather weights: half the work of complex ones
         keep = vals != 0
         return rows[keep], cols[keep], vals[keep]
-
-    def _dense(self, terms):
-        rows, cols, vals = terms
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        out[rows, cols] = vals
-        return out
-
-    def site_operator(self, j, mat):
-        return self._dense(self._local_terms(j, mat))
-
-    def sigma(self, j, axis):
-        return self.site_operator(j, {"x": SX, "y": SY, "z": SZ}[axis])
-
-    def lowering(self, j):
-        return self.site_operator(j, LOWER)
-
-    def raising(self, j):
-        return self.site_operator(j, RAISE)
-
-    def jw_annihilator(self, j):
-        return self._dense(self._local_terms(j, LOWER, string=True))
-
-    def jw_creator(self, j):
-        return self._dense(self._local_terms(j, RAISE, string=True))
 
     # --- sector blocks ---
 
@@ -301,26 +252,6 @@ class SpinChain:
             out[x, 1 - x] = (self._pos[rows[mask]], self._pos[cols[mask]], vals[mask])
         return out
 
-    def _site_blocks(self, M):
-        """Site-basis sector blocks of a dense matrix; exactly zero ones are skipped."""
-        if M.shape != (self.dim, self.dim):
-            raise DimensionMismatch(
-                f"observables must be {self.dim}x{self.dim} matrices for this chain"
-            )
-        blocks = {}
-        for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            blk = M[np.ix_(self._states[x], self._states[y])]
-            if np.any(blk):
-                blocks[x, y] = blk
-        return blocks
-
-    def _assemble(self, blocks):
-        dtype = np.result_type(float, *blocks.values())
-        out = np.zeros((self.dim, self.dim), dtype=dtype)
-        for (x, y), blk in blocks.items():
-            out[np.ix_(self._states[x], self._states[y])] = blk
-        return out
-
     # --- Heisenberg evolution in the site basis ---
 
     def _unitary(self, t):
@@ -340,11 +271,6 @@ class SpinChain:
             self._now = (t, tuple(pair))
         return self._now[1]
 
-    def _heisenberg_blocks(self, blocks, t):
-        """tau_t on dense site-basis sector blocks: X_xy -> W_x X_xy W_y^*."""
-        W = self._unitary(t)
-        return {(x, y): W[x] @ blk @ W[y].conj() for (x, y), blk in blocks.items()}
-
     def _image(self, kind, j, t):
         """Sector blocks of tau_t(c_j) (kind "c") or tau_t(sigma^-_j)
         ("lower"). W_t A is a column gather of W_t and A W_t^* a row gather of
@@ -361,38 +287,22 @@ class SpinChain:
 
     @cached_property
     def _window(self):
-        """(w, u) of the chain's free-fermion window M: one eigensolve."""
-        return np.linalg.eigh(single_particle_window(self.spec, self.lam))
+        """The chain's free-fermion window M, as block-site storage."""
+        lo, hi = self.lam
+        return single_particle_matrix(self.spec).truncate_window(lo, hi)
 
     def _propagator(self, t):
-        """e^{-itM} on the chain's window, formed once per time."""
+        """e^{-itM} on the chain's window, formed once per time by the
+        Chebyshev propagator applied to the identity."""
         t = float(t)
         if t not in self._propagators:
-            w, u = self._window
-            self._propagators[t] = u @ (np.exp(-1j * t * w)[:, None] * u.conj().T)
+            self._propagators[t] = self._window.propagate(np.eye(self._window.dim), t)
         return self._propagators[t]
-
-    def heisenberg(self, A, t):
-        """tau_t(A) = e^{itH} A e^{-itH}, blockwise in the parity sectors."""
-        blocks = self._site_blocks(np.asarray(A, dtype=complex))
-        return self._assemble(self._heisenberg_blocks(blocks, t))
 
 
 # ---------------------------------------------------------------------------
 # Block algebra, norms and bound checks
 # ---------------------------------------------------------------------------
-
-
-def _commutator(a, b):
-    """Sector blocks of [a, b] for dense sector blocks; absent blocks are zero."""
-    out = {}
-    for (x, z), p in a.items():
-        for (w, y), q in b.items():
-            if z == w:
-                out[x, y] = out.get((x, y), 0) + p @ q
-            if y == x:
-                out[w, z] = out.get((w, z), 0) - q @ p
-    return out
 
 
 def _odd_commutator(ta, b):
@@ -412,29 +322,14 @@ def _odd_commutator(ta, b):
     return out
 
 
-def _block_norm(chain: SpinChain, blocks) -> float:
-    """Spectral norm of an operator given by site-basis sector blocks: the
-    largest singular value, by a dense SVD at every chain size.
-
-    With definite parity (only diagonal or only off-diagonal blocks) the
-    operator is block diagonal up to a permutation of the sectors, so its
-    norm is the larger block norm; otherwise it is taken on the assembled
-    matrix. The SVD is exact to roundoff, so a bound check that passes on
-    it holds to roundoff.
+def _block_norm(blocks) -> float:
+    """Spectral norm of an operator of definite parity given by its
+    site-basis sector blocks: up to a permutation of the sectors it is block
+    diagonal, so its norm is the largest singular value of a block, by a
+    dense SVD at every chain size. The SVD is exact to roundoff, so a bound
+    check that passes on it holds to roundoff.
     """
-    kinds = {x == y for x, y in blocks}
-    mats = [chain._assemble(blocks)] if len(kinds) > 1 else list(blocks.values())
-    return max([0.0] + [float(np.linalg.norm(m, 2)) for m in mats])
-
-
-def commutator_norm(chain: SpinChain, A, B, t) -> float:
-    """Propagation indicator ||[tau_t(A), B]|| (largest singular value).
-
-    A and B are dense matrices in the site basis. The commutator is formed
-    on their sector blocks; see _block_norm for the norm.
-    """
-    a, b = (chain._site_blocks(np.asarray(op, dtype=complex)) for op in (A, B))
-    return _block_norm(chain, _commutator(chain._heisenberg_blocks(a, t), b))
+    return max([0.0] + [float(np.linalg.norm(m, 2)) for m in blocks.values()])
 
 
 def free_fermion_residual(chain: SpinChain, j: int, t: float) -> float:
@@ -461,8 +356,8 @@ def _free_fermion_residual(chain, mt, j, t):
             vals.append(mt[row, 2 * k + dagger] * v)
     rhs = chain._terms_blocks((np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)))
     lhs = chain._image("c", j, t)
-    return _block_norm(chain, {key: np.subtract(blk, rhs[key], out=rhs[key])
-                               for key, blk in lhs.items()})
+    return _block_norm({key: np.subtract(blk, rhs[key], out=rhs[key])
+                        for key, blk in lhs.items()})
 
 
 # case -> (A is a creator?, B is the raising operator?, entry column is a
@@ -492,7 +387,7 @@ def _lower_commutator(chain, l, r, t, raising):
     key = (l, r, float(t), raising)
     if key not in chain._lower:
         b = chain._odd_terms(chain._local_terms(r, RAISE if raising else LOWER))
-        chain._lower[key] = _block_norm(chain, _odd_commutator(chain._image("c", l, t), b))
+        chain._lower[key] = _block_norm(_odd_commutator(chain._image("c", l, t), b))
     return chain._lower[key]
 
 
@@ -531,26 +426,19 @@ class UpperBoundCheck:
     ok: bool
 
 
-def propagation_upper_bound(chain: SpinChain, s: int, r: int, t: float,
-                            B=None) -> UpperBoundCheck:
-    """Leibniz-rule upper bound for a string observable against B at site r:
+def propagation_upper_bound(chain: SpinChain, s: int, r: int, t: float) -> UpperBoundCheck:
+    """Leibniz-rule upper bound for a string observable against sigma^x_r
+    (of norm 1):
 
-        ||[tau_t(a_s), B]|| <= 8 ||B|| sum_{k <= row(c_s)} sum_{k' >= row(c_r)}
-                               |[e^{-itM}]_{k, k'}|.
+        ||[tau_t(a_s), sigma^x_r]|| <= 8 sum_{k <= row(c_s)} sum_{k' >= row(c_r)}
+                                       |[e^{-itM}]_{k, k'}|.
     """
     if not s < r:
         raise ValueError("need s < r")
-    ta = chain._image("lower", s, t)
-    if B is None:  # sigma^x_r, of norm 1
-        lhs = _block_norm(chain, _odd_commutator(ta, chain._odd_terms(chain._local_terms(r, SX))))
-        b_norm = 1.0
-    else:
-        site_b = chain._site_blocks(np.asarray(B, dtype=complex))
-        lhs = _block_norm(chain, _commutator(ta, site_b))
-        b_norm = _block_norm(chain, site_b)
+    b = chain._odd_terms(chain._local_terms(r, SX))
+    lhs = _block_norm(_odd_commutator(chain._image("lower", s, t), b))
     mt = chain._propagator(t)
     srow = scalar_row(chain.lam, s)
     rrow = scalar_row(chain.lam, r)
-    tail_sum = float(np.sum(np.abs(mt[: srow + 1, rrow:])))
-    rhs = 8.0 * b_norm * tail_sum
+    rhs = 8.0 * float(np.sum(np.abs(mt[: srow + 1, rrow:])))
     return UpperBoundCheck(lhs=lhs, rhs=rhs, ok=bool(lhs <= rhs + 1e-8))

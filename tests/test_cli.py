@@ -402,12 +402,26 @@ def test_huge_time_is_refused_before_the_light_cone_is_tabulated(tmp_path, capsy
     ("localization", {"operator": FREE_OPERATOR, "half_width": 5000, "pairs": [[0, 4]]}),
     ("derivative-check", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
                           "T": 2100.0}),
+    # 256 fibers of 2048x2048: two stacks of 2^30 entries
+    ("xy-velocity", {"mu": [1.0], "gamma": [0.5], "nu": [1.0] * 1024, "grid_size": 256}),
+    # 40001 sources on a window of about 40000 rows
+    ("corollary-probe", {"operator": FREE_OPERATOR, "epsilon": 0.2, "K": 20000,
+                         "times": [10.0]}),
 ])
 def test_oversized_window_exits_2(tmp_path, capsys, command, cfg):
-    # over MAX_WINDOW_DIM (evolve) or MAX_DENSE_DIM (the eigensolving commands)
-    code, _, err = run(tmp_path, capsys, command, cfg)
-    assert code == 2
+    # over MAX_WINDOW_DIM (evolve) or MAX_DENSE_DIM (the eigensolving
+    # commands), or a fiber stack or source block of more than MAX_DENSE_DIM^2
+    # entries; each is refused before the large arrays are allocated
+    tracemalloc.start()
+    try:
+        code, out, err = run(tmp_path, capsys, command, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
     assert _one_json_error(err)["error"] == "SizeLimitExceeded"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    assert peak < 4e6, peak
 
 
 def test_unforeseen_runtime_error_exits_3(tmp_path, capsys, monkeypatch):

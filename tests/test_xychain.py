@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochdyn import xychain
+from blochdyn.blockjacobi import BlockJacobiOperator
 from blochdyn.cli import main
 from blochdyn.errors import ChainTooLong, DimensionMismatch, InvalidSpec
 from blochdyn.xychain import (
@@ -14,19 +15,17 @@ from blochdyn.xychain import (
     RAISE,
     SX,
     SY,
-    SZ,
     SpinChain,
     XYChainSpec,
-    commutator_norm,
     free_fermion_residual,
     lr_velocity_bound,
     propagation_lower_bound,
     propagation_upper_bound,
     scalar_row,
     single_particle_matrix,
-    single_particle_window,
 )
 
+SZ = np.diag([1.0, -1.0]).astype(complex)
 ANISO = XYChainSpec(mu=[1.0], gamma=[0.5], nu=[1.0])
 ISO = XYChainSpec(mu=[1.0], gamma=[0.0], nu=[0.0])
 
@@ -41,8 +40,7 @@ def test_zero_coupling_rejected():
 
 def test_ising_point_allowed_for_spin_chain_only():
     ising = XYChainSpec(mu=[1.0], gamma=[1.0], nu=[0.0])
-    chain = SpinChain(ising, (1, 2))
-    assert np.allclose(chain.hamiltonian, 2.0 * np.kron(SX, SX))
+    _assert_sectors(SpinChain(ising, (1, 2)), 2.0 * np.kron(SX, SX))
     with pytest.raises(InvalidSpec):
         single_particle_matrix(ising)
     with pytest.raises(InvalidSpec):
@@ -72,7 +70,7 @@ def test_blocks_anisotropic():
 
 def test_window_layout():
     # diagonal blocks on (c_j, c_j^*) rows, coupling block one step right
-    M = single_particle_window(ANISO, (1, 3))
+    M = single_particle_matrix(ANISO).truncate_window(1, 3).matrix
     assert M.shape == (6, 6)
     assert np.allclose(M[0:2, 0:2], np.diag([2.0, -2.0]))
     assert np.allclose(M[0:2, 2:4], [[-2.0, -1.0], [1.0, 2.0]])
@@ -124,12 +122,13 @@ def test_velocity_anisotropic_brute_force():
 
 def test_single_site_field():
     chain = SpinChain(XYChainSpec(mu=[1.0], gamma=[0.0], nu=[3.0]), (5, 5))
-    assert np.allclose(chain.hamiltonian, 3.0 * SZ)
+    _assert_sectors(chain, 3.0 * SZ)
 
 
 def test_two_site_isotropic_spectrum():
     chain = SpinChain(ISO, (1, 2))
-    assert np.allclose(np.linalg.eigvalsh(chain.hamiltonian), [-2.0, 0.0, 0.0, 2.0])
+    energies = np.sort(np.concatenate([w for w, _ in chain.sectors]))
+    assert np.allclose(energies, [-2.0, 0.0, 0.0, 2.0])
 
 
 def test_chain_too_long():
@@ -140,7 +139,21 @@ def test_chain_too_long():
 def test_hamiltonian_hermitian():
     for spec in (ISO, ANISO, XYChainSpec(mu=[1.0, -0.5], gamma=[0.3], nu=[0.0, 1.0, 2.0])):
         chain = SpinChain(spec, (1, 5))
-        assert np.max(np.abs(chain.hamiltonian - chain.hamiltonian.conj().T)) < 1e-10
+        for h in chain._sector_hamiltonians:
+            assert np.isrealobj(h) and np.max(np.abs(h - h.T)) < 1e-10
+
+
+def _scatter(chain, terms):
+    """The dense site-basis matrix of a chain's (rows, cols, vals) terms."""
+    rows, cols, vals = terms
+    out = np.zeros((chain.dim, chain.dim), dtype=complex)
+    out[rows, cols] = vals
+    return out
+
+
+def _jw(chain, j, dagger=False):
+    """c_j (or c_j^*) as a dense matrix, from the chain's own string."""
+    return _scatter(chain, chain._local_terms(j, RAISE if dagger else LOWER, string=True))
 
 
 def test_canonical_anticommutation():
@@ -148,74 +161,44 @@ def test_canonical_anticommutation():
     ident = np.eye(chain.dim)
     for j in range(1, 6):
         for k in range(1, 6):
-            cj, ckd = chain.jw_annihilator(j), chain.jw_creator(k)
+            cj, ckd = _jw(chain, j), _jw(chain, k, dagger=True)
             anti = cj @ ckd + ckd @ cj
             target = ident if j == k else 0.0 * ident
             assert np.max(np.abs(anti - target)) < 1e-12
-            ck = chain.jw_annihilator(k)
+            ck = _jw(chain, k)
             assert np.max(np.abs(cj @ ck + ck @ cj)) < 1e-12
 
 
 def test_sigma_z_number_identity():
     chain = SpinChain(ANISO, (1, 4))
     for j in range(1, 5):
-        lhs = chain.sigma(j, "z")
-        rhs = 2.0 * chain.jw_creator(j) @ chain.jw_annihilator(j) - np.eye(chain.dim)
+        lhs = _scatter(chain, chain._local_terms(j, SZ))
+        rhs = 2.0 * _jw(chain, j, dagger=True) @ _jw(chain, j) - np.eye(chain.dim)
         assert np.max(np.abs(lhs - rhs)) == 0.0
-
-
-def test_heisenberg_automorphism():
-    rng = np.random.default_rng(4)
-    chain = SpinChain(ANISO, (1, 4))
-    A = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    B = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    t = 0.8
-    tA, tB, tAB = (chain.heisenberg(x, t) for x in (A, B, A @ B))
-    assert np.linalg.norm(tAB - tA @ tB, 2) < 1e-10
-    assert np.linalg.norm(chain.heisenberg(A.conj().T, t) - tA.conj().T, 2) < 1e-10
 
 
 # --- commutator norms ---------------------------------------------------------------
 
 
-def test_commutator_zero_at_t0_disjoint():
-    chain = SpinChain(ANISO, (1, 5))
-    assert commutator_norm(chain, chain.sigma(1, "x"), chain.sigma(4, "x"), 0.0) < 1e-14
-
-
-def test_commutator_trivial_bound():
-    rng = np.random.default_rng(6)
-    chain = SpinChain(ANISO, (1, 4))
-    A = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    B = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    for t in (0.3, 1.1):
-        val = commutator_norm(chain, A, B, t)
-        assert val <= 2 * np.linalg.norm(A, 2) * np.linalg.norm(B, 2) + 1e-10
-
-
 def test_commutator_short_time_series():
-    # P_t = t ||[i[H, A], B]|| + O(t^2)
-    chain = SpinChain(ANISO, (1, 4))
-    A, B = chain.sigma(2, "x"), chain.sigma(3, "y")
+    # P_t = t ||[i[H, sigma^-_2], sigma^x_3]|| + O(t^2)
+    H = _reference_hamiltonian(ANISO, 1, 4)
+    A, B = _kron_site(4, 1, LOWER), _kron_site(4, 2, SX)
     t = 1e-3
-    K = 1j * (chain.hamiltonian @ A - A @ chain.hamiltonian)
+    K = 1j * (H @ A - A @ H)
     first_order = np.linalg.norm(K @ B - B @ K, 2)
-    assert abs(commutator_norm(chain, A, B, t) - t * first_order) < 100 * t**2
-
-
-def test_commutator_dimension_guard():
-    chain = SpinChain(ANISO, (1, 4))
-    with pytest.raises(DimensionMismatch):
-        commutator_norm(chain, np.eye(4), np.eye(16), 0.1)
+    lhs = propagation_upper_bound(SpinChain(ANISO, (1, 4)), 2, 3, t).lhs
+    assert abs(lhs - t * first_order) < 100 * t**2
 
 
 def test_commutator_norm_is_the_dense_svd_at_11_sites():
-    # above 10 sites too, the norm is the largest singular value to roundoff
+    # above 10 sites too, ||[tau_t(c_1), sigma^-_6]|| (lower case 2) is the
+    # largest singular value to roundoff
     chain = SpinChain(ANISO, (1, 11))
-    A, B = chain.jw_annihilator(1), chain.lowering(6)
-    tA = chain.heisenberg(A, 1.0)
-    dense = np.linalg.norm(tA @ B - B @ tA, 2)
-    assert commutator_norm(chain, A, B, 1.0) == pytest.approx(dense, rel=1e-12)
+    A, B = _kron_site(11, 0, LOWER, string=True), _kron_site(11, 5, LOWER)
+    dense = _Reference(ANISO, 1, 11).commutator_norm(A, B, 1.0)
+    assert propagation_lower_bound(chain, 1, 6, 1.0, 2).commutator == pytest.approx(
+        dense, rel=1e-12)
 
 
 # --- free-fermion reduction ------------------------------------------------------------
@@ -266,63 +249,29 @@ def test_upper_bound_t0():
 
 def test_upper_bound_examples():
     chain = SpinChain(ANISO, (1, 6))
-    chk = propagation_upper_bound(chain, 2, 5, 1.0, B=chain.sigma(5, "x"))
-    assert chk.ok
-    chk2 = propagation_upper_bound(chain, 2, 5, 1.0, B=chain.raising(5))
-    assert chk2.ok
-    assert chk2.lhs <= chk2.rhs
+    for t in (0.5, 1.0, 2.0):
+        chk = propagation_upper_bound(chain, 2, 5, t)
+        assert chk.ok
+        assert chk.lhs <= chk.rhs
 
 
 # --- light cone speed ---------------------------------------------------------------------
 
 
-def _implicit_commutator_norm(chain, A, B, t, tol=1e-6, iters=400):
-    """Power iteration for ||[tau_t(A), B]|| using matvecs only; fast enough
-    to scan the light cone at 10 sites."""
-    w, u = chain.eigensystem
-    uh = u.conj().T
-    ph_p, ph_m = np.exp(1j * t * w), np.exp(-1j * t * w)
-    Ah, Bh = A.conj().T, B.conj().T
-
-    def tau(mat, v):
-        return u @ (ph_p * (uh @ (mat @ (u @ (ph_m * (uh @ v))))))
-
-    def C(v):
-        return tau(A, B @ v) - B @ tau(A, v)
-
-    def Ch(v):
-        return Bh @ tau(Ah, v) - tau(Ah, Bh @ v)
-
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal(chain.dim) + 1j * rng.standard_normal(chain.dim)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(iters):
-        wv = Ch(C(v))
-        nw = np.linalg.norm(wv)
-        if nw == 0:
-            return 0.0
-        new_sigma = np.sqrt(nw)
-        v = wv / nw
-        if abs(new_sigma - sigma) < tol * max(new_sigma, 1.0):
-            return new_sigma
-        sigma = new_sigma
-    return sigma
-
-
 def test_light_cone_speed_matches_velocity_bound():
-    # threshold-crossing speed of the commutator front stays within 20% of v0
+    # threshold-crossing speed of the commutator front ||[tau_t(c_2),
+    # sigma^+_r]|| (lower case 1) stays within 20% of v0; times run
+    # outermost, so e^{itH} is formed once per time
     spec = ISO
     chain = SpinChain(spec, (1, 10))
     v0 = lr_velocity_bound(spec)
-    A = chain.jw_annihilator(2)
     crossings = {}
-    for r in range(5, 10):
-        B = chain.raising(r)
-        for t in np.arange(0.1, 2.51, 0.1):
-            if _implicit_commutator_norm(chain, A, B, t) >= 0.1:
+    for t in np.arange(0.1, 2.51, 0.1):
+        for r in range(5, 10):
+            if r not in crossings and propagation_lower_bound(chain, 2, r, t, 1).commutator >= 0.1:
                 crossings[r] = t
-                break
+        if len(crossings) == 5:
+            break
     assert len(crossings) == 5
     dists = np.array([r - 2 for r in crossings], dtype=float)
     times = np.array(list(crossings.values()))
@@ -347,23 +296,37 @@ def _reference_hamiltonian(spec, lo, hi):
     for i in range(n - 1):
         mu, g = spec.mu_at(lo + i), spec.gamma_at(lo + i)
         for pauli, weight in ((SX, 1.0 + g), (SY, 1.0 - g)):
-            H = H + mu * weight * _kron_site(n, i, pauli) @ _kron_site(n, i + 1, pauli)
+            bond = reduce(np.kron, [pauli if k in (i, i + 1) else np.eye(2) for k in range(n)])
+            H = H + mu * weight * bond
     return H
 
 
+def _assert_sectors(chain, H):
+    """The chain's sector Hamiltonians are the parity blocks of the dense H,
+    whose cross-parity blocks vanish."""
+    for x in (0, 1):
+        for y in (0, 1):
+            blk = H[np.ix_(chain._states[x], chain._states[y])]
+            if x == y:
+                assert np.max(np.abs(chain._sector_hamiltonians[x] - blk)) < 1e-12
+            else:
+                assert not np.any(blk)
+
+
 class _Reference:
-    """Site-basis route: one eigensolve of the full H, four dense products per
-    Heisenberg evolution, a full SVD per norm."""
+    """Site-basis route: one eigensolve of the full H (real, since every
+    coupling is), four dense products per Heisenberg evolution, a full SVD per
+    norm."""
 
     def __init__(self, spec, lo, hi):
-        self.w, self.u = np.linalg.eigh(_reference_hamiltonian(spec, lo, hi))
-        M = single_particle_window(spec, (lo, hi))
+        self.w, self.u = np.linalg.eigh(_reference_hamiltonian(spec, lo, hi).real)
+        M = single_particle_matrix(spec).truncate_window(lo, hi).matrix
         self.mw, self.mu = np.linalg.eigh(M)
 
     def heisenberg(self, A, t):
-        core = self.u.conj().T @ A @ self.u
+        core = self.u.T @ A @ self.u
         phased = np.exp(1j * t * self.w)[:, None] * core * np.exp(-1j * t * self.w)[None, :]
-        return self.u @ phased @ self.u.conj().T
+        return self.u @ phased @ self.u.T
 
     def commutator_norm(self, A, B, t):
         tau = self.heisenberg(A, t)
@@ -395,15 +358,17 @@ def test_sector_route_matches_site_basis(mu, gamma, nu, lo, n, t, data):
     r = data.draw(st.integers(l + 1, hi))
     chain = SpinChain(spec, (lo, hi))
     ref = _Reference(spec, lo, hi)
-    assert np.max(np.abs(chain.hamiltonian - _reference_hamiltonian(spec, lo, hi))) < 1e-12
+    _assert_sectors(chain, _reference_hamiltonian(spec, lo, hi))
     for j in (l, r):
         i = j - lo
-        assert np.array_equal(chain.jw_annihilator(j), _kron_site(n, i, LOWER, string=True))
-        assert np.array_equal(chain.jw_creator(j), _kron_site(n, i, RAISE, string=True))
-        for axis, pauli in (("x", SX), ("y", SY), ("z", SZ)):
-            assert np.array_equal(chain.sigma(j, axis), _kron_site(n, i, pauli))
+        assert np.array_equal(_jw(chain, j), _kron_site(n, i, LOWER, string=True))
+        assert np.array_equal(_jw(chain, j, dagger=True), _kron_site(n, i, RAISE, string=True))
+        for pauli in (SX, SY, SZ, LOWER, RAISE):
+            assert np.array_equal(_scatter(chain, chain._local_terms(j, pauli)),
+                                  _kron_site(n, i, pauli))
 
     mt = ref.propagator(t)
+    assert np.max(np.abs(chain._propagator(t) - mt)) < 1e-13
     row = {(j, dag): 2 * (j - lo) + dag for j in (l, r) for dag in (0, 1)}
     # case -> (B raising?, A = c_l^*?, entry column a creator row?)
     cases = {1: (True, 0, 0), 2: (False, 0, 1), 3: (False, 1, 1), 4: (True, 1, 0)}
@@ -416,21 +381,9 @@ def test_sector_route_matches_site_basis(mu, gamma, nu, lo, n, t, data):
 
     A = _kron_site(n, l - lo, LOWER)
     tail = np.sum(np.abs(mt[: row[l, 0] + 1, row[r, 0]:]))
-    # sigma^x, sigma^+, and one B of norm != 1 without definite parity
-    for mat in (SX, RAISE, 1.5 * SX + 0.5 * SZ):
-        B = _kron_site(n, r - lo, mat)
-        chk = propagation_upper_bound(chain, l, r, t, B=B)
-        _close(chk.lhs, ref.commutator_norm(A, B, t))
-        _close(chk.rhs, 8.0 * np.linalg.norm(B, 2) * tail)
     default = propagation_upper_bound(chain, l, r, t)
     _close(default.lhs, ref.commutator_norm(A, _kron_site(n, r - lo, SX), t))
     _close(default.rhs, 8.0 * tail)
-
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    A, B = rng.standard_normal((2, chain.dim, chain.dim)) + 1j * rng.standard_normal(
-        (2, chain.dim, chain.dim))
-    _close(commutator_norm(chain, A, B, t), ref.commutator_norm(A, B, t))
-    assert np.max(np.abs(chain.heisenberg(A, t) - ref.heisenberg(A, t))) < 1e-10
 
     assert free_fermion_residual(chain, l, t) < 1e-8
     if t >= 0.5:
@@ -519,20 +472,21 @@ def test_xy_verify_work_count(tmp_path, capsys, monkeypatch):
     ([[2, 3]], [1.0], [3]),
 ])
 def test_xy_verify_eigensolves(tmp_path, capsys, monkeypatch, pairs, times, cases):
-    # two spin sectors and one free-fermion window, whatever the check count
+    # two spin-sector eigensolves and one free-fermion window, which is
+    # propagated and never diagonalized, whatever the check count
     solves, windows = [], []
-    eigh, window = np.linalg.eigh, xychain.single_particle_window
+    eigh, truncate = np.linalg.eigh, BlockJacobiOperator.truncate_window
 
     def counting_eigh(a, *args, **kwargs):
         solves.append(a.shape)
         return eigh(a, *args, **kwargs)
 
-    def counting_window(*args):
-        windows.append(args)
-        return window(*args)
+    def counting_truncate(*args):
+        windows.append(args[1:])
+        return truncate(*args)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(xychain, "single_particle_window", counting_window)
+    monkeypatch.setattr(BlockJacobiOperator, "truncate_window", counting_truncate)
     cfg = tmp_path / "xy.json"
     cfg.write_text(json.dumps({"mu": [1.0, 0.7], "gamma": [0.5, 0.2, -0.3], "nu": [0.4],
                                "window": [0, 6], "pairs": pairs, "times": times,
@@ -541,5 +495,5 @@ def test_xy_verify_eigensolves(tmp_path, capsys, monkeypatch, pairs, times, case
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"all_ok": True,
                        "checks": len(pairs) * len(times) * (2 + len(cases))}
-    assert sorted(solves) == [(14, 14), (64, 64), (64, 64)]
-    assert len(windows) == 1
+    assert solves == [(64, 64), (64, 64)]
+    assert windows == [(0, 6)]
