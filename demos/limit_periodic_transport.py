@@ -28,14 +28,14 @@ print(f"exact asymptotic at E=3: {periodic_lyapunov(3.0, [0.0]):.6f} "
       f"= log((3+sqrt(5))/2) = {np.log((3 + np.sqrt(5)) / 2):.6f}")
 
 print("\n== two routes to the exponent at complex energy ==")
-for p, z, w in [(1, 3.0j, [0.0]), (2, 0.5 + 0.2j, [1.0, -1.0])]:
-    res = thouless_check(p, z, w, grid_size=2048)
-    print(f"period {p}, z = {z}: transfer route {res.lhs:.8f}, "
+for z, w in [(3.0j, [0.0]), (0.5 + 0.2j, [1.0, -1.0])]:
+    res = thouless_check(z, w, grid_size=2048)
+    print(f"period {len(w)}, z = {z}: transfer route {res.lhs:.8f}, "
           f"band-measure route {res.rhs:.8f}, gap {res.gap:.1e}")
 
 print("\n== transport criterion integral ==")
 free_val = dt_criterion([0.0], 0.0, 2.0, 100.0, 1.0)
-gap_val = dt_criterion([3.0, -3.0], 1.0, 1.0, 100.0, 1.0, p_period=2)
+gap_val = dt_criterion([3.0, -3.0], 1.0, 1.0, 100.0, 1.0)
 print(f"free chain over [-2, 2]:      {free_val:.4f}   (order one: transport)")
 print(f"gapped chain over [-1, 1]:    {gap_val:.2e}   (transfer matrices explode)")
 

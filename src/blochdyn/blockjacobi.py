@@ -30,6 +30,7 @@ from .errors import (
     NonHermitianDiagonal,
     SingularOffDiagonal,
     SizeLimitExceeded,
+    SpecError,
     SupportOutsideWindow,
 )
 
@@ -54,6 +55,8 @@ def _block_array(blocks, m, q, name):
         raise DimensionMismatch(
             f"{name}: expected {q} blocks of shape {m}x{m}, got array of shape {arr.shape}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise SpecError(f"{name}: block entries must be finite")
     arr.setflags(write=False)
     return arr
 

@@ -7,9 +7,9 @@ Configs are strict: unknown keys are rejected, every field is parsed once by
 the kind SCHEMAS names for it, and all defaults are echoed back into the
 outputs. CSV artifacts start with '#' header lines carrying the resolved
 config; JSON artifacts embed it under a "config" key. Exit codes: 0 success,
-2 config/validation error (including a window too large for the dense or
-block storage limits, or a dt-criterion grid over its point limit),
-3 numerical failure (or any other error at run time).
+2 config error: any SpecError, raised while the config is parsed or by the
+library once the command runs (a rule the library owns is checked there
+only), 3 any other error (a numerical failure or anything unforeseen).
 Errors are reported as a single JSON object on stderr, never as a traceback.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dynamics, floquet, limitperiodic, xychain
 from .blockjacobi import MAX_WINDOW_DIM, BlockSpec, WavePacket, build_operator
-from .errors import ConfigInvalid, SizeLimitExceeded
+from .errors import ConfigInvalid, SizeLimitExceeded, SpecError
 
 REQUIRED = object()
 XY_CHECKS = ("free-fermion", "lower", "upper")
@@ -172,7 +172,7 @@ SCHEMAS = {
                  "grid_size": (2048, _grid)},
     "dt-criterion": {"potential": (REQUIRED, _numbers), "coupling": (REQUIRED, _number),
                      "K": (REQUIRED, _positive), "T": (REQUIRED, _positive),
-                     "alpha": (1.0, _positive), "p_period": (None, _positive_int)},
+                     "alpha": (1.0, _positive)},
     "stability": {"base_potential": (REQUIRED, _numbers),
                   "perturbed_potential": (REQUIRED, _numbers), "state": (REQUIRED, _state),
                   "t": (REQUIRED, _number), "p": (2.0, _positive), "m_env": (1, _positive_int)},
@@ -183,43 +183,22 @@ SCHEMAS = {
 
 
 def _check_across_fields(command, a):
-    """The rules that tie parsed fields together. Adds the XY chain spec and
-    fills in localization's default time step."""
+    """The rules on what the CLI itself computes (exponents' running slopes,
+    localization's time grid); the library owns every other rule. Adds the
+    XY chain spec and fills in localization's default time step."""
     if "mu" in a:
         a["spec"] = xychain.XYChainSpec(a["mu"], a["gamma"], a["nu"]).validate_free_fermion()
     if command == "exponents" and not len(set(a["times"])) == len(a["times"]) >= 2:
         raise ConfigInvalid(f"'times' must be at least two distinct positive finite "
                             f"numbers, got {a['times']!r}")
-    if command == "xy-verify":
-        lo, hi = a["window"]
-        if hi - lo + 1 > xychain.MAX_SITES:
-            raise ConfigInvalid(f"window [{lo}, {hi}] exceeds {xychain.MAX_SITES} sites")
-        for l, r in a["pairs"]:
-            if not lo <= l < r <= hi:
-                raise ConfigInvalid(f"pairs must be [l, r] sites with {lo} <= l < r <= {hi}, "
-                                    f"got {[l, r]!r}")
     if command == "localization":
-        J, half = a["operator"], a["half_width"]
-        lo, hi = -half * J.m, (half + 1) * J.m - 1
-        for l, r in a["pairs"]:
-            if not (lo <= l <= hi and lo <= r <= hi):
-                raise ConfigInvalid(f"pairs must be scalar sites in the window [{lo}, {hi}], "
-                                    f"got {[l, r]!r}")
-        if a["t_step"] is None:
-            a["t_step"] = 0.1 * 2.0 * math.pi / J.norm_bound
-        samples, rows = math.ceil((a["t_max"] + 1e-12) / a["t_step"]), hi - lo + 1
+        J = a["operator"]
+        a["t_step"] = a["t_step"] or dynamics.localization_step(J)
+        samples = math.ceil((a["t_max"] + 1e-12) / a["t_step"])
+        rows = (2 * a["half_width"] + 1) * J.m
         if samples * rows > MAX_WINDOW_DIM:
             raise SizeLimitExceeded(f"{samples} time samples of {rows} window rows "
                                     f"exceed {MAX_WINDOW_DIM} entries")
-    if command == "thouless":
-        low = [z for z in a["points"] if z.imag < limitperiodic.THOULESS_MIN_IMAG]
-        if low:
-            raise ConfigInvalid(f"points need Im z >= {limitperiodic.THOULESS_MIN_IMAG}, "
-                                f"got {low[0]}")
-    if command == "dt-criterion":
-        limitperiodic.check_dt_args(a["potential"], a["K"], a["T"], a["alpha"], a["p_period"])
-    if command == "generic" and a["stages"] > 5:
-        raise ConfigInvalid(f"'stages' must be an integer between 1 and 5, got {a['stages']}")
 
 
 def _resolve(raw, command):
@@ -404,6 +383,8 @@ def cmd_xy_velocity(a, out):
 
 def cmd_xy_verify(a, out):
     pairs, times, checks = a["pairs"], a["times"], a["checks"]
+    for l, r in pairs:  # every pair refused before any sector eigensolve
+        xychain.check_pair(a["window"], l, r)
     chain = xychain.SpinChain(a["spec"], a["window"])
     # Rows are computed time by time, since the chain keeps e^{itH} for the
     # latest time only, and written check by check, pair by pair, time by time.
@@ -449,7 +430,7 @@ def cmd_lyapunov(a, out):
 
 def cmd_thouless(a, out):
     w, zs = a["potential"], a["points"]
-    res = limitperiodic.thouless_check(len(w), zs, w, grid_size=a["grid_size"])
+    res = limitperiodic.thouless_check(zs, w, grid_size=a["grid_size"])
     out.write_csv("thouless.csv", {
         "z_re": zs.real, "z_im": zs.imag, "lhs": res.lhs, "rhs": res.rhs, "gap": res.gap,
     })
@@ -457,8 +438,7 @@ def cmd_thouless(a, out):
 
 
 def cmd_dt_criterion(a, out):
-    value = limitperiodic.dt_criterion(a["potential"], a["coupling"], a["K"], a["T"],
-                                       a["alpha"], p_period=a["p_period"])
+    value = limitperiodic.dt_criterion(a["potential"], a["coupling"], a["K"], a["T"], a["alpha"])
     payload = {"integral": value, "K": a["K"], "T": a["T"], "alpha": a["alpha"]}
     out.write_json("dt_criterion.json", payload)
     return payload
@@ -557,10 +537,11 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     try:
         payload = RUNNERS[command](parsed, _Artifacts(args.out, resolved))
-    except Exception as exc:  # numerical failures and anything unforeseen
+    except Exception as exc:
         print(_error_json(exc, command), file=sys.stderr)
-        # a size beyond the dense or block storage limits is a config error
-        return 2 if isinstance(exc, SizeLimitExceeded) else 3
+        # a SpecError is a config error wherever it is raised; a numerical
+        # failure or anything unforeseen is not
+        return 2 if isinstance(exc, SpecError) else 3
     if payload is not None:
         print(json.dumps(payload, sort_keys=True))
     return 0

@@ -38,7 +38,7 @@ from .blockjacobi import (
     WavePacket,
     chebyshev_order,
 )
-from .errors import SizeLimitExceeded, SupportOutsideWindow, WindowTooSmall
+from .errors import SizeLimitExceeded, SpecError, SupportOutsideWindow, WindowTooSmall
 from .floquet import apply_q, q_norm
 
 # Simpson nodes per matrix product in check_derivative_identity; it bounds the
@@ -144,7 +144,7 @@ def exponent_estimate(traj: MomentTrajectory) -> ExponentEstimate:
     the reported residual is the RMS deviation of a single-line log-log fit.
     """
     if len(traj.times) < 2:
-        raise ValueError("need at least two sample times")
+        raise SpecError("need at least two sample times")
     p = traj.p
     logs = np.log(traj.values)
     logt = np.log(traj.times)
@@ -182,7 +182,7 @@ def check_ballistic_limit(J: BlockJacobiOperator, psi: WavePacket, times,
     """
     times = np.asarray(sorted(times), dtype=float)
     if np.any(times <= 0):
-        raise ValueError("ballistic-limit times must be positive")
+        raise SpecError("ballistic-limit times must be positive")
     q_psi = apply_q(J, psi, grid_size=grid_size).packet
     # the window must also hold Q psi, whose trimmed support can reach past
     # the light cone of psi at short times
@@ -278,10 +278,10 @@ def corollary_probe(J: BlockJacobiOperator, epsilon: float, t_grid, K: int,
     dense matrix, MAX_DENSE_DIM^2 entries.
     """
     if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise SpecError("epsilon must be positive")
     K = int(K)
     if K < 0:
-        raise ValueError("K must be nonnegative")
+        raise SpecError("K must be nonnegative")
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     v0 = q_norm(J, grid_size=grid_size)
     m = J.m
@@ -342,30 +342,36 @@ class LocalizationReport:
     localized: bool
 
 
+def localization_step(J) -> float:
+    """The coarsest time step localization_diagnostic takes: 0.1 * 2pi / norm_bound."""
+    return 0.1 * 2.0 * math.pi / J.norm_bound
+
+
 def localization_diagnostic(trunc: TruncatedOperator, pairs, t_grid) -> LocalizationReport:
     """sup over the time grid of |<delta_l, e^{-itJ} delta_r>| per scalar pair,
     with an exponential-decay fit of log sup against |r - l|.
 
     Verdict "localized" requires fit slope < -0.05 with R^2 > 0.9. The time
-    grid must resolve the fastest phase: step <= 0.1 * 2pi / bound.
+    grid must resolve the fastest phase, step <= localization_step(trunc),
+    and every pair must lie in the window, both checked before the eigensolve.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 2:
-        raise ValueError("need at least two time samples")
+        raise SpecError("need at least two time samples")
     step = float(np.max(np.diff(np.sort(t_grid))))
-    if step > 0.1 * 2.0 * np.pi / trunc.norm_bound + 1e-12:
-        raise ValueError(
+    if step > localization_step(trunc) + 1e-12:
+        raise SpecError(
             f"time grid step {step:.4f} too coarse for operator bound {trunc.norm_bound:.3f}"
         )
+    lo, hi = trunc.window[0] * trunc.m, (trunc.window[1] + 1) * trunc.m - 1
+    for l, r in pairs:
+        if not (lo <= l <= hi and lo <= r <= hi):
+            raise SupportOutsideWindow(f"pair {[l, r]!r} outside the window's sites [{lo}, {hi}]")
     w, u = trunc.eigensystem
-    lo, _ = trunc.window
     phases = np.exp(-1j * np.outer(t_grid, w))
     sups = []
     for l, r in pairs:
-        il, ir = l - lo * trunc.m, r - lo * trunc.m
-        if not (0 <= il < trunc.dim and 0 <= ir < trunc.dim):
-            raise SupportOutsideWindow(f"pair ({l}, {r}) outside the window")
-        amp = phases @ (u[il] * u[ir].conj())
+        amp = phases @ (u[l - lo] * u[r - lo].conj())
         sups.append(float(np.max(np.abs(amp))))
     sups = np.array(sups)
     dists = np.array([abs(r - l) for l, r in pairs], dtype=float)

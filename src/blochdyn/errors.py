@@ -3,11 +3,10 @@
 Two bases: `SpecError` marks invalid inputs or violated preconditions,
 `NumericsError` marks runtime numerical failures such as unmet tolerances.
 
-The CLI's exit code follows where an error is raised, not its base. Any
-error while the config is read and parsed exits 2. Once a command runs,
-only `SizeLimitExceeded` exits 2; every other error exits 3, a `SpecError`
-raised at run time included (e.g. `GridTooCoarse` from `apply_q`'s
-quadrature error estimate).
+The CLI's exit code follows the base, not where an error is raised: a
+`SpecError` exits 2, whether the config parser or a library function called
+by the running command raises it, and every other error exits 3. So each
+input rule is checked once, by the function that needs it.
 """
 
 
@@ -34,20 +33,20 @@ class DimensionMismatch(SpecError):
 
 
 class SizeLimitExceeded(SpecError):
-    """A window beyond the dense (MAX_DENSE_DIM) or block storage
-    (MAX_WINDOW_DIM) row limit, whether sized from the evolution times or
-    given as localization's half_width; a time grid whose samples times
-    window rows exceed MAX_WINDOW_DIM; a stack of Bloch fibers or a
+    """An input asking for more memory than allowed, refused before the
+    arrays are allocated: a window beyond the dense (MAX_DENSE_DIM) or block
+    storage (MAX_WINDOW_DIM) row limit; a localization time grid of more than
+    MAX_WINDOW_DIM samples times window rows; a stack of Bloch fibers or a
     corollary-probe source block of more than MAX_DENSE_DIM^2 entries; or a
-    dt-criterion energy grid of spacing 1/T that needs more than
-    DT_MAX_POINTS points."""
+    dt-criterion energy grid of spacing 1/T over DT_MAX_POINTS points."""
 
 
 # --- Floquet / quadrature --------------------------------------------------
 
 class GridTooCoarse(SpecError):
     """The quasi-momentum grid size is not an integer or is below the minimum
-    size, or the quadrature error estimate exceeds the requested tolerance."""
+    size. A fiber-grid quadrature that misses its tolerance raises
+    QuadratureNotConverged instead."""
 
 
 # --- time evolution --------------------------------------------------------

@@ -25,11 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockjacobi import MAX_DENSE_DIM, BlockJacobiOperator, WavePacket
-from .errors import GridTooCoarse, SizeLimitExceeded
+from .errors import GridTooCoarse, QuadratureNotConverged, SizeLimitExceeded
 
 MIN_GRID = 16
 DEGENERACY_TOL = 1e-8
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_ITERS = 80  # golden-section steps refining velocity_maximum's grid argmax
+Q_COEFF_FLOOR = 1e-12  # apply_q drops smaller coefficients, reported as tail mass
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +277,7 @@ def _max_speed_at(J, theta):
     return float(values[0]), int(bands[0])
 
 
-def velocity_maximum(J: BlockJacobiOperator, grid_size: int = 512,
-                     refine_iters: int = 80) -> VelocityMaximum:
+def velocity_maximum(J: BlockJacobiOperator, grid_size: int = 512) -> VelocityMaximum:
     """Maximal |band velocity|: coarse grid scan plus golden-section refinement
     of the winning bracket."""
     G = check_grid(grid_size)
@@ -294,7 +295,7 @@ def velocity_maximum(J: BlockJacobiOperator, grid_size: int = 512,
     x2 = a + _GOLDEN * (b - a)
     f1, _ = _max_speed_at(J, x1)
     f2, _ = _max_speed_at(J, x2)
-    for _ in range(refine_iters):
+    for _ in range(GOLDEN_ITERS):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
@@ -387,22 +388,22 @@ def _apply_q_raw(J, psi, G):
 
 
 def apply_q(J: BlockJacobiOperator, psi: WavePacket, grid_size: int = 512,
-            tol: float = 1e-8, coeff_floor: float = 1e-12) -> QApplication:
+            tol: float = 1e-8) -> QApplication:
     """Apply the asymptotic velocity operator to a finitely supported packet.
 
     Transforms psi to the fiber grid, multiplies by the velocity fiber, and
     inverse-transforms. The quadrature error is estimated against the half
-    grid; coefficients below coeff_floor are dropped and reported as tail
-    mass. Raises GridTooCoarse when the error estimate exceeds tol.
+    grid; coefficients below Q_COEFF_FLOOR are dropped and reported as tail
+    mass. Raises QuadratureNotConverged when the error estimate exceeds tol.
     """
     G = check_grid(grid_size)
     full = _apply_q_raw(J, psi, G)
     half = _apply_q_raw(J, psi, G // 2)  # error estimator only
     err = (full - half).norm()
-    packet = full.trimmed(coeff_floor)
+    packet = full.trimmed(Q_COEFF_FLOOR)
     tail = max(full.norm() ** 2 - packet.norm() ** 2, 0.0)
     if err > tol:
-        raise GridTooCoarse(
+        raise QuadratureNotConverged(
             f"velocity-operator quadrature error {err:.3e} exceeds tolerance {tol:.3e} at grid {G}"
         )
     return QApplication(packet=packet, grid_size=G, quadrature_error=float(err),

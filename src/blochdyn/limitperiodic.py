@@ -28,11 +28,17 @@ from .errors import (
     PsiEnvelopeViolated,
     QuadratureNotConverged,
     SizeLimitExceeded,
+    SpecError,
     WindowTooShort,
 )
 from .floquet import _theta_grid, fiber_matrices
 
 DEFAULT_SEED = 20240901
+# Fixed settings of the searches below
+ENVELOPE_CUTOFF = 40  # envelope_packet's tail cut, in decay lengths m_env
+CERTIFICATE_PERTURBATIONS = 8  # potentials growth_certificate samples per radius
+CERTIFICATE_RADIUS_FLOOR = 1e-6  # the smallest radius growth_certificate tries
+GENERIC_MAX_ATTEMPTS = 3  # perturbation halvings generic_builder tries
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +291,15 @@ class ThoulessResult:
     grid_size: int
 
 
-# Smallest Im z at which the density-of-states integrand is smooth enough.
+# Smallest Im z at which the density-of-states integrand is smooth enough,
+# and the largest change of that route from the half grid to the grid.
 THOULESS_MIN_IMAG = 0.05
+THOULESS_QUAD_TOL = 1e-4
 
 
-def thouless_check(p: int, z, w, grid_size: int = 2048, quad_tol: float = 1e-4) -> ThoulessResult:
+def thouless_check(z, w, grid_size: int = 2048) -> ThoulessResult:
     """Two independent routes to the Lyapunov exponent at complex energy z, a
-    scalar or an array of points.
+    scalar or an array of points, for the potential w of period p = len(w).
 
     lhs: transfer-matrix route, (1/p) log(spectral radius) of the one-period
     product. rhs: density-of-states route, the log-potential of the band
@@ -299,17 +307,16 @@ def thouless_check(p: int, z, w, grid_size: int = 2048, quad_tol: float = 1e-4) 
     (1 / (2 pi p)) integral of sum_j log|z - lambda_j(theta)|.
     The fiber eigenvalues do not depend on z: they are computed once, on the
     grid and on its half for the convergence test, and shared by all points.
-    Requires Im z >= THOULESS_MIN_IMAG so the integrand stays smooth.
+    Requires Im z >= THOULESS_MIN_IMAG so the integrand stays smooth; the
+    two grids must agree to THOULESS_QUAD_TOL.
     """
     zs = np.asarray(z, dtype=complex)
     shape, zs = zs.shape, zs.ravel()
     if np.any(zs.imag < THOULESS_MIN_IMAG):
         low = zs.imag[zs.imag < THOULESS_MIN_IMAG][0]
-        raise ValueError(f"need Im z >= {THOULESS_MIN_IMAG} for a stable check, got {low}")
+        raise SpecError(f"need Im z >= {THOULESS_MIN_IMAG} for a stable check, got {low}")
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    p = int(p)
-    if len(w) != p:
-        raise WindowTooShort(f"potential has period {len(w)}, expected {p}")
+    p = len(w)
 
     J = build_operator(scalar_spec(w))
 
@@ -323,7 +330,7 @@ def thouless_check(p: int, z, w, grid_size: int = 2048, quad_tol: float = 1e-4) 
     for i, zi in enumerate(zs.tolist()):
         rhs[i] = np.sum(np.log(np.abs(zi - lam))) / (grid_size * p)
         rhs_half = np.sum(np.log(np.abs(zi - lam_half))) / (half * p)
-        if abs(rhs[i] - rhs_half) > quad_tol:
+        if abs(rhs[i] - rhs_half) > THOULESS_QUAD_TOL:
             raise QuadratureNotConverged(
                 f"density-of-states quadrature moved by {abs(rhs[i] - rhs_half):.2e} "
                 f"between grids {grid_size // 2} and {grid_size}"
@@ -337,24 +344,13 @@ def thouless_check(p: int, z, w, grid_size: int = 2048, quad_tol: float = 1e-4) 
 # ---------------------------------------------------------------------------
 
 
-# Largest Simpson grid dt_criterion refines to before giving up.
+# Largest Simpson grid dt_criterion refines to before giving up, and the
+# relative change of its estimate that it accepts.
 DT_MAX_POINTS = 2**18 + 1
+DT_REL_TOL = 1e-4
 
 
-def check_dt_args(w, K: float, T: float, alpha: float = 1.0, p_period: int | None = None):
-    """Raise unless dt_criterion can run on these arguments."""
-    if K <= 0 or T <= 0 or not 0.0 < alpha <= 1.0:
-        raise ValueError("need K > 0, T > 0, and alpha in (0, 1]")
-    if p_period is not None and len(w) != int(p_period):
-        raise WindowTooShort(f"potential period {len(w)} does not match declared {p_period}")
-    # the first Simpson grid has 2 ceil(K T) + 1 points
-    if K * T > (DT_MAX_POINTS - 1) // 2:
-        raise SizeLimitExceeded(f"K T = {K * T:g} needs a grid of spacing 1/T with more "
-                                f"than {DT_MAX_POINTS} points")
-
-
-def dt_criterion(w, coupling: float, K: float, T: float, alpha: float = 1.0,
-                 p_period: int | None = None, rel_tol: float = 1e-4) -> float:
+def dt_criterion(w, coupling: float, K: float, T: float, alpha: float = 1.0) -> float:
     """Integral over [-K, K] of 1 / max_{1<=n<=floor(T^alpha)}
     ||Phi(n, E + i/T, coupling * w)||^2 (Damanik & Tcheremchantsev, JAMS 20
     (2007)), by composite Simpson on uniform grids.
@@ -362,17 +358,22 @@ def dt_criterion(w, coupling: float, K: float, T: float, alpha: float = 1.0,
     The first grid has spacing <= 1/T, the width of the integrand's features;
     each refinement halves the spacing and evaluates only the new midpoints.
     The estimate is accepted once two successive halvings each move it by at
-    most rel_tol relative; QuadratureNotConverged is raised if that needs
-    more than DT_MAX_POINTS points, and SizeLimitExceeded (by check_dt_args)
-    if the first grid alone does.
+    most DT_REL_TOL relative; QuadratureNotConverged is raised if that needs
+    more than DT_MAX_POINTS points, and SizeLimitExceeded, before anything
+    runs, if the first grid alone does.
 
     Order-1 values signal transport (transfer matrices stay polynomially
     bounded on the spectrum); exponentially small values signal a spectral
     gap or positive Lyapunov exponent on [-K, K]. The integrand never
     exceeds 1 because every one-step factor has norm >= 1.
     """
+    if K <= 0 or T <= 0 or not 0.0 < alpha <= 1.0:
+        raise SpecError("need K > 0, T > 0, and alpha in (0, 1]")
+    # the first Simpson grid has 2 ceil(K T) + 1 points
+    if K * T > (DT_MAX_POINTS - 1) // 2:
+        raise SizeLimitExceeded(f"K T = {K * T:g} needs a grid of spacing 1/T with more "
+                                f"than {DT_MAX_POINTS} points")
     w = np.atleast_1d(np.asarray(w, dtype=float)) * float(coupling)
-    check_dt_args(w, K, T, alpha, p_period)
     n_max = max(1, int(math.floor(T**alpha)))
     K = float(K)
 
@@ -388,12 +389,13 @@ def dt_criterion(w, coupling: float, K: float, T: float, alpha: float = 1.0,
         estimates.append(h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum()
                                     + 2.0 * f[2:-1:2].sum()))
         last = estimates[-3:]
-        if len(last) == 3 and all(abs(b - a) <= rel_tol * abs(b) for a, b in zip(last, last[1:])):
+        if len(last) == 3 and all(abs(b - a) <= DT_REL_TOL * abs(b)
+                                  for a, b in zip(last, last[1:])):
             return float(last[-1])
         if 2 * intervals + 1 > DT_MAX_POINTS:
             raise QuadratureNotConverged(
                 f"Simpson estimates {estimates[-3:]} still moving by more than "
-                f"{rel_tol} relative at {intervals + 1} points")
+                f"{DT_REL_TOL} relative at {intervals + 1} points")
         refined = np.empty(2 * intervals + 1)
         refined[::2] = f
         refined[1::2] = integrand(-K + h * (np.arange(intervals) + 0.5))
@@ -421,10 +423,10 @@ def check_envelope(psi: WavePacket, m_env: int):
         )
 
 
-def envelope_packet(m_env: int, cutoff: int | None = None) -> WavePacket:
-    """Normalized two-sided exponential at the envelope boundary."""
-    if cutoff is None:
-        cutoff = int(math.ceil(m_env * 40))
+def envelope_packet(m_env: int) -> WavePacket:
+    """Normalized two-sided exponential at the envelope boundary, cut at
+    ENVELOPE_CUTOFF decay lengths."""
+    cutoff = int(math.ceil(m_env * ENVELOPE_CUTOFF))
     ns = np.arange(-cutoff, cutoff + 1)
     vals = m_env * np.exp(-np.abs(ns) / m_env)
     vals = vals / np.linalg.norm(vals)
@@ -481,8 +483,7 @@ class GrowthCertificate:
 
 
 def growth_certificate(W, p: float, m_env: int, seed: int = DEFAULT_SEED,
-                       time_budget: float = 4096.0, n_perturbations: int = 8,
-                       radius_floor: float = 1e-6) -> GrowthCertificate:
+                       time_budget: float = 4096.0) -> GrowthCertificate:
     """Search dyadic times for moment growth beating 2 T^p / log T, then
     bisect the perturbation radius that preserves T^p / log T.
 
@@ -519,7 +520,7 @@ def growth_certificate(W, p: float, m_env: int, seed: int = DEFAULT_SEED,
     def ball_ok(delta):
         rng = np.random.default_rng(seed)
         pr = max(16, 2 * len(W))
-        for _ in range(n_perturbations):
+        for _ in range(CERTIFICATE_PERTURBATIONS):
             V = _tiled_sum(W, rng.uniform(-delta, delta, pr))
             jv = schroedinger_operator(V)
             for _, psi in battery:
@@ -531,9 +532,9 @@ def growth_certificate(W, p: float, m_env: int, seed: int = DEFAULT_SEED,
     hi = 1.0
     while not ball_ok(hi):
         hi *= 0.5
-        if hi < radius_floor:
+        if hi < CERTIFICATE_RADIUS_FLOOR:
             raise NoCertificateFound(
-                f"no perturbation radius above {radius_floor} preserved the threshold"
+                f"no perturbation radius above {CERTIFICATE_RADIUS_FLOOR} preserved the threshold"
             )
     lo_pass, hi_fail = hi, (2.0 * hi if hi < 1.0 else None)
     if hi_fail is not None:
@@ -599,8 +600,8 @@ def _alternating_pattern(period, amplitude):
     return np.concatenate([np.full(half, amplitude), np.full(period - half, -amplitude)])
 
 
-def generic_builder(stages: int, p: float, m_env: int, seed: int = DEFAULT_SEED,
-                    max_attempts: int = 3) -> GenericConstruction:
+def generic_builder(stages: int, p: float, m_env: int,
+                    seed: int = DEFAULT_SEED) -> GenericConstruction:
     """Finite-stage realization of nested perturbation balls with certified
     moment growth.
 
@@ -611,9 +612,9 @@ def generic_builder(stages: int, p: float, m_env: int, seed: int = DEFAULT_SEED,
     each stage's threshold inequality with the final potential.
     """
     if not 1 <= stages <= 5:
-        raise ValueError("stages must be between 1 and 5 (desk scale)")
+        raise SpecError(f"stages must be between 1 and 5 (desk scale), got {stages}")
     shrink = 1.0
-    for _ in range(max_attempts):
+    for _ in range(GENERIC_MAX_ATTEMPTS):
         records = []
         potential = np.zeros(1)
         period = 1
@@ -655,5 +656,5 @@ def generic_builder(stages: int, p: float, m_env: int, seed: int = DEFAULT_SEED,
             return construction
         shrink *= 0.5
     raise NoCertificateFound(
-        f"staged construction failed verification after {max_attempts} shrink attempts"
+        f"staged construction failed verification after {GENERIC_MAX_ATTEMPTS} shrink attempts"
     )

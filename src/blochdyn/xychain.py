@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .blockjacobi import BlockJacobiOperator, BlockSpec
-from .errors import ChainTooLong, DimensionMismatch, InvalidSpec
+from .errors import ChainTooLong, DimensionMismatch, InvalidSpec, SpecError
 from .floquet import q_norm
 
 MAX_SITES = 12
@@ -120,6 +120,14 @@ def scalar_row(lam, site, dagger=False) -> int:
     if not lo <= site <= hi:
         raise DimensionMismatch(f"site {site} outside the interval [{lo}, {hi}]")
     return 2 * (site - lo) + (1 if dagger else 0)
+
+
+def check_pair(lam, l, r):
+    """Raise unless l < r are sites of the interval lam, as the bound checks need."""
+    lo, hi = lam
+    if not lo <= l < r <= hi:
+        raise SpecError(f"pairs must be [l, r] sites with {lo} <= l < r <= {hi}, "
+                        f"got {[l, r]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +413,8 @@ def propagation_lower_bound(chain: SpinChain, l: int, r: int, t: float,
     computed once per (l, r, t).
     """
     if case not in _LOWER_CASES:
-        raise ValueError(f"case must be 1..4, got {case}")
-    if not l < r:
-        raise ValueError("need l < r")
+        raise SpecError(f"case must be 1..4, got {case}")
+    check_pair(chain.lam, l, r)
     l_dag, b_raising, r_dag = _LOWER_CASES[case]
     p_t = _lower_commutator(chain, l, r, t, b_raising != l_dag)
     mt = chain._propagator(t)
@@ -433,8 +440,7 @@ def propagation_upper_bound(chain: SpinChain, s: int, r: int, t: float) -> Upper
         ||[tau_t(a_s), sigma^x_r]|| <= 8 sum_{k <= row(c_s)} sum_{k' >= row(c_r)}
                                        |[e^{-itM}]_{k, k'}|.
     """
-    if not s < r:
-        raise ValueError("need s < r")
+    check_pair(chain.lam, s, r)
     b = chain._odd_terms(chain._local_terms(r, SX))
     lhs = _block_norm(_odd_commutator(chain._image("lower", s, t), b))
     mt = chain._propagator(t)

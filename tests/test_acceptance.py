@@ -212,15 +212,15 @@ def test_c11_localization_dichotomy():
 
 
 def test_c12_thouless():
-    r1 = thouless_check(1, 3.0j, [0.0], grid_size=2048)
-    r2 = thouless_check(2, 0.5 + 0.2j, [1.0, -1.0], grid_size=2048)
+    r1 = thouless_check(3.0j, [0.0], grid_size=2048)
+    r2 = thouless_check(0.5 + 0.2j, [1.0, -1.0], grid_size=2048)
     ok = r1.gap < 1e-3 and r2.gap < 1e-3
     report(12, "Thouless cross-check", ok, f"gaps={r1.gap:.2e}, {r2.gap:.2e}")
 
 
 def test_c13_dt_criterion_contrast():
     free_val = dt_criterion([0.0], 0.0, 2.0, 100.0, 1.0)
-    gap_val = dt_criterion([3.0, -3.0], 1.0, 1.0, 100.0, 1.0, p_period=2)
+    gap_val = dt_criterion([3.0, -3.0], 1.0, 1.0, 100.0, 1.0)
     ok = free_val >= 0.1 and gap_val < 1e-3
     report(13, "transport criterion contrast", ok,
            f"free={free_val:.4f}, in-gap={gap_val:.2e}")

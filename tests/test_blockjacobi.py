@@ -16,6 +16,7 @@ from blochdyn.errors import (
     NonHermitianDiagonal,
     SingularOffDiagonal,
     SizeLimitExceeded,
+    SpecError,
     SupportOutsideWindow,
 )
 
@@ -59,6 +60,17 @@ def test_non_hermitian_diagonal_rejected():
     a = np.array([np.eye(2)], dtype=complex)
     with pytest.raises(NonHermitianDiagonal):
         build_operator(BlockSpec(m=2, q=1, a=a, b=b))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_non_finite_blocks_rejected(name, bad):
+    # refused when the spec is made, before any determinant or norm of a
+    # non-finite block could warn or go on as NaN
+    blocks = {"a": np.ones((2, 1, 1), dtype=complex), "b": np.zeros((2, 1, 1), dtype=complex)}
+    blocks[name][1, 0, 0] = bad
+    with pytest.raises(SpecError, match=f"{name}: block entries must be finite"):
+        BlockSpec(m=1, q=2, **blocks)
 
 
 def test_dimension_mismatch_rejected():

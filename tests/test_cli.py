@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import blochdyn
-from blochdyn import cli
+from blochdyn import cli, errors
 from blochdyn.cli import SCHEMAS, main
 
 FREE_OPERATOR = {"m": 1, "q": 1, "a": [[[1.0, 0.0]]], "b": [[[0.0, 0.0]]]}
@@ -111,7 +111,7 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
     cfg = {"operator": near_free, "state": {"delta_scalar": 0}, "times": [5.0]}
     code, _, err = run(tmp_path, capsys, "ballistic-check", cfg)
     assert code == 3
-    assert json.loads(err)["error"] == "GridTooCoarse"
+    assert json.loads(err)["error"] == "QuadratureNotConverged"
 
 
 def _one_json_error(err):
@@ -238,10 +238,25 @@ DELTA0 = {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0}}
      "ConfigInvalid"),
     ("evolve", dict(DELTA0, times=[1.0], state={"base": 0, "coeffs": [[[1.0, 0.0]]],
                                                 "delta_block": 0}), "ConfigInvalid"),
+    # NaN and Infinity are JSON numbers to Python's parser: refused as
+    # non-finite blocks, before any Floquet fiber or light cone sees them
+    ("qnorm", {"operator": dict(FREE_OPERATOR, b=[[[float("nan"), 0.0]]])}, "SpecError"),
+    ("evolve", dict(DELTA0, times=[1.0], operator=dict(FREE_OPERATOR, a=[[[float("inf"), 0.0]]])),
+     "SpecError"),
+    # rules the library owns, refused once the command runs
+    ("stability", {"base_potential": [0.0], "perturbed_potential": [0.1, -0.1],
+                   "state": {"delta_scalar": 5}, "t": 2.0, "m_env": 1}, "PsiEnvelopeViolated"),
+    # a step of 1.0 is coarser than 0.1 * 2pi / 2 on the free Laplacian
+    ("localization", {"operator": FREE_OPERATOR, "half_width": 40, "pairs": [[0, 4]],
+                      "t_step": 1.0}, "SpecError"),
+    ("xy-verify", dict(XY_SMALL, window=[1, 13]), "ChainTooLong"),
+    ("dt-criterion", {"potential": [1.0, -1.0], "coupling": 1.0, "K": 1.0, "T": 50.0,
+                      "p_period": 2}, "ConfigInvalid"),
 ])
 def test_non_integer_and_bad_time_configs_exit_2(tmp_path, capsys, command, cfg, error):
     # integer fields are never truncated, operator and state specs are
-    # strict, and times are validated before any evolution runs
+    # strict, times are validated before any evolution runs, and a rule the
+    # library owns exits 2 like a parse error
     code, out, err = run(tmp_path, capsys, command, cfg)
     assert code == 2
     assert out == ""
@@ -422,6 +437,39 @@ def test_oversized_window_exits_2(tmp_path, capsys, command, cfg):
     assert _one_json_error(err)["error"] == "SizeLimitExceeded"
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
     assert peak < 4e6, peak
+
+
+@pytest.mark.parametrize("exc, code", [
+    (errors.SpecError("refused"), 2),
+    (errors.PsiEnvelopeViolated("refused"), 2),
+    (errors.NumericsError("failed"), 3),
+    (errors.QuadratureNotConverged("failed"), 3),
+])
+def test_exit_code_follows_the_error_class(tmp_path, capsys, monkeypatch, exc, code):
+    # once a command runs, a SpecError from anywhere exits 2 and any other
+    # error 3; nothing is printed on stdout
+    def raising(parsed, out):
+        raise exc
+
+    monkeypatch.setitem(cli.RUNNERS, "qnorm", raising)
+    assert run(tmp_path, capsys, "qnorm", {"operator": FREE_OPERATOR})[:2] == (code, "")
+
+
+def test_xy_verify_bad_pair_is_refused_before_any_eigensolve(tmp_path, capsys, monkeypatch):
+    solves = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        solves.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    cfg = dict(XY_SMALL, window=[0, 6], pairs=[[1, 4], [2, 7]])
+    code, out, err = run(tmp_path, capsys, "xy-verify", cfg)
+    assert (code, out) == (2, "")
+    assert "0 <= l < r <= 6" in _one_json_error(err)["message"]
+    assert solves == []
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_unforeseen_runtime_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -616,5 +664,5 @@ def test_thouless_eigensolves_once_per_command(tmp_path, capsys, monkeypatch):
     assert len(rows) == len(points)
     # each row is what a call at that point alone gives
     for (x, y), row in zip(points, rows):
-        res = thouless_check(5, complex(x, y), GAPPED5_POTENTIAL, grid_size=2048)
+        res = thouless_check(complex(x, y), GAPPED5_POTENTIAL, grid_size=2048)
         assert row == ",".join(repr(float(v)) for v in (x, y, res.lhs, res.rhs, res.gap))

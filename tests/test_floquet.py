@@ -23,7 +23,7 @@ from blochdyn import (
     velocity_maximum,
 )
 from blochdyn.blockjacobi import CHEBYSHEV_TAIL, chebyshev_order
-from blochdyn.errors import GridTooCoarse
+from blochdyn.errors import GridTooCoarse, QuadratureNotConverged
 from blochdyn.xychain import XYChainSpec, single_particle_matrix
 
 
@@ -221,9 +221,10 @@ def test_apply_q_free_delta_exact():
 
 
 def test_apply_q_grid_too_coarse_reported():
-    # period-2 packet needs more than the minimum grid at tight tolerance
+    # period-2 packet needs more than the minimum grid at tight tolerance: a
+    # quadrature miss, not a bad grid size
     J = period2(1.0)
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(QuadratureNotConverged):
         apply_q(J, WavePacket.delta_scalar(0, 1), grid_size=16, tol=1e-13)
 
 

@@ -12,6 +12,7 @@ from blochdyn.errors import (
     PsiEnvelopeViolated,
     QuadratureNotConverged,
     SizeLimitExceeded,
+    SpecError,
     WindowTooShort,
 )
 from blochdyn.limitperiodic import (
@@ -223,37 +224,37 @@ def test_off_spectrum_growth():
 
 
 def test_thouless_free():
-    res = thouless_check(1, 3.0j, [0.0])
+    res = thouless_check(3.0j, [0.0])
     assert res.gap < 1e-3
     # both routes hit log((3 + sqrt(13)) / 2)
     assert res.lhs == pytest.approx(np.log((3.0 + np.sqrt(13.0)) / 2.0), abs=1e-12)
 
 
 def test_thouless_period2():
-    res = thouless_check(2, 0.5 + 0.2j, [1.0, -1.0], grid_size=2048)
+    res = thouless_check(0.5 + 0.2j, [1.0, -1.0], grid_size=2048)
     assert res.gap < 1e-3
 
 
 def test_thouless_shift_covariance():
     c = 0.8
-    base = thouless_check(2, 0.5 + 0.3j, [1.0, -1.0], grid_size=512)
-    shifted = thouless_check(2, 0.5 + c + 0.3j, [1.0 + c, -1.0 + c], grid_size=512)
+    base = thouless_check(0.5 + 0.3j, [1.0, -1.0], grid_size=512)
+    shifted = thouless_check(0.5 + c + 0.3j, [1.0 + c, -1.0 + c], grid_size=512)
     assert abs(base.gap - shifted.gap) < 1e-9
     assert abs(base.lhs - shifted.lhs) < 1e-12
 
 
 def test_thouless_regularity_margin():
-    with pytest.raises(ValueError):
-        thouless_check(1, 3.0 + 0.01j, [0.0])
+    with pytest.raises(SpecError):
+        thouless_check(3.0 + 0.01j, [0.0])
 
 
 def test_thouless_points_match_single_calls():
     w = [1.0, -1.0]
     zs = np.array([[0.5 + 0.2j, -1.5 + 0.6j, 2.0 + 1.0j]])
-    res = thouless_check(2, zs, w, grid_size=512)
+    res = thouless_check(zs, w, grid_size=512)
     assert res.lhs.shape == res.rhs.shape == res.gap.shape == (1, 3)
     for i, z in enumerate(zs[0]):
-        one = thouless_check(2, z, w, grid_size=512)
+        one = thouless_check(z, w, grid_size=512)
         assert (res.lhs[0, i], res.rhs[0, i], res.gap[0, i]) == (one.lhs, one.rhs, one.gap)
 
 
@@ -266,7 +267,7 @@ def test_thouless_one_transfer_product_for_all_points(monkeypatch):
         return kernel(n, energy, *args, **kwargs)
 
     monkeypatch.setattr(limitperiodic, "transfer_matrix", counting)
-    thouless_check(2, [0.5 + 0.2j, -1.5 + 0.6j, 2.0 + 1.0j, 0.1 + 0.3j], [1.0, -1.0],
+    thouless_check([0.5 + 0.2j, -1.5 + 0.6j, 2.0 + 1.0j, 0.1 + 0.3j], [1.0, -1.0],
                    grid_size=512)
     assert calls == [(2, (4,))]
 
@@ -274,8 +275,8 @@ def test_thouless_one_transfer_product_for_all_points(monkeypatch):
 def test_thouless_half_grid_check():
     # far from the spectrum 32 fibers suffice, at Im z = 0.05 inside a band not
     with pytest.raises(QuadratureNotConverged):
-        thouless_check(2, [3.0 + 1.0j, 1.5 + 0.05j], [1.0, -1.0], grid_size=32)
-    thouless_check(2, 3.0 + 1.0j, [1.0, -1.0], grid_size=32)
+        thouless_check([3.0 + 1.0j, 1.5 + 0.05j], [1.0, -1.0], grid_size=32)
+    thouless_check(3.0 + 1.0j, [1.0, -1.0], grid_size=32)
 
 
 # --- transport criterion integral ----------------------------------------------------
@@ -288,15 +289,15 @@ def test_dt_criterion_free_has_mass():
 
 
 def test_dt_criterion_gap_decay():
-    val = dt_criterion([3.0, -3.0], 1.0, 1.0, 100.0, 1.0, p_period=2)
+    val = dt_criterion([3.0, -3.0], 1.0, 1.0, 100.0, 1.0)
     assert val < 1e-3
 
 
 def test_dt_criterion_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError):
         dt_criterion([0.0], 1.0, -1.0, 100.0, 1.0)
-    with pytest.raises(WindowTooShort):
-        dt_criterion([0.0, 0.0], 1.0, 1.0, 10.0, 1.0, p_period=3)
+    with pytest.raises(SpecError):
+        dt_criterion([0.0, 0.0], 1.0, 1.0, 10.0, 1.5)
 
 
 def dense_simpson_reference(w, coupling, K, T, points=16385):
@@ -457,5 +458,5 @@ def test_generic_builder_three_stages():
 
 
 def test_generic_builder_stage_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError):
         generic_builder(7, 2.0, 1)

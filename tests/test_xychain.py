@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from blochdyn import xychain
 from blochdyn.blockjacobi import BlockJacobiOperator
 from blochdyn.cli import main
-from blochdyn.errors import ChainTooLong, DimensionMismatch, InvalidSpec
+from blochdyn.errors import ChainTooLong, DimensionMismatch, InvalidSpec, SpecError
 from blochdyn.xychain import (
     LOWER,
     RAISE,
@@ -253,6 +253,16 @@ def test_upper_bound_examples():
         chk = propagation_upper_bound(chain, 2, 5, t)
         assert chk.ok
         assert chk.lhs <= chk.rhs
+
+
+@pytest.mark.parametrize("l, r", [(4, 2), (3, 3), (0, 4), (2, 7)])
+def test_bounds_refuse_bad_pairs(l, r):
+    # one rule for both bounds: l < r, both sites of the chain's interval
+    chain = SpinChain(ANISO, (1, 6))
+    with pytest.raises(SpecError, match="1 <= l < r <= 6"):
+        propagation_lower_bound(chain, l, r, 0.5, 1)
+    with pytest.raises(SpecError, match="1 <= l < r <= 6"):
+        propagation_upper_bound(chain, l, r, 0.5)
 
 
 # --- light cone speed ---------------------------------------------------------------------
