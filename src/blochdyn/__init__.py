@@ -28,6 +28,7 @@ from .dynamics import (
     exponent_estimate,
     localization_diagnostic,
     moment,
+    moment_table,
     moment_trajectory,
     required_half_width,
     transport_exponents,

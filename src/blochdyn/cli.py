@@ -90,7 +90,7 @@ _complex_pairs = _list_kind("[re, im] pairs of finite numbers", _is_number_pair,
                             lambda z: complex(*z), np.array)
 _int_pair = _kind("an [l, r] pair of integers", _is_integer_pair, tuple)
 _int_pairs = _list_kind("[l, r] pairs of integers", _is_integer_pair, tuple)
-_cases = _list_kind("cases 1..4", lambda x: _is_integer(x) and 1 <= x <= 4, int)
+_integers = _list_kind("integers", _is_integer, int)
 _check_names = _list_kind(f"check names from {list(XY_CHECKS)}", lambda x: x in XY_CHECKS, str)
 
 
@@ -165,7 +165,7 @@ SCHEMAS = {
     "xy-velocity": dict(_XY, grid_size=(512, _grid)),
     "xy-verify": dict(_XY, window=(REQUIRED, _int_pair), pairs=(REQUIRED, _int_pairs),
                       times=(REQUIRED, _numbers), checks=(list(XY_CHECKS), _check_names),
-                      cases=([1, 2, 3, 4], _cases)),
+                      cases=([1, 2, 3, 4], _integers)),
     "lyapunov": {"potential": (REQUIRED, _numbers), "energies": (REQUIRED, _complex_pairs),
                  "n": (1000, _positive_ints)},
     "thouless": {"potential": (REQUIRED, _numbers), "points": (REQUIRED, _complex_pairs),
@@ -188,9 +188,8 @@ def _check_across_fields(command, a):
     XY chain spec and fills in localization's default time step."""
     if "mu" in a:
         a["spec"] = xychain.XYChainSpec(a["mu"], a["gamma"], a["nu"]).validate_free_fermion()
-    if command == "exponents" and not len(set(a["times"])) == len(a["times"]) >= 2:
-        raise ConfigInvalid(f"'times' must be at least two distinct positive finite "
-                            f"numbers, got {a['times']!r}")
+    if command == "exponents" and len(set(a["times"])) != len(a["times"]):
+        raise ConfigInvalid(f"'times' must be distinct, got {a['times']!r}")
     if command == "localization":
         J = a["operator"]
         a["t_step"] = a["t_step"] or dynamics.localization_step(J)
@@ -383,8 +382,11 @@ def cmd_xy_velocity(a, out):
 
 def cmd_xy_verify(a, out):
     pairs, times, checks = a["pairs"], a["times"], a["checks"]
-    for l, r in pairs:  # every pair refused before any sector eigensolve
+    # every pair and case refused before any sector eigensolve
+    for l, r in pairs:
         xychain.check_pair(a["window"], l, r)
+    for case in a["cases"]:
+        xychain.check_case(case)
     chain = xychain.SpinChain(a["spec"], a["window"])
     # Rows are computed time by time, since the chain keeps e^{itH} for the
     # latest time only, and written check by check, pair by pair, time by time.

@@ -1,27 +1,33 @@
 """Finite-window unitary evolution, moments, and transport diagnostics.
 
-Evolution runs on window truncations through `TruncatedOperator.propagate`,
-one Chebyshev expansion on the block-tridiagonal matvec that never
-diagonalizes its window; single-time evolutions (moments, the ballistic
-limit, stability, the light-cone probe) use it. The derivative identity and
-the localization diagnostic compute `eigensystem` once and evaluate all
-their times in that eigenbasis. The dense path is capped at MAX_DENSE_DIM
-rows, the window storage at MAX_WINDOW_DIM rows (both in `blockjacobi`).
+One recurrence kernel, `blockjacobi.chebyshev_propagate`, runs every
+single-time evolution: a Chebyshev expansion on the block-tridiagonal
+matvec that never diagonalizes its window. `TruncatedOperator.propagate`
+calls it on one window (evolve, the ballistic limit, the light-cone probe);
+`moment_table` calls it once per sample time on the direct sum of the
+windows of several operators, with every packet one column, so that all
+(operator, packet) evolutions share one recurrence. `moment_trajectory` is
+its case of one operator and one packet. The derivative identity and the
+localization diagnostic compute `eigensystem` once and evaluate all their
+times in that eigenbasis. The dense path is capped at MAX_DENSE_DIM rows,
+the window storage at MAX_WINDOW_DIM rows (both in `blockjacobi`).
 
 One light-cone rule sizes every evolution window: a window admits time t for
-a packet only if it extends K = chebyshev_order(s |t|) block sites
-(s = norm_bound) past the support on each side. Each window is built here
-from the inputs by `required_half_width`; only `evolve` takes its window from
-the caller, and checks it. The window spectrum lies in [-s, s], so the
-recurrence and the eigenbasis both give the degree-K Chebyshev polynomial of
-exp(-itJ) applied to psi up to CHEBYSHEV_TAIL ||psi||, and that polynomial
-moves psi at most K block sites, never to the open boundary: either returns
-the infinite-chain exp(-itJ) psi to within 2 CHEBYSHEV_TAIL ||psi||. The
-certificate covers one forward leg. The pull-back exp(+itJ) X exp(-itJ) psi
-of `check_ballistic_limit` and of the lhs of `check_derivative_identity` runs
-on the same one-leg window; the derivative identity holds exactly on any
-window. The localization diagnostic's window is its own finite system, not a
-light cone.
+a packet only if it extends K = chebyshev_order(s |t|) block sites past the
+support on each side, where s >= ||J|| is the scale of the expansion
+(norm_bound, or in `moment_table` the largest norm_bound s_max of the batch,
+which also gives every window of the batch the widest half-width). Each
+window is built here from the inputs by `required_half_width` or the same
+rule; only `evolve` takes its window from the caller, and checks it. The
+window spectrum lies in [-s, s], so the recurrence and the eigenbasis both
+give the degree-K Chebyshev polynomial of exp(-itJ) applied to psi up to
+CHEBYSHEV_TAIL ||psi||, and that polynomial moves psi at most K block sites,
+never to the open boundary: either returns the infinite-chain exp(-itJ) psi
+to within 2 CHEBYSHEV_TAIL ||psi||. The certificate covers one forward leg.
+The pull-back exp(+itJ) X exp(-itJ) psi of `check_ballistic_limit` and of
+the lhs of `check_derivative_identity` runs on the same one-leg window; the
+derivative identity holds exactly on any window. The localization
+diagnostic's window is its own finite system, not a light cone.
 """
 
 from __future__ import annotations
@@ -33,17 +39,28 @@ import numpy as np
 
 from .blockjacobi import (
     MAX_DENSE_DIM,
+    MAX_WINDOW_DIM,
     BlockJacobiOperator,
     TruncatedOperator,
     WavePacket,
     chebyshev_order,
+    chebyshev_propagate,
 )
-from .errors import SizeLimitExceeded, SpecError, SupportOutsideWindow, WindowTooSmall
+from .errors import (
+    DimensionMismatch,
+    SizeLimitExceeded,
+    SpecError,
+    SupportOutsideWindow,
+    WindowTooSmall,
+)
 from .floquet import apply_q, q_norm
 
 # Simpson nodes per matrix product in check_derivative_identity; it bounds the
 # (dim, QUAD_CHUNK) work arrays whatever quad_steps is
 QUAD_CHUNK = 128
+# Largest (time samples, window rows) phase block localization_diagnostic
+# forms at once (16 MB of complex entries)
+PHASE_CHUNK = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -103,23 +120,65 @@ class MomentTrajectory:
             raise ValueError("moment values must be nonnegative")
 
 
+def moment_table(Js, psis, p: float, times) -> np.ndarray:
+    """Moments <psi_j(t), |X|^p psi_j(t)> under every operator Js[i] at every
+    sample time, as an array of shape (len(times), len(Js), len(psis)) whose
+    row k belongs to times[k].
+
+    All evolutions run as one Chebyshev recurrence on the direct sum of the
+    operators' windows. Every window is [-N, N], N = the largest packet
+    support radius + chebyshev_order(s_max max |t|), s_max the largest
+    norm_bound; they are stacked end to end with zero coupling blocks at the
+    seams, so they stay decoupled. Each packet is one column, embedded in
+    every window. The distinct samples are chained in sorted order, each
+    propagated from the previous one. s_max bounds every ||J_i||, so each
+    evolution keeps the light-cone certificate of its own window.
+
+    Raises DimensionMismatch unless every operator and packet has the same
+    block dimension m, and SizeLimitExceeded, before allocating, when the
+    stacked windows exceed MAX_WINDOW_DIM rows.
+    """
+    Js, psis = list(Js), list(psis)
+    if not Js or not psis:
+        raise SpecError("need at least one operator and one packet")
+    m = Js[0].m
+    if any(X.m != m for X in Js + psis):
+        raise DimensionMismatch(f"operators and packets must share the block dimension m = {m}")
+    times = np.asarray(times, dtype=float)
+    samples, row = np.unique(times, return_inverse=True)
+    s = max(J.norm_bound for J in Js)
+    half = (max(psi.support_radius() for psi in psis)
+            + chebyshev_order(s * np.max(np.abs(times))))
+    rows = len(Js) * (2 * half + 1) * m
+    if rows > MAX_WINDOW_DIM:
+        raise SizeLimitExceeded(f"{len(Js)} windows [{-half}, {half}] stack to {rows} rows "
+                                f"(limit {MAX_WINDOW_DIM})")
+    truncs = [J.truncate(half) for J in Js]
+    seam = np.zeros((1, m, m))
+    diag = np.concatenate([tr.diag_blocks for tr in truncs])
+    off = np.concatenate([blocks for tr in truncs for blocks in (seam, tr.off_blocks)][1:])
+    weights = np.abs(truncs[0].position_diagonal) ** p
+    vec = np.tile(np.stack([truncs[0].embed(psi) for psi in psis], axis=1), (len(Js), 1))
+    table, t_prev = np.empty((len(samples), len(Js), len(psis))), 0.0
+    for k, t in enumerate(samples):
+        vec = chebyshev_propagate(diag, off, s, vec, t - t_prev)
+        segments = vec.reshape(len(Js), -1, len(psis))
+        # one dot per column, as for a lone evolution: a matrix product
+        # could sum in another order
+        for i, j in np.ndindex(len(Js), len(psis)):
+            table[k, i, j] = weights @ np.abs(segments[i, :, j]) ** 2
+        t_prev = t
+    return table[row]
+
+
 def moment_trajectory(J: BlockJacobiOperator, psi: WavePacket, p: float,
                       times) -> MomentTrajectory:
-    """Moments <psi(t), |X|^p psi(t)> along a shared truncation.
-
-    psi is embedded once and the sorted samples are chained, each propagated
-    from the previous one, on the light-cone window of the largest |t|.
-    """
+    """Moments <psi(t), |X|^p psi(t)> at the sorted samples: `moment_table`
+    for one operator and one packet, on the light-cone window of the largest
+    |t|."""
     times = np.asarray(sorted(times), dtype=float)
-    trunc = J.truncate(required_half_width(J, psi.support_radius(), np.max(np.abs(times))))
-    weights = np.abs(trunc.position_diagonal) ** p
-    vec = trunc.embed(psi)
-    values, t_prev = [], 0.0
-    for t in times:
-        vec = trunc.propagate(vec, t - t_prev)
-        values.append(float(weights @ np.abs(vec) ** 2))
-        t_prev = t
-    return MomentTrajectory(times=times, p=float(p), values=np.array(values))
+    values = moment_table([J], [psi], p, times)[:, 0, 0]
+    return MomentTrajectory(times=times, p=float(p), values=values)
 
 
 @dataclass(frozen=True)
@@ -354,6 +413,8 @@ def localization_diagnostic(trunc: TruncatedOperator, pairs, t_grid) -> Localiza
     Verdict "localized" requires fit slope < -0.05 with R^2 > 0.9. The time
     grid must resolve the fastest phase, step <= localization_step(trunc),
     and every pair must lie in the window, both checked before the eigensolve.
+    The phases exp(-i t lambda) are formed at most PHASE_CHUNK entries at a
+    time; the sup over the grid is the max over the chunks.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 2:
@@ -368,12 +429,16 @@ def localization_diagnostic(trunc: TruncatedOperator, pairs, t_grid) -> Localiza
         if not (lo <= l <= hi and lo <= r <= hi):
             raise SupportOutsideWindow(f"pair {[l, r]!r} outside the window's sites [{lo}, {hi}]")
     w, u = trunc.eigensystem
-    phases = np.exp(-1j * np.outer(t_grid, w))
-    sups = []
-    for l, r in pairs:
-        amp = phases @ (u[l - lo] * u[r - lo].conj())
-        sups.append(float(np.max(np.abs(amp))))
-    sups = np.array(sups)
+    overlaps = [u[l - lo] * u[r - lo].conj() for l, r in pairs]
+    sups = np.zeros(len(pairs))
+    # one buffer for every chunk, so a chunk's phases are never alive twice
+    chunk = max(1, PHASE_CHUNK // len(w))
+    buf = np.empty((min(chunk, len(t_grid)), len(w)), dtype=complex)
+    for start in range(0, len(t_grid), chunk):
+        ts = t_grid[start:start + chunk]
+        phases = np.multiply(-1j, np.outer(ts, w), out=buf[:len(ts)])
+        np.exp(phases, out=phases)
+        sups = np.maximum(sups, [np.max(np.abs(phases @ ov)) for ov in overlaps])
     dists = np.array([abs(r - l) for l, r in pairs], dtype=float)
     logs = np.log(np.maximum(sups, 1e-300))
     design = np.vstack([dists, np.ones_like(dists)]).T

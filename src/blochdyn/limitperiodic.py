@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockjacobi import WavePacket, build_operator, scalar_spec
-from .dynamics import moment_trajectory
+from .dynamics import moment_table
 from .errors import (
     NoCertificateFound,
     PsiEnvelopeViolated,
@@ -435,12 +435,13 @@ def envelope_packet(m_env: int) -> WavePacket:
 
 def perturbation_stability(W, V, psi: WavePacket, t: float, p: float,
                            m_env: int) -> float:
-    """|moment(t; base potential) - moment(t; perturbed potential)|, each
-    evolution run on the light-cone window of its own operator."""
+    """|moment(t; base potential) - moment(t; perturbed potential)|, both
+    evolutions run by one `moment_table` call, on windows sized by the larger
+    norm bound of the two operators."""
     check_envelope(psi, m_env)
-    mw = moment_trajectory(schroedinger_operator(W), psi, p, [t])
-    mv = moment_trajectory(schroedinger_operator(V), psi, p, [t])
-    return float(abs(mw.values[0] - mv.values[0]))
+    Js = [schroedinger_operator(W), schroedinger_operator(V)]
+    mw, mv = moment_table(Js, [psi], p, [t])[0, :, 0]
+    return float(abs(mw - mv))
 
 
 def _battery(m_env):
@@ -492,6 +493,7 @@ def growth_certificate(W, p: float, m_env: int, seed: int = DEFAULT_SEED,
     W = np.atleast_1d(np.asarray(W, dtype=float))
     jw = schroedinger_operator(W)
     battery = _battery(m_env)
+    packets = [psi for _, psi in battery]
     packet_times: dict = {}
     packet_moments: dict = {}
 
@@ -501,8 +503,7 @@ def growth_certificate(W, p: float, m_env: int, seed: int = DEFAULT_SEED,
     certified_T = None
     while T <= time_budget:
         all_pass = T > 1.0
-        for name, psi in battery:
-            mom = moment_trajectory(jw, psi, p, [T]).values[0]
+        for (name, _), mom in zip(battery, moment_table([jw], packets, p, [T])[0, 0]):
             packet_moments.setdefault(name, {})[T] = float(mom)
             passed = T > 1.0 and mom > 2.0 * _threshold(T, p)
             if passed and name not in packet_times:
@@ -518,16 +519,13 @@ def growth_certificate(W, p: float, m_env: int, seed: int = DEFAULT_SEED,
         )
 
     def ball_ok(delta):
+        # every sampled potential and battery packet in one moment_table call
         rng = np.random.default_rng(seed)
         pr = max(16, 2 * len(W))
-        for _ in range(CERTIFICATE_PERTURBATIONS):
-            V = _tiled_sum(W, rng.uniform(-delta, delta, pr))
-            jv = schroedinger_operator(V)
-            for _, psi in battery:
-                mom = moment_trajectory(jv, psi, p, [certified_T]).values[0]
-                if not mom > _threshold(certified_T, p):
-                    return False
-        return True
+        Js = [schroedinger_operator(_tiled_sum(W, rng.uniform(-delta, delta, pr)))
+              for _ in range(CERTIFICATE_PERTURBATIONS)]
+        moments = moment_table(Js, packets, p, [certified_T])
+        return bool(np.all(moments > _threshold(certified_T, p)))
 
     hi = 1.0
     while not ball_ok(hi):
@@ -640,12 +638,12 @@ def generic_builder(stages: int, p: float, m_env: int,
             continue
 
         final_v = records[-1].potential
-        jv = schroedinger_operator(final_v)
-        battery = _battery(m_env)
+        moments = moment_table([schroedinger_operator(final_v)],
+                               [psi for _, psi in _battery(m_env)], p,
+                               [rec.time for rec in records])
         rows = []
-        for rec in records:
-            worst = min(float(moment_trajectory(jv, psi, p, [rec.time]).values[0])
-                        for _, psi in battery)
+        for rec, row in zip(records, moments[:, 0]):
+            worst = float(row.min())
             thr = _threshold(rec.time, p)
             rows.append(VerificationRow(stage=rec.stage, time=rec.time, threshold=thr,
                                         worst_moment=worst, ok=bool(worst > thr)))

@@ -382,6 +382,12 @@ _LOWER_CASES = {
 }
 
 
+def check_case(case):
+    """Raise unless case names one of the lower-bound cases 1..4."""
+    if case not in _LOWER_CASES:
+        raise SpecError(f"case must be 1..4, got {case!r}")
+
+
 @dataclass(frozen=True)
 class LowerBoundCheck:
     commutator: float
@@ -412,8 +418,7 @@ def propagation_lower_bound(chain: SpinChain, l: int, r: int, t: float,
     the commutator norm of case 1 and case 4 that of case 2; each is
     computed once per (l, r, t).
     """
-    if case not in _LOWER_CASES:
-        raise SpecError(f"case must be 1..4, got {case}")
+    check_case(case)
     check_pair(chain.lam, l, r)
     l_dag, b_raising, r_dag = _LOWER_CASES[case]
     p_t = _lower_commutator(chain, l, r, t, b_raising != l_dag)

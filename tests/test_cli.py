@@ -220,7 +220,7 @@ DELTA0 = {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0}}
     ("localization", {"operator": FREE_OPERATOR, "half_width": 40, "pairs": [[0, 4]],
                       "t_max": float("inf")}, "ConfigInvalid"),
     ("exponents", dict(DELTA0, times=[0.0, 5.0]), "ConfigInvalid"),
-    ("exponents", dict(DELTA0, times=[5.0]), "ConfigInvalid"),
+    ("exponents", dict(DELTA0, times=[5.0]), "SpecError"),
     ("exponents", dict(DELTA0, times=["5", 10.0]), "ConfigInvalid"),
     ("exponents", dict(DELTA0, times=[5.0, 5.0]), "ConfigInvalid"),
     ("exponents", dict(DELTA0, times=[-5.0, 10.0]), "ConfigInvalid"),
@@ -374,6 +374,18 @@ def test_every_schema_field_rejects_wrong_values(tmp_path, capsys, command, fiel
 ])
 def test_config_errors_exit_2_before_running(tmp_path, capsys, command, cfg):
     _assert_rejected(tmp_path, capsys, command, cfg)
+
+
+def test_xy_verify_cases_refused_before_the_chain(tmp_path, capsys, monkeypatch):
+    # the cases rule is xychain.check_case's; the CLI runs it on every case
+    # before any spin chain is built
+    def no_chain(*args):
+        raise AssertionError("chain built")
+
+    monkeypatch.setattr(blochdyn.xychain, "SpinChain", no_chain)
+    code, out, err = run(tmp_path, capsys, "xy-verify", dict(VALID["xy-verify"], cases=[1, 5]))
+    assert (code, out) == (2, "")
+    assert _one_json_error(err)["error"] == "SpecError"
 
 
 def test_oversized_time_grid_is_a_size_error(tmp_path, capsys):

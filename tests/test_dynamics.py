@@ -16,18 +16,25 @@ from blochdyn import (
     check_ballistic_limit,
     check_derivative_identity,
     corollary_probe,
+    dynamics,
     evolve,
     exponent_estimate,
     localization_diagnostic,
     moment,
+    moment_table,
     moment_trajectory,
     required_half_width,
     scalar_spec,
     transport_exponents,
 )
-from blochdyn.blockjacobi import MAX_DENSE_DIM
+from blochdyn.blockjacobi import MAX_DENSE_DIM, MAX_WINDOW_DIM
 from blochdyn.cli import main
-from blochdyn.errors import SupportOutsideWindow, WindowTooSmall
+from blochdyn.errors import (
+    DimensionMismatch,
+    SizeLimitExceeded,
+    SupportOutsideWindow,
+    WindowTooSmall,
+)
 from blochdyn.limitperiodic import perturbation_stability
 
 
@@ -177,19 +184,20 @@ def test_exponent_estimate_needs_two_samples():
 
 def test_moment_trajectory_chains_samples(monkeypatch):
     # one propagation per sample, each from the previous sample's time, on
-    # the window of the largest time
+    # the window of the largest time (2 half + 1 block sites)
     J, psi = period2(1.0), WavePacket.delta_scalar(0, 1)
     steps = []
-    propagate = TruncatedOperator.propagate
+    propagate = dynamics.chebyshev_propagate
 
-    def recording_propagate(self, vec, t):
-        steps.append((self.window, t))
-        return propagate(self, vec, t)
+    def recording_propagate(diag_blocks, off_blocks, s, vec, t):
+        steps.append((len(diag_blocks), t))
+        return propagate(diag_blocks, off_blocks, s, vec, t)
 
-    monkeypatch.setattr(TruncatedOperator, "propagate", recording_propagate)
+    monkeypatch.setattr(dynamics, "chebyshev_propagate", recording_propagate)
     traj = moment_trajectory(J, psi, 2.0, [20.0, 5.0, 10.0])
     half = required_half_width(J, 0, 20.0)
-    assert steps == [((-half, half), 5.0), ((-half, half), 5.0), ((-half, half), 10.0)]
+    rows = 2 * half + 1
+    assert steps == [(rows, 5.0), (rows, 5.0), (rows, 10.0)]
     monkeypatch.undo()
     for t, val in zip(traj.times, traj.values):
         assert val == pytest.approx(moment(evolve(J.truncate(half), psi, t), 2.0), rel=1e-12)
@@ -202,6 +210,74 @@ def test_constant_diagonal_matches_free_moments():
     shifted = build_operator(scalar_spec([4.2]))
     shift_traj = moment_trajectory(shifted, WavePacket.delta_scalar(0, 1), 2.0, times)
     assert np.allclose(free_traj.values, shift_traj.values, rtol=1e-9)
+
+
+def lone_moments(J, psi, p, times):
+    """The moments of one packet under one operator at the sorted times,
+    chained by TruncatedOperator.propagate on that operator's own light-cone
+    window: the evolution moment_table batches."""
+    times = sorted(times)
+    trunc = J.truncate(required_half_width(J, psi.support_radius(), max(map(abs, times))))
+    weights = np.abs(trunc.position_diagonal) ** p
+    vec, values, t_prev = trunc.embed(psi), [], 0.0
+    for t in times:
+        vec = trunc.propagate(vec, t - t_prev)
+        values.append(float(weights @ np.abs(vec) ** 2))
+        t_prev = t
+    return np.array(values)
+
+
+def random_packet(rng, m):
+    size = int(rng.integers(1, 4))
+    psi = WavePacket(int(rng.integers(-3, 3)),
+                     rng.standard_normal((size, m)) + 1j * rng.standard_normal((size, m)))
+    return (1.0 / psi.norm()) * psi
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from([1, 2]), qs=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       packets=st.integers(1, 2),
+       times=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_moment_table_matches_separate_evolutions(m, qs, packets, times, seed):
+    # the windows of the direct sum stay decoupled: every entry is the lone
+    # evolution up to roundoff (the batch scales by the largest norm bound
+    # and sizes every window by the widest packet), and moment_trajectory,
+    # the table of one operator and one packet, is that evolution bit for bit
+    rng = np.random.default_rng(seed)
+    Js = [build_operator(random_spec(rng, m, q, bool(rng.integers(2)))) for q in qs]
+    psis = [random_packet(rng, m) for _ in range(packets)]
+    table = moment_table(Js, psis, 2.0, times)
+    assert table.shape == (len(times), len(Js), len(psis))
+    order = np.argsort(times)
+    for i, J in enumerate(Js):
+        for j, psi in enumerate(psis):
+            lone = lone_moments(J, psi, 2.0, times)
+            # relative to the trajectory's largest moment: a moment near zero
+            # (the packet back at the origin) is roundoff on both sides
+            assert np.allclose(table[order, i, j], lone, rtol=0.0, atol=1e-12 * lone.max())
+            assert np.array_equal(moment_trajectory(J, psi, 2.0, times).values, lone)
+
+
+def test_moment_table_refusals():
+    J1, J2 = free_laplacian(), build_operator(random_spec(np.random.default_rng(0), 2, 1, True))
+    psi = WavePacket.delta_scalar(0, 1)
+    with pytest.raises(DimensionMismatch):
+        moment_table([J1, J2], [psi], 2.0, [1.0])
+    with pytest.raises(DimensionMismatch):
+        moment_table([J2], [psi], 2.0, [1.0])
+    # 50 windows of about 1e5 rows each fit alone but not stacked: refused
+    # before the stack is allocated
+    t = 2.5e4
+    assert 2 * required_half_width(J1, 0, t) + 1 <= MAX_WINDOW_DIM
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitExceeded, match="stack"):
+            moment_table([J1] * 50, [psi], 2.0, [t])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # --- ballistic limit -------------------------------------------------------------
@@ -426,6 +502,25 @@ def test_localization_strong_disorder():
     rep = localization_diagnostic(trunc, pairs, t_grid)
     assert rep.localized
     assert rep.decay_rate > 0.1
+
+
+def test_localization_phase_memory_is_bounded(monkeypatch):
+    # 50000 samples on a 101-row window are 5.05e6 phase entries (81 MB of
+    # complex numbers at once); formed in chunks, the call stays small, and
+    # the sup over time is the max over chunks
+    trunc = free_laplacian().truncate(50)
+    pairs = [(0, 4), (0, 8), (-10, 20)]
+    t_grid = np.arange(50000) * 0.01
+    tracemalloc.start()
+    try:
+        rep = localization_diagnostic(trunc, pairs, t_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    monkeypatch.setattr(dynamics, "PHASE_CHUNK", 1000)
+    fine = localization_diagnostic(trunc, pairs, t_grid)
+    assert np.allclose(fine.sup_amplitudes, rep.sup_amplitudes, rtol=1e-13, atol=0.0)
 
 
 def test_localization_grid_guard():

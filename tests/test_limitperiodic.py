@@ -419,6 +419,19 @@ def test_growth_certificate_period2():
     assert cert.radius > 0.0
 
 
+def test_sampled_certificate_decisions_are_pinned():
+    # the radius bisection and the stage radii follow from threshold
+    # decisions on sampled potentials; evolving the samples and packets
+    # together must not move any of them
+    assert growth_certificate([0.0], 2.0, 1).radius == 0.78515625
+    cert = growth_certificate([1.0, -1.0], 1.0, 1)
+    assert (cert.time, cert.radius) == (32.0, 0.3681640625)
+    con = generic_builder(3, 2.0, 1)
+    assert [rec.delta for rec in con.records] == [0.78515625, 0.39179296875,
+                                                   0.19550469140625001]
+    assert [rec.time for rec in con.records] == [8.0, 8.0, 8.0]
+
+
 def test_growth_certificate_budget_exhaustion():
     # strong disorder on a long period suppresses transport at small times
     rng = np.random.default_rng(3)

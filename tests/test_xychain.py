@@ -265,6 +265,14 @@ def test_bounds_refuse_bad_pairs(l, r):
         propagation_upper_bound(chain, l, r, 0.5)
 
 
+@pytest.mark.parametrize("case", [0, 5, -1])
+def test_lower_bound_refuses_bad_cases(case):
+    with pytest.raises(SpecError, match="case must be 1..4"):
+        xychain.check_case(case)
+    with pytest.raises(SpecError, match="case must be 1..4"):
+        propagation_lower_bound(SpinChain(ANISO, (1, 6)), 2, 4, 0.5, case)
+
+
 # --- light cone speed ---------------------------------------------------------------------
 
 
