@@ -182,14 +182,21 @@ SCHEMAS = {
 }
 
 
+# fields whose entries must be distinct: exponents' running slopes need
+# distinct times, and a repeat in xy-verify would repeat its rows
+_DISTINCT = {"exponents": ("times",), "xy-verify": ("pairs", "times", "cases")}
+
+
 def _check_across_fields(command, a):
     """The rules on what the CLI itself computes (exponents' running slopes,
-    localization's time grid); the library owns every other rule. Adds the
-    XY chain spec and fills in localization's default time step."""
+    xy-verify's rows, localization's time grid); the library owns every other
+    rule. Adds the XY chain spec and fills in localization's default time
+    step."""
     if "mu" in a:
         a["spec"] = xychain.XYChainSpec(a["mu"], a["gamma"], a["nu"]).validate_free_fermion()
-    if command == "exponents" and len(set(a["times"])) != len(a["times"]):
-        raise ConfigInvalid(f"'times' must be distinct, got {a['times']!r}")
+    for key in _DISTINCT.get(command, ()):
+        if len(set(a[key])) != len(a[key]):
+            raise ConfigInvalid(f"'{key}' must be distinct, got {json.dumps(a[key])}")
     if command == "localization":
         J = a["operator"]
         a["t_step"] = a["t_step"] or dynamics.localization_step(J)

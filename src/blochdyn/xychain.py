@@ -18,9 +18,14 @@ diagonalized once, and e^{itH} is formed from that in the site basis once per
 time. Every local operator the checks use is a signed partial permutation, so
 its Heisenberg image costs one product per sector block and its products with
 a dense block are index gathers. The commutator of two odd operators is block
-diagonal, so its norm is the larger of two block norms. The one-particle
-propagator e^{-itM} on the chain's window is `TruncatedOperator.propagate`
-applied to the identity, once per time.
+diagonal, so its norm is the larger of two block norms, each the largest
+singular value from a dense SVD. The upper check needs one of them only:
+sigma^x_r is an odd involution, so it maps one diagonal block of
+C = [tau_t(sigma^-_s), sigma^x_r] unitarily onto minus the other. The
+free-fermion residual is reported as its Frobenius norm, an upper bound of
+its spectral norm that takes no SVD. The one-particle propagator e^{-itM} on
+the chain's window is `TruncatedOperator.propagate` applied to the identity,
+once per time.
 """
 
 from __future__ import annotations
@@ -313,13 +318,14 @@ class SpinChain:
 # ---------------------------------------------------------------------------
 
 
-def _odd_commutator(ta, b):
-    """Sector blocks of [T, B] for parity-odd T (dense sector blocks) and B
-    (`_odd_terms`). The commutator is block diagonal, [T, B]_xx =
-    T_xy B_yx - B_xy T_yx, where T_xy B_yx gathers columns of T_xy and
-    B_xy T_yx gathers rows of T_yx."""
+def _odd_commutator(ta, b, sectors=(0, 1)):
+    """Diagonal sector blocks (x, x), for x in sectors, of [T, B] for
+    parity-odd T (dense sector blocks) and B (`_odd_terms`). The commutator
+    is block diagonal, [T, B]_xx = T_xy B_yx - B_xy T_yx, where T_xy B_yx
+    gathers columns of T_xy and B_xy T_yx gathers rows of T_yx."""
     out = {}
-    for x, y in ((0, 1), (1, 0)):
+    for x in sectors:
+        y = 1 - x
         t_xy, t_yx = ta[x, y], ta[y, x]
         blk = np.zeros((t_xy.shape[0], t_yx.shape[1]), dtype=complex)
         rows, cols, vals = b[y, x]
@@ -332,21 +338,25 @@ def _odd_commutator(ta, b):
 
 def _block_norm(blocks) -> float:
     """Spectral norm of an operator of definite parity given by its
-    site-basis sector blocks: up to a permutation of the sectors it is block
-    diagonal, so its norm is the largest singular value of a block, by a
-    dense SVD at every chain size. The SVD is exact to roundoff, so a bound
-    check that passes on it holds to roundoff.
+    site-basis sector blocks (or by the blocks known to carry its norm): up
+    to a permutation of the sectors it is block diagonal, so its norm is the
+    largest singular value of a block, by a dense SVD at every chain size.
+    The SVD is exact to roundoff, so a bound check that passes on it holds
+    to roundoff.
     """
     return max([0.0] + [float(np.linalg.norm(m, 2)) for m in blocks.values()])
 
 
 def free_fermion_residual(chain: SpinChain, j: int, t: float) -> float:
-    """Exactness check of the quadratic reduction: spectral-norm residual of
+    """Exactness check of the quadratic reduction: the Frobenius norm
+    sqrt(||R_01||_F^2 + ||R_10||_F^2) of the residual R of
 
         tau_t(c_j) = sum_k [e^{-itM}]_{row(c_j), k} C^(k)
 
     with M the windowed free-fermion matrix and C the Jordan-Wigner vector
-    (c_lo, c_lo^*, c_lo+1, c_lo+1^*, ...).
+    (c_lo, c_lo^*, c_lo+1, c_lo+1^*, ...). It is at least the spectral norm
+    ||R||, so a residual below a tolerance bounds ||R|| by it too, and it
+    takes no SVD.
     """
     return _free_fermion_residual(chain, chain._propagator(t), j, t)
 
@@ -364,8 +374,8 @@ def _free_fermion_residual(chain, mt, j, t):
             vals.append(mt[row, 2 * k + dagger] * v)
     rhs = chain._terms_blocks((np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)))
     lhs = chain._image("c", j, t)
-    return _block_norm({key: np.subtract(blk, rhs[key], out=rhs[key])
-                        for key, blk in lhs.items()})
+    return math.hypot(*(float(np.linalg.norm(np.subtract(blk, rhs[key], out=rhs[key])))
+                        for key, blk in lhs.items()))
 
 
 # case -> (A is a creator?, B is the raising operator?, entry column is a
@@ -444,10 +454,16 @@ def propagation_upper_bound(chain: SpinChain, s: int, r: int, t: float) -> Upper
 
         ||[tau_t(a_s), sigma^x_r]|| <= 8 sum_{k <= row(c_s)} sum_{k' >= row(c_r)}
                                        |[e^{-itM}]_{k, k'}|.
+
+    With X = sigma^x_r and C the commutator, X^2 = 1 gives X C X = -C, and
+    X maps the even sector unitarily onto the odd one, so
+    C_11 = -X_10 C_00 X_01 and ||C|| = ||C_00||: only the even block is
+    formed and its SVD taken. This is spin algebra alone; it holds for any
+    odd image and uses no free-fermion input.
     """
     check_pair(chain.lam, s, r)
     b = chain._odd_terms(chain._local_terms(r, SX))
-    lhs = _block_norm(_odd_commutator(chain._image("lower", s, t), b))
+    lhs = _block_norm(_odd_commutator(chain._image("lower", s, t), b, sectors=(0,)))
     mt = chain._propagator(t)
     srow = scalar_row(chain.lam, s)
     rrow = scalar_row(chain.lam, r)

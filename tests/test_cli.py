@@ -252,6 +252,10 @@ DELTA0 = {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0}}
     ("xy-verify", dict(XY_SMALL, window=[1, 13]), "ChainTooLong"),
     ("dt-criterion", {"potential": [1.0, -1.0], "coupling": 1.0, "K": 1.0, "T": 50.0,
                       "p_period": 2}, "ConfigInvalid"),
+    # a repeated xy-verify pair, time or case would repeat its rows
+    ("xy-verify", dict(XY_SMALL, window=[1, 4], pairs=[[1, 3], [1, 3]]), "ConfigInvalid"),
+    ("xy-verify", dict(XY_SMALL, window=[1, 4], times=[0.5, 0.5]), "ConfigInvalid"),
+    ("xy-verify", dict(XY_SMALL, window=[1, 4], cases=[1, 1]), "ConfigInvalid"),
 ])
 def test_non_integer_and_bad_time_configs_exit_2(tmp_path, capsys, command, cfg, error):
     # integer fields are never truncated, operator and state specs are

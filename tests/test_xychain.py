@@ -191,14 +191,30 @@ def test_commutator_short_time_series():
     assert abs(lhs - t * first_order) < 100 * t**2
 
 
-def test_commutator_norm_is_the_dense_svd_at_11_sites():
+@pytest.fixture(scope="module")
+def eleven_sites():
+    """(chain, full-space reference) of ANISO on 11 sites, shared by the
+    11-site norm tests: each is one eigensolve of 2048 rows."""
+    return SpinChain(ANISO, (1, 11)), _Reference(ANISO, 1, 11)
+
+
+def test_commutator_norm_is_the_dense_svd_at_11_sites(eleven_sites):
     # above 10 sites too, ||[tau_t(c_1), sigma^-_6]|| (lower case 2) is the
     # largest singular value to roundoff
-    chain = SpinChain(ANISO, (1, 11))
+    chain, ref = eleven_sites
     A, B = _kron_site(11, 0, LOWER, string=True), _kron_site(11, 5, LOWER)
-    dense = _Reference(ANISO, 1, 11).commutator_norm(A, B, 1.0)
+    dense = ref.commutator_norm(A, B, 1.0)
     assert propagation_lower_bound(chain, 1, 6, 1.0, 2).commutator == pytest.approx(
         dense, rel=1e-12)
+
+
+def test_upper_norm_is_the_full_space_svd_at_11_sites(eleven_sites):
+    # the upper check's one even sector block carries the norm of the whole
+    # commutator ||[tau_t(sigma^-_2), sigma^x_7]||
+    chain, ref = eleven_sites
+    A, B = _kron_site(11, 1, LOWER), _kron_site(11, 6, SX)
+    dense = ref.commutator_norm(A, B, 1.0)
+    assert propagation_upper_bound(chain, 2, 7, 1.0).lhs == pytest.approx(dense, rel=1e-12)
 
 
 # --- free-fermion reduction ------------------------------------------------------------
@@ -404,9 +420,44 @@ def test_sector_route_matches_site_basis(mu, gamma, nu, lo, n, t, data):
     _close(default.rhs, 8.0 * tail)
 
     assert free_fermion_residual(chain, l, t) < 1e-8
+    off = ref.propagator(t + 0.01)
+    res = xychain._free_fermion_residual(chain, off, l, t)
     if t >= 0.5:
         # the check sees a propagator that is off by 0.01 in time
-        assert xychain._free_fermion_residual(chain, ref.propagator(t + 0.01), l, t) > 1e-4
+        assert res > 1e-4
+    # against that propagator the residual is the Frobenius norm of the
+    # full-space residual, so at least its spectral norm (the two routes
+    # form the residual with different roundoff, hence the 1e-12)
+    residual = ref.heisenberg(_kron_site(n, l - lo, LOWER, string=True), t)
+    for k in range(n):
+        for dagger, mat in ((0, LOWER), (1, RAISE)):
+            residual -= off[row[l, 0], 2 * k + dagger] * _kron_site(n, k, mat, string=True)
+    _close(res, np.linalg.norm(residual))
+    assert res >= np.linalg.norm(residual, 2) * (1 - 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mu=st.lists(_COUPLING, min_size=1, max_size=3),
+       gamma=st.lists(_ANISOTROPY, min_size=1, max_size=3),
+       nu=st.lists(_FIELD, min_size=1, max_size=3),
+       lo=st.integers(-3, 3), n=st.integers(3, 7), t=st.floats(0.0, 3.0),
+       data=st.data())
+def test_upper_commutator_blocks_are_conjugate(mu, gamma, nu, lo, n, t, data):
+    # C = [tau_t(sigma^-_s), sigma^x_r] satisfies X C X = -C for X = sigma^x_r,
+    # an odd involution, so C_11 = -X_10 C_00 X_01 and the even block alone
+    # carries ||C||
+    spec = XYChainSpec(mu=mu, gamma=gamma, nu=nu)
+    hi = lo + n - 1
+    s = data.draw(st.integers(lo, hi - 1))
+    r = data.draw(st.integers(s + 1, hi))
+    chain = SpinChain(spec, (lo, hi))
+    terms = chain._local_terms(r, SX)
+    blocks = xychain._odd_commutator(chain._image("lower", s, t), chain._odd_terms(terms))
+    x = chain._terms_blocks(terms)
+    assert np.max(np.abs(blocks[1, 1] + x[1, 0] @ blocks[0, 0] @ x[0, 1])) <= 1e-13
+    dense = _Reference(spec, lo, hi).commutator_norm(_kron_site(n, s - lo, LOWER),
+                                                     _kron_site(n, r - lo, SX), t)
+    _close(propagation_upper_bound(chain, s, r, t).lhs, dense)
 
 
 @settings(max_examples=25, deadline=None)
@@ -445,14 +496,17 @@ def test_adjoint_paired_cases_match_site_basis(mu, gamma, nu, lo, n, t, dt, data
 
 
 def test_xy_verify_work_count(tmp_path, capsys, monkeypatch):
-    # per (pair, time) 8 SVDs of sector blocks: 2 for the free-fermion
-    # residual, 4 for the lower cases (1 and 3, 2 and 4 share a commutator)
-    # and 2 for the upper check. The sector eigenvectors enter only e^{itH},
-    # two real products per sector and time: no local operator is
-    # transformed to the eigenbasis.
+    # per (pair, time) 5 SVDs of sector blocks: 4 for the lower cases (1 and
+    # 3, 2 and 4 share a commutator), 1 for the upper check (its even
+    # commutator block only) and none for the free-fermion residual (a
+    # Frobenius norm); 5 commutator blocks are formed, 1 of them the upper
+    # check's. The sector eigenvectors enter only e^{itH}, two real products
+    # per sector and time: no local operator is transformed to the
+    # eigenbasis.
     pairs, times, sector = [[1, 4], [0, 5]], [0.5, 1.0, 2.0], (64, 64)
-    svds, products = [], []
+    svds, products, commutator_blocks = [], [], []
     svd, eigh = np.linalg._linalg.svd, np.linalg.eigh
+    odd_commutator = xychain._odd_commutator
 
     class Eigenvectors(np.ndarray):
         """Counts the matrix products it enters; other ufuncs keep the tag."""
@@ -474,14 +528,21 @@ def test_xy_verify_work_count(tmp_path, capsys, monkeypatch):
         w, u = eigh(a, *args, **kwargs)
         return w, u.view(Eigenvectors) if a.shape == sector else u
 
+    def counting_commutator(*args, **kwargs):
+        blocks = odd_commutator(*args, **kwargs)
+        commutator_blocks.extend(blocks)
+        return blocks
+
     monkeypatch.setattr(np.linalg._linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "eigh", tagging_eigh)
+    monkeypatch.setattr(xychain, "_odd_commutator", counting_commutator)
     cfg = tmp_path / "xy.json"
     cfg.write_text(json.dumps({"mu": [1.0, 0.7], "gamma": [0.5, 0.2, -0.3], "nu": [0.4],
                                "window": [0, 6], "pairs": pairs, "times": times}))
     assert main(["xy-verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert json.loads(capsys.readouterr().out) == {"all_ok": True, "checks": 36}
-    assert len(svds) == 8 * len(pairs) * len(times)
+    assert len(svds) == 5 * len(pairs) * len(times)
+    assert len(commutator_blocks) == 5 * len(pairs) * len(times)
     assert len(products) == 2 * 2 * len(times)
 
 
