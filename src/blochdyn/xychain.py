@@ -18,10 +18,13 @@ diagonalized once, and e^{itH} is formed from that in the site basis once per
 time. Every local operator the checks use is a signed partial permutation, so
 its Heisenberg image costs one product per sector block and its products with
 a dense block are index gathers. The commutator of two odd operators is block
-diagonal, so its norm is the larger of two block norms, each the largest
-singular value from a dense SVD. The upper check needs one of them only:
-sigma^x_r is an odd involution, so it maps one diagonal block of
-C = [tau_t(sigma^-_s), sigma^x_r] unitarily onto minus the other. The
+diagonal, and each check forms its even block C_00 only. The upper check
+takes the SVD of C_00: sigma^x_r is an odd involution, so it maps one
+diagonal block of C = [tau_t(sigma^-_s), sigma^x_r] unitarily onto minus the
+other, and ||C|| = ||C_00||. The lower check takes no SVD of a sector block:
+it reports sigma_max(C_00 Q) for Q an orthonormal basis of a Krylov space of
+C_00^* C_00, a lower bound of ||C|| for any H, which is exact to roundoff
+here because C_00 has at most four distinct singular values. The
 free-fermion residual is reported as its Frobenius norm, an upper bound of
 its spectral norm that takes no SVD. The one-particle propagator e^{-itM} on
 the chain's window is `TruncatedOperator.propagate` applied to the identity,
@@ -318,33 +321,56 @@ class SpinChain:
 # ---------------------------------------------------------------------------
 
 
-def _odd_commutator(ta, b, sectors=(0, 1)):
-    """Diagonal sector blocks (x, x), for x in sectors, of [T, B] for
-    parity-odd T (dense sector blocks) and B (`_odd_terms`). The commutator
-    is block diagonal, [T, B]_xx = T_xy B_yx - B_xy T_yx, where T_xy B_yx
-    gathers columns of T_xy and B_xy T_yx gathers rows of T_yx."""
-    out = {}
-    for x in sectors:
-        y = 1 - x
-        t_xy, t_yx = ta[x, y], ta[y, x]
-        blk = np.zeros((t_xy.shape[0], t_yx.shape[1]), dtype=complex)
-        rows, cols, vals = b[y, x]
-        blk[:, cols] = t_xy[:, rows] * vals
-        rows, cols, vals = b[x, y]
-        blk[rows] -= vals[:, None] * t_yx[cols]
-        out[x, x] = blk
-    return out
+def _odd_commutator(ta, b):
+    """Even sector block [T, B]_00 = T_01 B_10 - B_01 T_10 of the commutator
+    of parity-odd T (dense sector blocks) and B (`_odd_terms`): T_01 B_10
+    gathers columns of T_01 and B_01 T_10 gathers rows of T_10."""
+    t01, t10 = ta[0, 1], ta[1, 0]
+    blk = np.zeros((t01.shape[0], t10.shape[1]), dtype=complex)
+    rows, cols, vals = b[1, 0]
+    blk[:, cols] = t01[:, rows] * vals
+    rows, cols, vals = b[0, 1]
+    blk[rows] -= vals[:, None] * t10[cols]
+    return blk
 
 
-def _block_norm(blocks) -> float:
-    """Spectral norm of an operator of definite parity given by its
-    site-basis sector blocks (or by the blocks known to carry its norm): up
-    to a permutation of the sectors it is block diagonal, so its norm is the
-    largest singular value of a block, by a dense SVD at every chain size.
-    The SVD is exact to roundoff, so a bound check that passes on it holds
-    to roundoff.
+# Krylov vectors at most in `_krylov_norm`; the lower commutators need 4.
+KRYLOV_CAP = 12
+
+
+def _krylov_norm(c) -> float:
+    """sigma_max(C Q), for Q an orthonormal basis of the Krylov space
+    {v, G v, G^2 v, ...} of G = C^* C from a fixed start vector v.
+
+    Q is built by Gram-Schmidt with full reorthogonalization, done twice,
+    until a new direction falls to 1e-14 of the largest G q so far or
+    KRYLOV_CAP vectors are reached; the last SVD is of C Q, dim x k with
+    k <= KRYLOV_CAP. For any C and any orthonormal Q, sigma_max(C Q) <= ||C||,
+    so the value is a certified lower bound. When C has fewer than
+    KRYLOV_CAP distinct singular values the space becomes invariant and the
+    value is ||C|| to roundoff.
     """
-    return max([0.0] + [float(np.linalg.norm(m, 2)) for m in blocks.values()])
+    k = np.arange(c.shape[1])
+    # a fixed chirp: unit-modulus entries with quasi-random phases (importing
+    # numpy.random would add about 5 MB of RSS)
+    q = np.exp(2j * math.pi * (0.5 * (math.sqrt(5.0) - 1.0) * k * k % 1.0)) / math.sqrt(len(k))
+    basis, images, largest = [], [], 0.0
+    while True:
+        y = c @ q
+        basis.append(q)
+        images.append(y)
+        if len(basis) == KRYLOV_CAP:
+            break
+        w = (y.conj() @ c).conj()  # G q, without forming C^*
+        largest = max(largest, float(np.linalg.norm(w)))
+        qs = np.array(basis)
+        for _ in range(2):
+            w = w - qs.T @ (qs.conj() @ w)
+        size = float(np.linalg.norm(w))
+        if size <= 1e-14 * largest:
+            break
+        q = w / size
+    return float(np.linalg.norm(np.column_stack(images), 2))
 
 
 def free_fermion_residual(chain: SpinChain, j: int, t: float) -> float:
@@ -406,12 +432,24 @@ class LowerBoundCheck:
 
 
 def _lower_commutator(chain, l, r, t, raising):
-    """||[tau_t(c_l), sigma^+_r]|| (raising) or ||[tau_t(c_l), sigma^-_r]||,
-    computed once per chain and kept as a float."""
+    """A lower bound of ||[tau_t(c_l), sigma^+_r]|| (raising) or
+    ||[tau_t(c_l), sigma^-_r]||, computed once per chain and kept as a float:
+    `_krylov_norm` of the even commutator block C_00, so a check that passes
+    on it holds for any H.
+
+    It is the norm to roundoff. H is quadratic in the fermions, so
+    C = P_r [L, c_r^+-], with P_r the Jordan-Wigner string left of r and L
+    the part of tau_t(c_l) on the sites >= r. The bracket acts on at most four
+    Majoranas, tensored with the identity on the rest, so C_00 and C_11
+    share their singular values and there are at most four distinct ones:
+    the Krylov space has dimension at most 4 and is invariant, so it holds a
+    top right singular vector unless the start vector is orthogonal to them
+    all.
+    """
     key = (l, r, float(t), raising)
     if key not in chain._lower:
         b = chain._odd_terms(chain._local_terms(r, RAISE if raising else LOWER))
-        chain._lower[key] = _block_norm(_odd_commutator(chain._image("c", l, t), b))
+        chain._lower[key] = _krylov_norm(_odd_commutator(chain._image("c", l, t), b))
     return chain._lower[key]
 
 
@@ -463,7 +501,7 @@ def propagation_upper_bound(chain: SpinChain, s: int, r: int, t: float) -> Upper
     """
     check_pair(chain.lam, s, r)
     b = chain._odd_terms(chain._local_terms(r, SX))
-    lhs = _block_norm(_odd_commutator(chain._image("lower", s, t), b, sectors=(0,)))
+    lhs = float(np.linalg.norm(_odd_commutator(chain._image("lower", s, t), b), 2))
     mt = chain._propagator(t)
     srow = scalar_row(chain.lam, s)
     rrow = scalar_row(chain.lam, r)

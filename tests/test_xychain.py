@@ -3,7 +3,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochdyn import xychain
@@ -436,6 +436,17 @@ def test_sector_route_matches_site_basis(mu, gamma, nu, lo, n, t, data):
     assert res >= np.linalg.norm(residual, 2) * (1 - 1e-12)
 
 
+def _dense_commutator(chain, image, terms):
+    """[T, B] in the full site basis, T scattered from the chain's sector
+    blocks and B from its (rows, cols, vals) terms: the entries the chain's
+    gathers form, from dense products."""
+    T = np.zeros((chain.dim, chain.dim), dtype=complex)
+    for (x, y), blk in image.items():
+        T[np.ix_(chain._states[x], chain._states[y])] = blk
+    B = _scatter(chain, terms)
+    return T @ B - B @ T
+
+
 @settings(max_examples=30, deadline=None)
 @given(mu=st.lists(_COUPLING, min_size=1, max_size=3),
        gamma=st.lists(_ANISOTROPY, min_size=1, max_size=3),
@@ -452,12 +463,44 @@ def test_upper_commutator_blocks_are_conjugate(mu, gamma, nu, lo, n, t, data):
     r = data.draw(st.integers(s + 1, hi))
     chain = SpinChain(spec, (lo, hi))
     terms = chain._local_terms(r, SX)
-    blocks = xychain._odd_commutator(chain._image("lower", s, t), chain._odd_terms(terms))
+    image = chain._image("lower", s, t)
+    c00 = xychain._odd_commutator(image, chain._odd_terms(terms))
+    odd = chain._states[1]
+    c11 = _dense_commutator(chain, image, terms)[np.ix_(odd, odd)]
     x = chain._terms_blocks(terms)
-    assert np.max(np.abs(blocks[1, 1] + x[1, 0] @ blocks[0, 0] @ x[0, 1])) <= 1e-13
+    assert np.max(np.abs(c11 + x[1, 0] @ c00 @ x[0, 1])) <= 1e-13
     dense = _Reference(spec, lo, hi).commutator_norm(_kron_site(n, s - lo, LOWER),
                                                      _kron_site(n, r - lo, SX), t)
     _close(propagation_upper_bound(chain, s, r, t).lhs, dense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=st.lists(_COUPLING, min_size=1, max_size=3),
+       gamma=st.lists(_ANISOTROPY, min_size=1, max_size=3),
+       nu=st.lists(_FIELD, min_size=1, max_size=3),
+       lo=st.integers(-3, 3), n=st.integers(2, 7), t=st.floats(0.0, 3.0),
+       l_at=st.integers(0, 5), r_at=st.integers(0, 5))
+@example(mu=[1.0], gamma=[0.5], nu=[1.0], lo=1, n=2, t=0.0, l_at=0, r_at=0)
+@example(mu=[1.0], gamma=[0.5], nu=[1.0], lo=1, n=2, t=1.5, l_at=0, r_at=0)
+@example(mu=[0.7, -1.2], gamma=[0.3, -0.4], nu=[0.5, -1.0, 1.5], lo=0, n=7, t=0.0,
+         l_at=0, r_at=5)
+def test_lower_norm_is_a_certified_krylov_bound(mu, gamma, nu, lo, n, t, l_at, r_at):
+    # the lower check's sigma_max(C_00 Q) never exceeds ||C|| (any orthonormal
+    # Q), and it equals ||C|| to roundoff because C_00 and C_11 share their at
+    # most four distinct singular values: both blocks have the same norm
+    spec = XYChainSpec(mu=mu, gamma=gamma, nu=nu)
+    hi = lo + n - 1
+    l = lo + l_at % (n - 1)
+    r = l + 1 + r_at % (hi - l)
+    chain = SpinChain(spec, (lo, hi))
+    for raising in (True, False):
+        value = xychain._lower_commutator(chain, l, r, t, raising)
+        terms = chain._local_terms(r, RAISE if raising else LOWER)
+        c = _dense_commutator(chain, chain._image("c", l, t), terms)
+        full = np.linalg.norm(c, 2)
+        assert value <= full * (1 + 1e-13)
+        _close(value, full)
+        _close(*(np.linalg.norm(c[np.ix_(states, states)], 2) for states in chain._states))
 
 
 @settings(max_examples=25, deadline=None)
@@ -496,13 +539,14 @@ def test_adjoint_paired_cases_match_site_basis(mu, gamma, nu, lo, n, t, dt, data
 
 
 def test_xy_verify_work_count(tmp_path, capsys, monkeypatch):
-    # per (pair, time) 5 SVDs of sector blocks: 4 for the lower cases (1 and
-    # 3, 2 and 4 share a commutator), 1 for the upper check (its even
-    # commutator block only) and none for the free-fermion residual (a
-    # Frobenius norm); 5 commutator blocks are formed, 1 of them the upper
-    # check's. The sector eigenvectors enter only e^{itH}, two real products
-    # per sector and time: no local operator is transformed to the
-    # eigenbasis.
+    # per (pair, time) 1 SVD of a sector block, the upper check's (its even
+    # commutator block only); the lower cases take none (a Krylov bound of
+    # their even block, whose SVD is of at most KRYLOV_CAP columns) and
+    # neither does the free-fermion residual (a Frobenius norm); 3 commutator
+    # blocks are formed, one per lower pair of cases (1 and 3, 2 and 4 share
+    # a commutator) and the upper check's. The sector eigenvectors enter only
+    # e^{itH}, two real products per sector and time: no local operator is
+    # transformed to the eigenbasis.
     pairs, times, sector = [[1, 4], [0, 5]], [0.5, 1.0, 2.0], (64, 64)
     svds, products, commutator_blocks = [], [], []
     svd, eigh = np.linalg._linalg.svd, np.linalg.eigh
@@ -529,9 +573,9 @@ def test_xy_verify_work_count(tmp_path, capsys, monkeypatch):
         return w, u.view(Eigenvectors) if a.shape == sector else u
 
     def counting_commutator(*args, **kwargs):
-        blocks = odd_commutator(*args, **kwargs)
-        commutator_blocks.extend(blocks)
-        return blocks
+        block = odd_commutator(*args, **kwargs)
+        commutator_blocks.append(block.shape)
+        return block
 
     monkeypatch.setattr(np.linalg._linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "eigh", tagging_eigh)
@@ -541,9 +585,43 @@ def test_xy_verify_work_count(tmp_path, capsys, monkeypatch):
                                "window": [0, 6], "pairs": pairs, "times": times}))
     assert main(["xy-verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert json.loads(capsys.readouterr().out) == {"all_ok": True, "checks": 36}
-    assert len(svds) == 5 * len(pairs) * len(times)
-    assert len(commutator_blocks) == 5 * len(pairs) * len(times)
+    assert len(svds) == len(pairs) * len(times)
+    assert commutator_blocks == [sector] * 3 * len(pairs) * len(times)
     assert len(products) == 2 * 2 * len(times)
+
+
+def test_xy_verify_lhs_match_the_full_space_svd(tmp_path, capsys):
+    # every lower and upper lhs of xy_verify.csv is the full-space SVD of its
+    # commutator at a 6-site window; each is far from 0, so a program that
+    # reports lhs = 0.0 fails here
+    spec = {"mu": [1.0, -0.7], "gamma": [0.5, 0.2, -0.3], "nu": [0.4, -1.1]}
+    lo, hi = 1, 6
+    cfg = tmp_path / "xy.json"
+    cfg.write_text(json.dumps(dict(spec, window=[lo, hi], pairs=[[1, 3], [2, 6], [4, 5]],
+                                   times=[0.7, 1.6])))
+    assert main(["xy-verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"all_ok": True, "checks": 36}
+    ref = _Reference(XYChainSpec(**spec), lo, hi)
+    n = hi - lo + 1
+    # case -> (A = c_l^*?, B raising?)
+    cases = {1: (0, True), 2: (0, False), 3: (1, False), 4: (1, True)}
+    checked = []
+    for line in (tmp_path / "xy_verify.csv").read_text().splitlines()[3:]:
+        name, l, r, t, lhs = line.split(",")[:5]
+        i, k, t = int(l) - lo, int(r) - lo, float(t)
+        if name == "upper":
+            A, B = _kron_site(n, i, LOWER), _kron_site(n, k, SX)
+        elif name.startswith("lower_case"):
+            l_dag, b_raising = cases[int(name[-1])]
+            A = _kron_site(n, i, RAISE if l_dag else LOWER, string=True)
+            B = _kron_site(n, k, RAISE if b_raising else LOWER)
+        else:
+            continue
+        dense = ref.commutator_norm(A, B, t)
+        assert dense > 1e-3, (name, l, r, t)
+        _close(float(lhs), dense)
+        checked.append(name)
+    assert len(checked) == 30
 
 
 @pytest.mark.parametrize("pairs, times, cases", [
