@@ -22,7 +22,7 @@ from blochdyn.limitperiodic import (
 print("== Lyapunov exponent of the free chain ==")
 print("E       L(1000, E)   (0 on the spectrum [-2, 2], positive outside)")
 energies = np.array([0.0, 1.0, 1.9, 2.1, 3.0, 4.0])
-for E, L in zip(energies, finite_lyapunov(1000, energies, [0.0], periodic=True)):
+for E, L in zip(energies, finite_lyapunov(1000, energies, [0.0])):
     print(f"{E:4.1f}   {L:10.6f}")
 print(f"exact asymptotic at E=3: {periodic_lyapunov(3.0, [0.0]):.6f} "
       f"= log((3+sqrt(5))/2) = {np.log((3 + np.sqrt(5)) / 2):.6f}")

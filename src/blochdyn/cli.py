@@ -301,12 +301,8 @@ def cmd_qnorm(a, out):
 
 
 def cmd_evolve(a, out):
-    J, psi, times = a["operator"], a["state"], a["times"]
-    trunc = J.truncate(dynamics.required_half_width(J, psi.support_radius(),
-                                                    max(abs(t) for t in times)))
     columns = {"t": [], "site": [], "component": [], "re": [], "im": []}
-    for t in times:
-        pt = dynamics.evolve(trunc, psi, t)
+    for t, pt in zip(a["times"], dynamics.evolve(a["operator"], a["state"], a["times"])):
         # entries in site-major order, as (site, component) pairs
         keep = np.abs(pt.coeffs).ravel() > a["threshold"]
         z = pt.coeffs.ravel()[keep]
@@ -320,13 +316,11 @@ def cmd_evolve(a, out):
 
 
 def cmd_exponents(a, out):
-    p = a["p"]
-    traj = dynamics.moment_trajectory(a["operator"], a["state"], p, a["times"])
+    traj = dynamics.moment_trajectory(a["operator"], a["state"], a["p"], a["times"])
     est = dynamics.exponent_estimate(traj)
-    slopes = np.diff(np.log(traj.values)) / (p * np.diff(np.log(traj.times)))
     out.write_csv("exponents.csv", {
         "t": traj.times, "moment": traj.values,
-        "running_slope": np.concatenate([[np.nan], slopes]),
+        "running_slope": np.concatenate([[np.nan], est.running_slopes]),
     })
     payload = {"beta_plus_hat": est.beta_plus_hat, "beta_minus_hat": est.beta_minus_hat,
                "residual": est.residual}
@@ -425,8 +419,7 @@ def cmd_xy_verify(a, out):
 
 def cmd_lyapunov(a, out):
     ns, energies = a["n"], a["energies"]
-    exponents = [limitperiodic.finite_lyapunov(n, energies, a["potential"], periodic=True)
-                 for n in ns]
+    exponents = [limitperiodic.finite_lyapunov(n, energies, a["potential"]) for n in ns]
     # energy-major rows: every n for the first energy, then the next
     out.write_csv("lyapunov.csv", {
         "E_re": np.repeat(energies.real, len(ns)),

@@ -1,33 +1,28 @@
 """Finite-window unitary evolution, moments, and transport diagnostics.
 
-One recurrence kernel, `blockjacobi.chebyshev_propagate`, runs every
-single-time evolution: a Chebyshev expansion on the block-tridiagonal
-matvec that never diagonalizes its window. `TruncatedOperator.propagate`
-calls it on one window (evolve, the ballistic limit, the light-cone probe);
-`moment_table` calls it once per sample time on the direct sum of the
-windows of several operators, with every packet one column, so that all
-(operator, packet) evolutions share one recurrence. `moment_trajectory` is
-its case of one operator and one packet. The derivative identity and the
-localization diagnostic compute `eigensystem` once and evaluate all their
-times in that eigenbasis. The dense path is capped at MAX_DENSE_DIM rows,
-the window storage at MAX_WINDOW_DIM rows (both in `blockjacobi`).
+One private engine, `_light_cone`, runs every infinite-chain evolution of
+`evolve`, `moment_table` (so `moment_trajectory`), `check_ballistic_limit`
+and `corollary_probe`. Every operator gets the window [-N, N] of
+`required_half_width` for the widest packet, the largest |t| and the
+largest norm_bound s_max; the windows are stacked with zero blocks at the
+seams, every packet is one column in each, and the sorted distinct times
+run as one chain of `blockjacobi.chebyshev_propagate` steps scaled by s_max.
+The derivative identity and the localization diagnostic evaluate all their
+times in one window eigenbasis. The dense path is capped at MAX_DENSE_DIM
+rows, the window storage at MAX_WINDOW_DIM rows (both in `blockjacobi`).
 
-One light-cone rule sizes every evolution window: a window admits time t for
-a packet only if it extends K = chebyshev_order(s |t|) block sites past the
-support on each side, where s >= ||J|| is the scale of the expansion
-(norm_bound, or in `moment_table` the largest norm_bound s_max of the batch,
-which also gives every window of the batch the widest half-width). Each
-window is built here from the inputs by `required_half_width` or the same
-rule; only `evolve` takes its window from the caller, and checks it. The
-window spectrum lies in [-s, s], so the recurrence and the eigenbasis both
-give the degree-K Chebyshev polynomial of exp(-itJ) applied to psi up to
-CHEBYSHEV_TAIL ||psi||, and that polynomial moves psi at most K block sites,
-never to the open boundary: either returns the infinite-chain exp(-itJ) psi
-to within 2 CHEBYSHEV_TAIL ||psi||. The certificate covers one forward leg.
-The pull-back exp(+itJ) X exp(-itJ) psi of `check_ballistic_limit` and of
-the lhs of `check_derivative_identity` runs on the same one-leg window; the
-derivative identity holds exactly on any window. The localization
-diagnostic's window is its own finite system, not a light cone.
+The light-cone certificate: the window reaches K = chebyshev_order(s_max |t|)
+block sites past every support, and the degree-K Chebyshev polynomial that
+is exp(-itJ) up to CHEBYSHEV_TAIL on [-s_max, s_max] moves a packet at most
+K block sites, never to the open boundary. So the window's exp(-itJ) psi is
+the infinite chain's to within 2 CHEBYSHEV_TAIL ||psi||; the window
+evolution is a group and each chained step adds at most CHEBYSHEV_TAIL
+||psi||, so the k-th distinct sample (k = 1, 2, ...) is within (k + 2)
+CHEBYSHEV_TAIL ||psi||, up to roundoff. Every evolution runs forward:
+exp(-itJ) is unitary, so `check_ballistic_limit` takes ||X(t) psi / t - Q psi||
+as ||X psi(t) / t - exp(-itJ) Q psi||. The derivative identity holds exactly
+on any window; the localization diagnostic's window is its own finite
+system, not a light cone.
 """
 
 from __future__ import annotations
@@ -46,13 +41,7 @@ from .blockjacobi import (
     chebyshev_order,
     chebyshev_propagate,
 )
-from .errors import (
-    DimensionMismatch,
-    SizeLimitExceeded,
-    SpecError,
-    SupportOutsideWindow,
-    WindowTooSmall,
-)
+from .errors import DimensionMismatch, SizeLimitExceeded, SpecError, SupportOutsideWindow
 from .floquet import apply_q, q_norm
 
 # Simpson nodes per matrix product in check_derivative_identity; it bounds the
@@ -74,28 +63,72 @@ def required_half_width(J: BlockJacobiOperator, support_radius: int, t_max: floa
     return int(support_radius) + chebyshev_order(J.norm_bound * t_max)
 
 
-def evolve(trunc: TruncatedOperator, psi: WavePacket, t: float,
-           trim: float | None = None) -> WavePacket:
-    """psi(t) = exp(-i t J) psi on a truncation window the caller built.
+def _light_cone_half(Js, radius, times, columns) -> int:
+    """N of the window [-N, N] `_light_cone` gives Js for `columns` packets
+    of support radius at most `radius`, refused with SizeLimitExceeded when
+    the stacked windows exceed MAX_WINDOW_DIM rows or their state block
+    MAX_DENSE_DIM^2 entries."""
+    J = max(Js, key=lambda op: op.norm_bound)
+    half = required_half_width(J, radius, np.max(np.abs(times)))
+    rows = len(Js) * (2 * half + 1) * J.m
+    if rows > MAX_WINDOW_DIM:
+        raise SizeLimitExceeded(f"{len(Js)} windows [{-half}, {half}] stack to {rows} rows "
+                                f"(limit {MAX_WINDOW_DIM})")
+    if rows * columns > MAX_DENSE_DIM**2:
+        raise SizeLimitExceeded(f"{columns} packets on {rows} window rows need "
+                                f"{rows * columns} entries (limit {MAX_DENSE_DIM**2})")
+    return half
 
-    Raises SupportOutsideWindow if psi does not fit the window and
-    WindowTooSmall if the window leaves less than the light-cone margin
-    chebyshev_order(norm_bound |t|) past the support on either side.
+
+def _light_cone(Js, psis, times):
+    """(trunc, row, states) for the evolutions of every packet psis[j] under
+    every operator Js[i] (see the module docstring): trunc is Js[0] on the
+    shared window; times[k] is the row[k]-th sorted distinct sample; states
+    yields (t, state) per sample in that order, state[i, :, j] the evolution
+    of psis[j] under Js[i]. Raises DimensionMismatch unless all share m.
+    """
+    Js, psis = list(Js), list(psis)
+    if not Js or not psis:
+        raise SpecError("need at least one operator and one packet")
+    m = Js[0].m
+    if any(X.m != m for X in Js + psis):
+        raise DimensionMismatch(f"operators and packets must share the block dimension m = {m}")
+    times = np.asarray(times, dtype=float)
+    # return_inverse also keeps np.unique from importing numpy.ma
+    samples, row = np.unique(times, return_inverse=True)
+    half = _light_cone_half(Js, max(psi.support_radius() for psi in psis), times, len(psis))
+    s = max(J.norm_bound for J in Js)
+    truncs = [J.truncate(half) for J in Js]
+    seam = np.zeros((1, m, m))
+    diag = np.concatenate([tr.diag_blocks for tr in truncs])
+    off = np.concatenate([blocks for tr in truncs for blocks in (seam, tr.off_blocks)][1:])
+    vec = np.tile(np.stack([truncs[0].embed(psi) for psi in psis], axis=1), (len(Js), 1))
+
+    def states(vec):
+        t_prev = 0.0
+        for t in samples:
+            vec = chebyshev_propagate(diag, off, s, vec, t - t_prev)
+            yield t, vec.reshape(len(Js), -1, len(psis))
+            t_prev = t
+
+    return truncs[0], row, states(vec)
+
+
+def evolve(J: BlockJacobiOperator, psi: WavePacket, times,
+           trim: float | None = None) -> list:
+    """The packets exp(-i t J) psi for every t of times, in the order of
+    times; repeats, zero and negative times are allowed. One `_light_cone`
+    recurrence runs them all on the light-cone window of the largest |t|.
+
     The default trim (1e-12 relative) sits above the propagation roundoff
     and the Chebyshev tail (1e-15 relative), so the returned support tracks
     the true light cone instead of the window.
     """
-    vec = trunc.embed(psi)
-    lo, hi = trunc.window
-    slo, shi = psi.support()
-    margin, need = min(slo - lo, hi - shi), chebyshev_order(trunc.norm_bound * t)
-    if margin < need:
-        raise WindowTooSmall(f"window [{lo}, {hi}] leaves margin {margin} "
-                             f"but time {t} needs {need}")
-    vec = trunc.propagate(vec, t)
+    trunc, row, states = _light_cone([J], [psi], times)
     if trim is None:
         trim = 1e-12 * psi.norm()
-    return trunc.extract(vec, tol=trim)
+    found = [trunc.extract(state[0, :, 0], tol=trim) for _, state in states]
+    return [found[k] for k in row]
 
 
 # ---------------------------------------------------------------------------
@@ -123,51 +156,15 @@ class MomentTrajectory:
 def moment_table(Js, psis, p: float, times) -> np.ndarray:
     """Moments <psi_j(t), |X|^p psi_j(t)> under every operator Js[i] at every
     sample time, as an array of shape (len(times), len(Js), len(psis)) whose
-    row k belongs to times[k].
-
-    All evolutions run as one Chebyshev recurrence on the direct sum of the
-    operators' windows. Every window is [-N, N], N = the largest packet
-    support radius + chebyshev_order(s_max max |t|), s_max the largest
-    norm_bound; they are stacked end to end with zero coupling blocks at the
-    seams, so they stay decoupled. Each packet is one column, embedded in
-    every window. The distinct samples are chained in sorted order, each
-    propagated from the previous one. s_max bounds every ||J_i||, so each
-    evolution keeps the light-cone certificate of its own window.
-
-    Raises DimensionMismatch unless every operator and packet has the same
-    block dimension m, and SizeLimitExceeded, before allocating, when the
-    stacked windows exceed MAX_WINDOW_DIM rows.
+    row k belongs to times[k]. All evolutions run as one `_light_cone`
+    recurrence, and raise what it raises.
     """
-    Js, psis = list(Js), list(psis)
-    if not Js or not psis:
-        raise SpecError("need at least one operator and one packet")
-    m = Js[0].m
-    if any(X.m != m for X in Js + psis):
-        raise DimensionMismatch(f"operators and packets must share the block dimension m = {m}")
-    times = np.asarray(times, dtype=float)
-    samples, row = np.unique(times, return_inverse=True)
-    s = max(J.norm_bound for J in Js)
-    half = (max(psi.support_radius() for psi in psis)
-            + chebyshev_order(s * np.max(np.abs(times))))
-    rows = len(Js) * (2 * half + 1) * m
-    if rows > MAX_WINDOW_DIM:
-        raise SizeLimitExceeded(f"{len(Js)} windows [{-half}, {half}] stack to {rows} rows "
-                                f"(limit {MAX_WINDOW_DIM})")
-    truncs = [J.truncate(half) for J in Js]
-    seam = np.zeros((1, m, m))
-    diag = np.concatenate([tr.diag_blocks for tr in truncs])
-    off = np.concatenate([blocks for tr in truncs for blocks in (seam, tr.off_blocks)][1:])
-    weights = np.abs(truncs[0].position_diagonal) ** p
-    vec = np.tile(np.stack([truncs[0].embed(psi) for psi in psis], axis=1), (len(Js), 1))
-    table, t_prev = np.empty((len(samples), len(Js), len(psis))), 0.0
-    for k, t in enumerate(samples):
-        vec = chebyshev_propagate(diag, off, s, vec, t - t_prev)
-        segments = vec.reshape(len(Js), -1, len(psis))
-        # one dot per column, as for a lone evolution: a matrix product
-        # could sum in another order
-        for i, j in np.ndindex(len(Js), len(psis)):
-            table[k, i, j] = weights @ np.abs(segments[i, :, j]) ** 2
-        t_prev = t
+    trunc, row, states = _light_cone(Js, psis, times)
+    weights = np.abs(trunc.position_diagonal) ** p
+    # one dot per column, as for a lone evolution: a matrix product
+    # could sum in another order
+    table = np.array([[[weights @ np.abs(state[i, :, j]) ** 2 for j in range(state.shape[2])]
+                       for i in range(state.shape[0])] for _, state in states])
     return table[row]
 
 
@@ -183,12 +180,15 @@ def moment_trajectory(J: BlockJacobiOperator, psi: WavePacket, p: float,
 
 @dataclass(frozen=True)
 class ExponentEstimate:
-    """Finite-time surrogate for the upper/lower transport exponents at order p."""
+    """Finite-time surrogate for the upper/lower transport exponents at order
+    p, with the running slopes between consecutive sample times it is taken
+    from."""
 
     beta_plus_hat: float
     beta_minus_hat: float
     fit_window: tuple
     residual: float
+    running_slopes: np.ndarray
 
     def __post_init__(self):
         if self.beta_minus_hat > self.beta_plus_hat + 1e-12:
@@ -198,9 +198,10 @@ class ExponentEstimate:
 def exponent_estimate(traj: MomentTrajectory) -> ExponentEstimate:
     """Exponent surrogate from a computed trajectory.
 
-    The limsup/liminf definitions are approximated by the max/min of slopes
-    log(M_{k+1}/M_k) / (p log(t_{k+1}/t_k)) between consecutive sample times;
-    the reported residual is the RMS deviation of a single-line log-log fit.
+    The limsup/liminf definitions are approximated by the max/min of the
+    running slopes log(M_{k+1}/M_k) / (p log(t_{k+1}/t_k)) between
+    consecutive sample times; the reported residual is the RMS deviation of
+    a single-line log-log fit.
     """
     if len(traj.times) < 2:
         raise SpecError("need at least two sample times")
@@ -218,6 +219,7 @@ def exponent_estimate(traj: MomentTrajectory) -> ExponentEstimate:
         beta_minus_hat=beta_minus,
         fit_window=(float(traj.times[0]), float(traj.times[-1])),
         residual=residual,
+        running_slopes=slopes,
     )
 
 
@@ -236,25 +238,19 @@ def check_ballistic_limit(J: BlockJacobiOperator, psi: WavePacket, times,
                           grid_size: int = 1024) -> np.ndarray:
     """Errors ||(1/t) X(t) psi - Q psi|| along the time grid.
 
-    X(t) psi is evaluated as exp(+itJ) X exp(-itJ) psi on the light-cone
-    window of the largest time; Q psi comes from the fiber quadrature.
+    exp(-itJ) is unitary, so each error is ||X psi(t) / t - exp(-itJ) Q psi||:
+    psi and Q psi (from the fiber quadrature) evolve forward as the two
+    columns of one `_light_cone` recurrence, whose window holds both supports.
     """
     times = np.asarray(sorted(times), dtype=float)
     if np.any(times <= 0):
         raise SpecError("ballistic-limit times must be positive")
     q_psi = apply_q(J, psi, grid_size=grid_size).packet
-    # the window must also hold Q psi, whose trimmed support can reach past
-    # the light cone of psi at short times
-    trunc = J.truncate(max(required_half_width(J, psi.support_radius(), times[-1]),
-                           q_psi.support_radius()))
-    qvec = trunc.embed(q_psi)
-    vec = trunc.embed(psi)
+    trunc, row, states = _light_cone([J], [psi, q_psi], times)
     x_diag = trunc.position_diagonal
-    errors = []
-    for t in times:
-        pulled = trunc.propagate(x_diag * trunc.propagate(vec, t), -t)
-        errors.append(float(np.linalg.norm(pulled / t - qvec)))
-    return np.array(errors)
+    errors = [float(np.linalg.norm(x_diag * state[0, :, 0] / t - state[0, :, 1]))
+              for t, state in states]
+    return np.array(errors)[row]
 
 
 def check_derivative_identity(J: BlockJacobiOperator, psi: WavePacket, T: float,
@@ -332,9 +328,9 @@ def corollary_probe(J: BlockJacobiOperator, epsilon: float, t_grid, K: int,
     and sources |k| <= K are scanned for the largest |<delta_n, e^{-iTJ}
     delta_k>|^2. A coefficient c_tilde is fitted by least squares to
     mass ~ c/T; each record passes when its mass reaches c_tilde / (2T).
-    The sources form one (window rows, 2K + 1) block, refused with
-    SizeLimitExceeded before allocation when it is larger than the largest
-    dense matrix, MAX_DENSE_DIM^2 entries.
+    The sources are the columns of one `_light_cone` recurrence across the
+    times; a source block beyond its size limit is refused before any source
+    exists.
     """
     if epsilon <= 0:
         raise SpecError("epsilon must be positive")
@@ -342,33 +338,29 @@ def corollary_probe(J: BlockJacobiOperator, epsilon: float, t_grid, K: int,
     if K < 0:
         raise SpecError("K must be nonnegative")
     t_grid = np.asarray(sorted(t_grid), dtype=float)
-    v0 = q_norm(J, grid_size=grid_size)
     m = J.m
-    half_width = required_half_width(J, K // m + 1, t_grid[-1])
-    trunc = J.truncate(half_width)
-    lo, hi = trunc.window
-
-    scalar_lo = lo * m
-    if trunc.dim * (2 * K + 1) > MAX_DENSE_DIM**2:
-        raise SizeLimitExceeded(f"{2 * K + 1} sources on a window of {trunc.dim} rows need "
-                                f"{trunc.dim * (2 * K + 1)} entries (limit {MAX_DENSE_DIM**2})")
-    # the 2K+1 sources delta_k, |k| <= K, as the columns of one block
-    sources = np.zeros((trunc.dim, 2 * K + 1), dtype=complex)
-    sources[np.arange(-K, K + 1) - scalar_lo, np.arange(2 * K + 1)] = 1.0
-    rows = []
-    for T in t_grid:
+    # delta_k sits at block site floor(k / m), so the sources reach ceil(K / m)
+    _light_cone_half([J], -(-K // m), t_grid, 2 * K + 1)
+    v0 = q_norm(J, grid_size=grid_size)
+    sources = [WavePacket.delta_scalar(k, m) for k in range(-K, K + 1)]
+    trunc, row, states = _light_cone([J], sources, t_grid)
+    scalar_lo = trunc.window[0] * m
+    found = []
+    for T, state in states:
         nmin = int(math.ceil(m * max(v0 - epsilon, 0.0) * T))
         nmax = int(math.floor(m * v0 * T)) + m - 1
         shell_pos = np.arange(nmin, nmax + 1)
-        shell = np.unique(np.concatenate([shell_pos, -shell_pos]))
+        # the sorted shell -nmax..-nmin, nmin..nmax, with 0 once
+        shell = np.concatenate([-shell_pos[shell_pos > 0][::-1], shell_pos])
         idx = shell - scalar_lo
         keep = (idx >= 0) & (idx < trunc.dim)
         shell, idx = shell[keep], idx[keep]
-        vals = np.abs(trunc.propagate(sources, T)[idx]) ** 2
+        vals = np.abs(state[0][idx]) ** 2
         # first source, then first shell index, reaching the largest mass
         col = int(np.argmax(np.max(vals, axis=0)))
-        row = int(np.argmax(vals[:, col]))
-        rows.append((float(T), int(shell[row]), col - K, float(vals[row, col])))
+        n = int(np.argmax(vals[:, col]))
+        found.append((float(T), int(shell[n]), col - K, float(vals[n, col])))
+    rows = [found[k] for k in row]
 
     masses = np.array([r[3] for r in rows])
     ts = np.array([r[0] for r in rows])

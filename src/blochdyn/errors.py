@@ -34,11 +34,13 @@ class DimensionMismatch(SpecError):
 
 class SizeLimitExceeded(SpecError):
     """An input asking for more memory than allowed, refused before the
-    arrays are allocated: a window beyond the dense (MAX_DENSE_DIM) or block
-    storage (MAX_WINDOW_DIM) row limit; a localization time grid of more than
-    MAX_WINDOW_DIM samples times window rows; a stack of Bloch fibers or a
-    corollary-probe source block of more than MAX_DENSE_DIM^2 entries; or a
-    dt-criterion energy grid of spacing 1/T over DT_MAX_POINTS points."""
+    arrays are allocated: a window, or a stack of light-cone windows, beyond
+    the dense (MAX_DENSE_DIM) or block storage (MAX_WINDOW_DIM) row limit; a
+    light-cone state block (stacked window rows times packets, such as
+    corollary-probe's sources) or a stack of Bloch fibers of more than
+    MAX_DENSE_DIM^2 entries; a localization time grid of more than
+    MAX_WINDOW_DIM samples times window rows; or a dt-criterion energy grid
+    of spacing 1/T over DT_MAX_POINTS points."""
 
 
 # --- Floquet / quadrature --------------------------------------------------
@@ -55,11 +57,6 @@ class SupportOutsideWindow(SpecError):
     """Wave packet support is not contained in the truncation window."""
 
 
-class WindowTooSmall(SpecError):
-    """Truncation window does not reach the light-cone radius certifying an
-    evolution over time t, chebyshev_order(norm_bound * |t|), past the packet support."""
-
-
 # --- XY chain ---------------------------------------------------------------
 
 class InvalidSpec(SpecError):
@@ -73,7 +70,7 @@ class ChainTooLong(SpecError):
 # --- transfer matrices / limit-periodic ------------------------------------
 
 class WindowTooShort(SpecError):
-    """Potential window does not cover the requested number of steps."""
+    """A transfer product asked for fewer than one step."""
 
 
 class QuadratureNotConverged(NumericsError):

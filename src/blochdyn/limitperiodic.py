@@ -74,7 +74,6 @@ class TransferProduct:
 
     n: int
     energy: complex | np.ndarray
-    window: np.ndarray
     scaled: np.ndarray
     log_scale: float | np.ndarray
     det_log_drift: float | np.ndarray
@@ -217,13 +216,11 @@ def _block_products(n, L, E, w):
     return mat[:, :, -1], log_scale[-1], det_log, det_arg, peak_log
 
 
-def transfer_matrix(n: int, energy, w, periodic: bool = False) -> TransferProduct:
-    """Ordered products of one-step matrices over w_0 .. w_{n-1}, at a scalar
-    energy or at every entry of an energy array at once.
-
-    With periodic=False the window must supply at least n values; with
-    periodic=True the (shorter) window is tiled. Each product is rescaled by
-    its largest entry whenever that exceeds RESCALE.
+def transfer_matrix(n: int, energy, w) -> TransferProduct:
+    """Ordered products of one-step matrices over w_0 .. w_{n-1}, the
+    potential w tiled periodically, at a scalar energy or at every entry of
+    an energy array at once. Each product is rescaled by its largest entry
+    whenever that exceeds RESCALE.
 
     The n steps are cut into B = ceil(n / L) blocks of L = ceil(sqrt(n))
     steps (the last may be shorter). Three passes, each a loop of at most L
@@ -241,8 +238,6 @@ def transfer_matrix(n: int, energy, w, periodic: bool = False) -> TransferProduc
     if n < 1:
         raise WindowTooShort("need at least one step")
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    if not periodic and len(w) < n:
-        raise WindowTooShort(f"window of length {len(w)} cannot supply {n} steps")
     E = np.asarray(energy, dtype=complex)
     shape, E = E.shape, E.ravel()
     L = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
@@ -251,16 +246,16 @@ def transfer_matrix(n: int, energy, w, periodic: bool = False) -> TransferProduc
     mat, *per_energy = (np.concatenate(part, axis=-1) for part in zip(*parts))
     energy, log_scale, det_log, det_arg, peak_log = (
         a.reshape(shape)[()] for a in (E, *per_energy))
-    return TransferProduct(n=n, energy=energy, window=w[: min(len(w), n)].copy(),
+    return TransferProduct(n=n, energy=energy,
                            scaled=np.moveaxis(mat, (0, 1), (-2, -1)).reshape(shape + (2, 2)),
                            log_scale=log_scale, det_log_drift=det_log,
                            det_arg_drift=det_arg, peak_log_norm=peak_log)
 
 
-def finite_lyapunov(n: int, energy, w, periodic: bool = False):
+def finite_lyapunov(n: int, energy, w):
     """(1/n) log ||Phi(n, E, w)|| with the spectral norm, at a scalar energy
     or elementwise over an energy array."""
-    return transfer_matrix(n, energy, w, periodic).log_norm / n
+    return transfer_matrix(n, energy, w).log_norm / n
 
 
 def periodic_lyapunov(energy, w_period):
@@ -378,7 +373,7 @@ def dt_criterion(w, coupling: float, K: float, T: float, alpha: float = 1.0) -> 
     K = float(K)
 
     def integrand(E):
-        peak = transfer_matrix(n_max, E + 1j / T, w, periodic=True).peak_log_norm
+        peak = transfer_matrix(n_max, E + 1j / T, w).peak_log_norm
         return np.exp(-2.0 * peak)
 
     intervals = 2 * math.ceil(K * T)

@@ -660,6 +660,25 @@ def test_import_loads_no_scipy(tmp_path):
     assert len((tmp_path / "bands.csv").read_text().splitlines()) == 3 + 2048 * 5
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("generic", {"stages": 1}),
+    ("corollary-probe", {"operator": PERIOD2, "epsilon": 0.2, "K": 3, "times": [20.0, 10.0]}),
+])
+def test_commands_leave_numpy_ma_unimported(tmp_path, command, cfg):
+    # on numpy 2.x, np.unique without return_inverse imports numpy.ma, which
+    # adds about 1 MB to a command's peak RSS; no command path needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blochdyn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    code = ("import sys; from blochdyn.cli import main; "
+            f"code = main({argv!r}); print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
+
+
 def test_thouless_eigensolves_once_per_command(tmp_path, capsys, monkeypatch):
     from blochdyn.limitperiodic import thouless_check
 

@@ -5,13 +5,14 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blochdyn import (
     BlockSpec,
     TruncatedOperator,
     WavePacket,
+    apply_q,
     build_operator,
     check_ballistic_limit,
     check_derivative_identity,
@@ -27,13 +28,13 @@ from blochdyn import (
     scalar_spec,
     transport_exponents,
 )
-from blochdyn.blockjacobi import MAX_DENSE_DIM, MAX_WINDOW_DIM
+from blochdyn.blockjacobi import CHEBYSHEV_TAIL, MAX_DENSE_DIM, MAX_WINDOW_DIM, chebyshev_order
 from blochdyn.cli import main
 from blochdyn.errors import (
     DimensionMismatch,
+    QuadratureNotConverged,
     SizeLimitExceeded,
-    SupportOutsideWindow,
-    WindowTooSmall,
+    SpecError,
 )
 from blochdyn.limitperiodic import perturbation_stability
 
@@ -63,14 +64,14 @@ def bessel_series(n, x, terms=40):
 def test_evolve_t0_identity():
     J = free_laplacian()
     psi = WavePacket.delta_scalar(0, 1)
-    out = evolve(J.truncate(25), psi, 0.0)
+    [out] = evolve(J, psi, [0.0])
     assert (out - psi).norm() < 1e-14
 
 
 def test_evolve_free_bessel_amplitude():
     J = free_laplacian()
     psi = WavePacket.delta_scalar(0, 1)
-    out = evolve(J.truncate(30), psi, 0.5)
+    [out] = evolve(J, psi, [0.5])
     expected = abs(bessel_series(1, 1.0))
     assert expected == pytest.approx(0.4400505857449335, abs=1e-12)
     assert abs(out.block(1)[0]) == pytest.approx(expected, abs=1e-12)
@@ -84,12 +85,10 @@ def test_evolve_unitary_and_reversible():
     J = build_operator(BlockSpec(m=2, q=2, a=a, b=b))
     psi = WavePacket(0, rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     psi = (1.0 / psi.norm()) * psi
-    # window must leave margin for the return leg from the spread packet too
-    trunc = J.truncate(required_half_width(J, psi.support_radius() + 16, 2.2 * 2.0))
     for t in (0.5, 1.7, 2.0):
-        pt = evolve(trunc, psi, t)
+        [pt] = evolve(J, psi, [t])
         assert abs(pt.norm() - 1.0) < 1e-10
-        back = evolve(trunc, pt, -t)
+        [back] = evolve(J, pt, [-t])
         assert (back - psi).norm() < 1e-10
 
 
@@ -101,10 +100,10 @@ def test_evolve_free_beyond_dense_ceiling(tmp_path, capsys):
 
     t = 2500.0
     J, psi = free_laplacian(), WavePacket.delta_scalar(0, 1)
-    trunc = J.truncate(required_half_width(J, 0, t))
-    assert trunc.dim > MAX_DENSE_DIM
-    out = evolve(trunc, psi, t, trim=0.0)
-    assert out.support() == trunc.window
+    half = required_half_width(J, 0, t)
+    assert 2 * half + 1 > MAX_DENSE_DIM
+    [out] = evolve(J, psi, [t], trim=0.0)
+    assert out.support() == (-half, half)
     n = np.abs(out.sites)
     exact = (-1j) ** n * jv(n, 2.0 * t)
     assert np.max(np.abs(out.coeffs[:, 0] - exact)) < 1e-12
@@ -123,13 +122,32 @@ def test_evolve_free_beyond_dense_ceiling(tmp_path, capsys):
 
 
 def test_evolve_window_guards():
+    # evolve sizes its own window: a time whose light cone passes the block
+    # storage limit is refused before the window exists, and a packet must
+    # share the operator's block dimension
     J = free_laplacian()
-    trunc = J.truncate(10)
-    psi = WavePacket.delta_scalar(0, 1)
-    with pytest.raises(WindowTooSmall):
-        evolve(trunc, psi, 50.0)
-    with pytest.raises(SupportOutsideWindow):
-        evolve(trunc, WavePacket.delta_scalar(40, 1), 0.1)
+    with pytest.raises(SizeLimitExceeded):
+        evolve(J, WavePacket.delta_scalar(0, 1), [1.0, 3e6])
+    with pytest.raises(DimensionMismatch):
+        evolve(J, WavePacket.delta_scalar(0, 2), [1.0])
+
+
+def test_evolve_times_in_any_order():
+    # unsorted, repeated, negative and zero times share one chained
+    # recurrence, and each packet matches the lone evolution to its time up
+    # to the certificate (k + 2) CHEBYSHEV_TAIL and the roundoff of the chain
+    rng = np.random.default_rng(7)
+    J = build_operator(random_spec(rng, 2, 3, False))
+    psi = random_packet(rng, 2)
+    times = [3.0, -2.0, 0.0, 3.0, 1.5, -2.0]
+    out = evolve(J, psi, times, trim=0.0)
+    assert len(out) == len(times)
+    assert (out[2] - psi).norm() < 1e-14
+    assert np.array_equal(out[0].coeffs, out[3].coeffs)
+    assert np.array_equal(out[1].coeffs, out[5].coeffs)
+    for t, pt in zip(times, out):
+        [lone] = evolve(J, psi, [t], trim=0.0)
+        assert (pt - lone).norm() <= 1e-12
 
 
 # --- moments -------------------------------------------------------------------
@@ -179,7 +197,7 @@ def test_exponent_estimate_needs_two_samples():
     traj = moment_trajectory(free_laplacian(), WavePacket.delta_scalar(0, 1), 2.0, [5.0])
     with pytest.raises(ValueError, match="two sample times") as exc:
         exponent_estimate(traj)
-    assert not isinstance(exc.value, WindowTooSmall)
+    assert type(exc.value) is SpecError
 
 
 def test_moment_trajectory_chains_samples(monkeypatch):
@@ -200,7 +218,7 @@ def test_moment_trajectory_chains_samples(monkeypatch):
     assert steps == [(rows, 5.0), (rows, 5.0), (rows, 10.0)]
     monkeypatch.undo()
     for t, val in zip(traj.times, traj.values):
-        assert val == pytest.approx(moment(evolve(J.truncate(half), psi, t), 2.0), rel=1e-12)
+        assert val == pytest.approx(moment(evolve(J, psi, [t])[0], 2.0), rel=1e-12)
 
 
 def test_constant_diagonal_matches_free_moments():
@@ -302,17 +320,77 @@ def test_ballistic_limit_period2_decreasing():
 
 
 def test_ballistic_limit_window_holds_q_psi(windows):
-    # at short times the trimmed Q psi (support [-57, 57] here) reaches past
-    # the light-cone window of delta_0 ([-44, 44] at t = 5); at long times the
-    # window is the light-cone one
+    # psi and the trimmed Q psi (support [-57, 57] here, past the light-cone
+    # window [-44, 44] of delta_0 at t = 5) evolve as two columns, so the one
+    # window is the light cone of the wider support
     built, _ = windows
     J, psi = period2(1.0), WavePacket.delta_scalar(0, 1)
-    errs = check_ballistic_limit(J, psi, [2.5, 5.0], grid_size=512)
-    assert errs.shape == (2,) and np.all(np.isfinite(errs))
-    assert built[-1].window[1] > required_half_width(J, 0, 5.0)
-    check_ballistic_limit(J, psi, [50.0, 100.0, 150.0, 200.0], grid_size=1024)
-    assert built[-1].window == (-required_half_width(J, 0, 200.0),
-                                required_half_width(J, 0, 200.0))
+    for times, grid_size in (([2.5, 5.0], 512), ([50.0, 100.0, 150.0, 200.0], 1024)):
+        errs = check_ballistic_limit(J, psi, times, grid_size=grid_size)
+        assert errs.shape == (len(times),) and np.all(np.isfinite(errs))
+        radius = apply_q(J, psi, grid_size=grid_size).packet.support_radius()
+        assert radius > psi.support_radius()
+        half = required_half_width(J, radius, times[-1])
+        assert built[-1].window == (-half, half)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from([1, 2]), q=st.integers(1, 3), real=st.booleans(),
+       times=st.lists(st.floats(0.25, 8.0), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_forward_ballistic_errors_match_the_pull_back(m, q, real, times, seed):
+    # check_ballistic_limit evolves psi and Q psi forward and takes
+    # ||X psi(t) / t - exp(-itJ) Q psi||; the pull-back
+    # ||exp(+itJ) X exp(-itJ) psi / t - Q psi|| is the same number because
+    # exp(-itJ) is unitary. The reference runs both legs on a window wide
+    # enough for the pair, so both routes carry the light-cone certificate
+    # and differ by the Chebyshev tails and roundoff only. Per unit norm a
+    # propagation is off by at most tol = CHEBYSHEV_TAIL + (K + 1)^2.5
+    # (3m + 2) eps (the bound of test_propagate_is_unitary_under_both_backends);
+    # the routes take three propagations, of psi, X psi(t) / t and Q psi, of
+    # norms at most ||psi||, N ||psi|| / t and ||Q psi||, N the reference's
+    # half-width, which bounds |X| on both windows.
+    rng = np.random.default_rng(seed)
+    J = build_operator(random_spec(rng, m, q, real))
+    psi = random_packet(rng, m)
+    try:
+        q_psi = apply_q(J, psi, grid_size=1024).packet
+    except QuadratureNotConverged:
+        assume(False)
+    errs = check_ballistic_limit(J, psi, times, grid_size=1024)
+    t_max = max(times)
+    K = chebyshev_order(J.norm_bound * t_max)
+    radius = max(psi.support_radius(), q_psi.support_radius())
+    half = required_half_width(J, radius + K, t_max)
+    trunc = J.truncate(half)
+    vec, qvec, x = trunc.embed(psi), trunc.embed(q_psi), trunc.position_diagonal
+    tol = CHEBYSHEV_TAIL + (K + 1) ** 2.5 * (3 * m + 2) * np.finfo(float).eps
+    for t, err in zip(sorted(times), errs):
+        pulled = trunc.propagate(x * trunc.propagate(vec, t), -t)
+        ref = np.linalg.norm(pulled / t - qvec)
+        assert abs(err - ref) <= tol * ((1.0 + 2.0 * half / t) * psi.norm() + q_psi.norm())
+
+
+def test_infinite_chain_evolutions_run_forward_in_sorted_steps(monkeypatch):
+    # ballistic-check and corollary-probe chain their sorted times from
+    # t = 0 on one recurrence: no step runs backward, the steps are the
+    # differences of the sorted distinct times, and no window propagates
+    steps, lone = [], []
+    propagate = dynamics.chebyshev_propagate
+
+    def recording_propagate(diag_blocks, off_blocks, s, vec, t):
+        steps.append(t)
+        return propagate(diag_blocks, off_blocks, s, vec, t)
+
+    monkeypatch.setattr(dynamics, "chebyshev_propagate", recording_propagate)
+    monkeypatch.setattr(TruncatedOperator, "propagate", lambda self, vec, t: lone.append(t))
+    check_ballistic_limit(period2(1.0), WavePacket.delta_scalar(0, 1), [20.0, 5.0, 10.0, 5.0],
+                          grid_size=512)
+    assert steps == [5.0, 5.0, 10.0]
+    steps.clear()
+    corollary_probe(free_laplacian(), 0.5, [10.0, 5.0, 20.0], 2, grid_size=64)
+    assert steps == [5.0, 5.0, 10.0]
+    assert lone == []
 
 
 # --- derivative identity ----------------------------------------------------------
@@ -400,8 +478,8 @@ def test_default_window_matches_double_window(m, q, real, t, seed):
     psi = WavePacket(-1, rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m)))
     psi = (1.0 / psi.norm()) * psi
     half = required_half_width(J, psi.support_radius(), t)
-    out = evolve(J.truncate(half), psi, t, trim=0.0)
-    wide = evolve(J.truncate(2 * half), psi, t, trim=0.0)
+    out, wide = (trunc.extract(trunc.propagate(trunc.embed(psi), t))
+                 for trunc in (J.truncate(half), J.truncate(2 * half)))
     assert (out - wide).norm() <= 1e-12
 
 

@@ -13,7 +13,6 @@ from blochdyn.errors import (
     QuadratureNotConverged,
     SizeLimitExceeded,
     SpecError,
-    WindowTooShort,
 )
 from blochdyn.limitperiodic import (
     dt_criterion,
@@ -48,17 +47,12 @@ def test_two_step_hand_product():
     assert np.allclose(prod.matrix, [[0.0, -1.0], [1.0, -1.0]])
 
 
-def test_window_too_short():
-    with pytest.raises(WindowTooShort):
-        transfer_matrix(5, 1.0, [0.0, 0.0])
-
-
 def test_determinant_invariant_long_products():
     rng = np.random.default_rng(8)
     for n in (10, 1000, 10000):
         E = complex(rng.uniform(-3, 3), rng.uniform(0, 1))
         w = rng.uniform(-2, 2, min(n, 64))
-        prod = transfer_matrix(n, E, w, periodic=True)
+        prod = transfer_matrix(n, E, w)
         log_det, arg_det = prod.det_deviation()
         assert log_det < 1e-10
         assert arg_det < 1e-8
@@ -83,7 +77,7 @@ def reference_products(n, energy, w):
 )
 def test_batched_kernel_matches_reference(n, w, energies):
     E = np.array(energies).reshape(-1, 1)
-    prod = transfer_matrix(n, E, w, periodic=True)
+    prod = transfer_matrix(n, E, w)
     assert prod.scaled.shape == E.shape + (2, 2)
     assert prod.log_scale.shape == prod.peak_log_norm.shape == E.shape
     log_norm = prod.log_norm
@@ -99,13 +93,13 @@ def test_batched_kernel_matches_reference(n, w, energies):
         log_det, arg_det = prod.det_deviation()
         assert log_det[k, 0] < 1e-10 and arg_det[k, 0] < 1e-8
         # the array call is bit-identical to a scalar call
-        assert transfer_matrix(n, energy, w, periodic=True).log_norm == log_norm[k, 0]
+        assert transfer_matrix(n, energy, w).log_norm == log_norm[k, 0]
 
 
 def test_running_peak_of_log_norms():
     E, w = np.array([0.3 + 0.05j, 2.5, 4.0]), [0.7, -0.4, 1.1]
-    peak = transfer_matrix(40, E, w, periodic=True).peak_log_norm
-    per_n = [transfer_matrix(m, E, w, periodic=True).log_norm for m in range(1, 41)]
+    peak = transfer_matrix(40, E, w).peak_log_norm
+    per_n = [transfer_matrix(m, E, w).log_norm for m in range(1, 41)]
     np.testing.assert_allclose(peak, np.max(per_n, axis=0), rtol=1e-13, atol=1e-13)
 
 
@@ -117,7 +111,7 @@ def test_block_boundaries_match_reference(n):
     # unscaled reference stays finite at n = 10^4.
     w = [0.7, -0.4, 1.1]
     energies = [0.3, 2.0, 0.3 + 0.01j, -1.5 + 0.005j]
-    prod = transfer_matrix(n, np.array(energies), w, periodic=True)
+    prod = transfer_matrix(n, np.array(energies), w)
     log_norm = prod.log_norm
     for k, energy in enumerate(energies):
         products = reference_products(n, energy, w)
@@ -127,7 +121,7 @@ def test_block_boundaries_match_reference(n):
         ref_log_norms = [math.log(np.linalg.norm(m, 2)) for m in products]
         assert log_norm[k] == pytest.approx(ref_log_norms[-1], rel=1e-12)
         assert prod.peak_log_norm[k] == pytest.approx(max(ref_log_norms), rel=1e-12)
-        one = transfer_matrix(n, energy, w, periodic=True)
+        one = transfer_matrix(n, energy, w)
         assert one.log_norm == log_norm[k]
         assert np.array_equal(one.scaled, prod.scaled[k])
         assert (one.log_scale, one.peak_log_norm) == (prod.log_scale[k], prod.peak_log_norm[k])
@@ -154,7 +148,7 @@ def test_free_laplacian_million_steps():
     # Phi(n) = [[U_n, -U_{n-1}], [U_{n-1}, -U_{n-2}]] has determinant 1
     frob = u(n) ** 2 + 2.0 * u(n - 1) ** 2 + u(n - 2) ** 2
     in_band = 0.5 * math.log((frob + math.sqrt(frob * frob - 4.0)) / 2.0)
-    prod = transfer_matrix(n, np.array([3.0, s]), [0.0], periodic=True)
+    prod = transfer_matrix(n, np.array([3.0, s]), [0.0])
     assert prod.log_norm[0] == pytest.approx(off_band, rel=1e-12)
     assert prod.log_norm[1] == pytest.approx(in_band, rel=1e-12)
     log_det, arg_det = prod.det_deviation()
@@ -171,7 +165,7 @@ def test_kernel_takes_order_sqrt_n_vectorized_steps(monkeypatch):
 
     monkeypatch.setattr(limitperiodic, "_step", counting)
     n = 10**4
-    transfer_matrix(n, np.linspace(-3.0, 3.0, 21), [0.5, -0.5], periodic=True)
+    transfer_matrix(n, np.linspace(-3.0, 3.0, 21), [0.5, -0.5])
     # pass 1 steps the block products, pass 3 the replays and the segments
     assert len(steps) <= 3 * math.ceil(math.sqrt(n))
 
@@ -196,7 +190,7 @@ def test_free_asymptotic_lyapunov():
     # one-step eigenvalue (3 + sqrt(5)) / 2 at E = 3
     target = np.log((3.0 + np.sqrt(5.0)) / 2.0)
     assert target == pytest.approx(0.9624236501192069)
-    val = finite_lyapunov(1000, 3.0, [0.0], periodic=True)
+    val = finite_lyapunov(1000, 3.0, [0.0])
     assert val == pytest.approx(target, abs=1e-2)
     assert periodic_lyapunov(3.0, [0.0]) == pytest.approx(target, abs=1e-12)
 
@@ -217,7 +211,7 @@ def test_periodic_lyapunov_batch_matches_single_energies():
 def test_off_spectrum_growth():
     for E, w in [(4.0, [0.0]), (3.5, [1.0, -1.0]), (-4.2, [0.5])]:
         bound = np.log((abs(E) - np.max(np.abs(w))) / 2.0)
-        assert finite_lyapunov(1000, E, w, periodic=True) >= bound - 0.05
+        assert finite_lyapunov(1000, E, w) >= bound - 0.05
 
 
 # --- Thouless cross-check -----------------------------------------------------------
