@@ -387,7 +387,6 @@ class LocalizationReport:
     pairs: tuple
     sup_amplitudes: np.ndarray
     slope: float
-    intercept: float
     r_squared: float
     decay_rate: float
     localized: bool
@@ -444,7 +443,6 @@ def localization_diagnostic(trunc: TruncatedOperator, pairs, t_grid) -> Localiza
         pairs=tuple((int(l), int(r)) for l, r in pairs),
         sup_amplitudes=sups,
         slope=slope,
-        intercept=float(coef[1]),
         r_squared=float(r2),
         decay_rate=-slope,
         localized=bool(slope < -0.05 and r2 > 0.9),

@@ -31,7 +31,7 @@ MIN_GRID = 16
 DEGENERACY_TOL = 1e-8
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_ITERS = 80  # golden-section steps refining velocity_maximum's grid argmax
-Q_COEFF_FLOOR = 1e-12  # apply_q drops smaller coefficients, reported as tail mass
+Q_COEFF_FLOOR = 1e-12  # apply_q drops smaller coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,6 @@ class BandStructure:
     bands: np.ndarray
     velocities: np.ndarray
     degenerate: np.ndarray
-    gap_tol: float
     closing_permutation: np.ndarray
 
     @property
@@ -247,7 +246,6 @@ def band_structure(J: BlockJacobiOperator, grid_size: int,
         bands=bands,
         velocities=velocities,
         degenerate=degenerate,
-        gap_tol=gap_tol,
         closing_permutation=closing_permutation,
     )
 
@@ -372,9 +370,7 @@ class QApplication:
     """Result of applying the asymptotic velocity operator on a grid."""
 
     packet: WavePacket
-    grid_size: int
     quadrature_error: float
-    tail_mass: float
 
 
 def _apply_q_raw(J, psi, G):
@@ -393,21 +389,19 @@ def apply_q(J: BlockJacobiOperator, psi: WavePacket, grid_size: int = 512,
 
     Transforms psi to the fiber grid, multiplies by the velocity fiber, and
     inverse-transforms. The quadrature error is estimated against the half
-    grid; coefficients below Q_COEFF_FLOOR are dropped and reported as tail
-    mass. Raises QuadratureNotConverged when the error estimate exceeds tol.
+    grid; coefficients below Q_COEFF_FLOOR are dropped. Raises
+    QuadratureNotConverged when the error estimate exceeds tol.
     """
     G = check_grid(grid_size)
     full = _apply_q_raw(J, psi, G)
     half = _apply_q_raw(J, psi, G // 2)  # error estimator only
     err = (full - half).norm()
     packet = full.trimmed(Q_COEFF_FLOOR)
-    tail = max(full.norm() ** 2 - packet.norm() ** 2, 0.0)
     if err > tol:
         raise QuadratureNotConverged(
             f"velocity-operator quadrature error {err:.3e} exceeds tolerance {tol:.3e} at grid {G}"
         )
-    return QApplication(packet=packet, grid_size=G, quadrature_error=float(err),
-                        tail_mass=float(tail))
+    return QApplication(packet=packet, quadrature_error=float(err))
 
 
 def abs_velocity_expectation(J: BlockJacobiOperator, psi: WavePacket,

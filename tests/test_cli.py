@@ -577,6 +577,18 @@ def test_thouless_cmd(tmp_path, capsys):
     assert abs(float(row[4])) < 1e-3  # gap column
 
 
+def test_thouless_unconverged_grid_exits_3(tmp_path, capsys):
+    # 8 and 16 fibers disagree at Im z = 0.05: one JSON error, no artifact
+    cfg = {"potential": [0.0], "points": [[0.3, 0.05]], "grid_size": 16}
+    code, out, err = run(tmp_path, capsys, "thouless", cfg)
+    assert code == 3
+    error = _one_json_error(err)
+    assert error["error"] == "QuadratureNotConverged"
+    assert "between grids 8 and 16" in error["message"]
+    assert out == ""
+    assert not (tmp_path / "thouless.csv").exists()
+
+
 def test_dt_criterion_cmd(tmp_path, capsys):
     cfg = {"potential": [3.0, -3.0], "coupling": 1.0, "K": 1.0, "T": 50.0}
     code, out, _ = run(tmp_path, capsys, "dt-criterion", cfg)
