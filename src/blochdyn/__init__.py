@@ -36,11 +36,9 @@ from .dynamics import (
 from .floquet import (
     BandStructure,
     QApplication,
-    abs_velocity_expectation,
     apply_q,
     band_structure,
     fiber_matrices,
-    floquet_parseval_check,
     floquet_transform,
     q_norm,
     velocity_maximum,

@@ -9,7 +9,9 @@ so site 0 carries the first listed pair. The associated current operator is
 
     (A u)_n = -i a(n-1)^* u_{n-1} + i a(n) u_{n+1},
 
-which equals i[J, X] with X the block-site position operator.
+which equals i[J, X] with X the block-site position operator. Both act
+through their Bloch fibers (floquet.fiber_matrices), which follow these two
+formulas, and J through its window truncations.
 
 Scalar indexing convention: scalar index n corresponds to block site
 floor(n/m) and component n mod m, so X acts on the scalar basis vector
@@ -104,20 +106,11 @@ class BlockSpec:
                 f"diagonal block {j} deviates from Hermitian by {devs[j]:.3e}")
         return self
 
-    # JSON schema: {"m": int, "q": int, "a": [block...], "b": [block...]},
-    # block = row-major flat list of m*m [re, im] pairs.
-    def to_json_dict(self):
-        def encode(blocks):
-            out = []
-            for blk in blocks:
-                flat = blk.reshape(-1)
-                out.append([[float(z.real), float(z.imag)] for z in flat])
-            return out
-
-        return {"m": self.m, "q": self.q, "a": encode(self.a), "b": encode(self.b)}
-
     @classmethod
     def from_json_dict(cls, data):
+        """The spec of a JSON object {"m": int, "q": int, "a": [block...],
+        "b": [block...]}, each block a row-major flat list of m*m [re, im]
+        pairs."""
         if set(data) != {"m", "q", "a", "b"}:
             raise DimensionMismatch(f"spec JSON must have exactly the keys a, b, m, q, "
                                     f"got {sorted(data)}")
@@ -200,10 +193,6 @@ class WavePacket:
             return self.coeffs[i].copy()
         return np.zeros(self.m, dtype=complex)
 
-    def scalar_coefficient(self, n):
-        """Coefficient at scalar index n (block floor(n/m), component n mod m)."""
-        return self.block(n // self.m)[n % self.m]
-
     @classmethod
     def delta_block(cls, site, component, m):
         c = np.zeros((1, m), dtype=complex)
@@ -252,16 +241,6 @@ class WavePacket:
 
     __rmul__ = __mul__
 
-    def inner(self, other):
-        """<self, other> with the convention of linearity in the second slot."""
-        _, x, y = self._aligned(other)
-        return complex(np.sum(x.conj() * y))
-
-    def position_applied(self):
-        """Apply X: multiply the coefficient at block site n by n."""
-        weights = self.sites.astype(float)[:, None]
-        return WavePacket(self.base, self.coeffs * weights)
-
 
 # ---------------------------------------------------------------------------
 # The operator
@@ -283,14 +262,6 @@ class BlockJacobiOperator:
     def q(self):
         return self.spec.q
 
-    def block_a(self, n):
-        """Off-diagonal block coupling site n to site n+1."""
-        return self.spec.a[n % self.spec.q]
-
-    def block_b(self, n):
-        """Diagonal block at site n."""
-        return self.spec.b[n % self.spec.q]
-
     @cached_property
     def norm_bound(self):
         """Triangle-inequality bound max ||b|| + 2 max ||a|| on the operator norm."""
@@ -304,35 +275,9 @@ class BlockJacobiOperator:
             np.all(self.spec.a.imag == 0.0) and np.all(self.spec.b.imag == 0.0)
         )
 
-    def apply(self, u: WavePacket) -> WavePacket:
-        """(J u)_n = a(n-1)^* u_{n-1} + b(n) u_n + a(n) u_{n+1}."""
-        L = u.coeffs.shape[0]
-        out = np.zeros((L + 2, self.m), dtype=complex)
-        for i in range(L):
-            n = u.base + i
-            c = u.coeffs[i]
-            out[i] += self.block_a(n - 1) @ c
-            out[i + 1] += self.block_b(n) @ c
-            out[i + 2] += self.block_a(n).conj().T @ c
-        return WavePacket(u.base - 1, out).trimmed()
-
-    def apply_current(self, u: WavePacket) -> WavePacket:
-        """(A u)_n = -i a(n-1)^* u_{n-1} + i a(n) u_{n+1}."""
-        L = u.coeffs.shape[0]
-        out = np.zeros((L + 2, self.m), dtype=complex)
-        for i in range(L):
-            n = u.base + i
-            c = u.coeffs[i]
-            out[i] += 1j * self.block_a(n - 1) @ c
-            out[i + 2] += -1j * self.block_a(n).conj().T @ c
-        return WavePacket(u.base - 1, out).trimmed()
-
     def truncate(self, N) -> "TruncatedOperator":
         """Restriction to block sites [-N, N] with open boundaries."""
-        return self.truncate_window(-int(N), int(N))
-
-    def truncate_window(self, lo, hi) -> "TruncatedOperator":
-        return TruncatedOperator(self, int(lo), int(hi))
+        return TruncatedOperator(self, -int(N), int(N))
 
 
 def build_operator(spec: BlockSpec) -> BlockJacobiOperator:
@@ -516,10 +461,6 @@ class TruncatedOperator:
         w.setflags(write=False)
         u.setflags(write=False)
         return w, u
-
-    @property
-    def eigenvalues(self):
-        return self.eigensystem[0]
 
     def embed(self, psi: WavePacket) -> np.ndarray:
         """Flatten a packet into the window's scalar coordinates."""

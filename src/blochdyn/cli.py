@@ -145,8 +145,7 @@ def _state(key, value, parsed):
 _XY = {"mu": (REQUIRED, _numbers), "gamma": (REQUIRED, _numbers), "nu": (REQUIRED, _numbers)}
 
 SCHEMAS = {
-    "bands": {"operator": (REQUIRED, _operator), "grid_size": (512, _grid),
-              "gap_tol": (1e-8, _nonnegative)},
+    "bands": {"operator": (REQUIRED, _operator), "grid_size": (512, _grid)},
     "qnorm": {"operator": (REQUIRED, _operator), "grid_size": (512, _grid)},
     "evolve": {"operator": (REQUIRED, _operator), "state": (REQUIRED, _state),
                "times": (REQUIRED, _numbers), "threshold": (1e-12, _nonnegative)},
@@ -281,7 +280,7 @@ class _Artifacts:
 
 def cmd_bands(a, out):
     G = a["grid_size"]
-    bs = floquet.band_structure(a["operator"], G, gap_tol=a["gap_tol"])
+    bs = floquet.band_structure(a["operator"], G)
     n = bs.bands.shape[1]
     out.write_csv("bands.csv", {
         "theta": np.repeat(bs.thetas, n),

@@ -201,10 +201,14 @@ def exponent_estimate(traj: MomentTrajectory) -> ExponentEstimate:
     The limsup/liminf definitions are approximated by the max/min of the
     running slopes log(M_{k+1}/M_k) / (p log(t_{k+1}/t_k)) between
     consecutive sample times; the reported residual is the RMS deviation of
-    a single-line log-log fit.
+    a single-line log-log fit. The fit takes logarithms of the times and
+    divides by their spacings, so it needs at least two times, all positive
+    and strictly increasing (SpecError otherwise).
     """
     if len(traj.times) < 2:
         raise SpecError("need at least two sample times")
+    if traj.times[0] <= 0 or np.any(np.diff(traj.times) <= 0):
+        raise SpecError("sample times must be positive and strictly increasing")
     p = traj.p
     logs = np.log(traj.values)
     logt = np.log(traj.times)
@@ -403,7 +407,9 @@ def localization_diagnostic(trunc: TruncatedOperator, pairs, t_grid) -> Localiza
 
     Verdict "localized" requires fit slope < -0.05 with R^2 > 0.9. The time
     grid must resolve the fastest phase, step <= localization_step(trunc),
-    and every pair must lie in the window, both checked before the eigensolve.
+    every pair must lie in the window, and the distances |r - l| must take
+    at least two values for the fit to have a slope; all checked before the
+    eigensolve.
     The phases exp(-i t lambda) are formed at most PHASE_CHUNK entries at a
     time; the sup over the grid is the max over the chunks.
     """
@@ -419,6 +425,9 @@ def localization_diagnostic(trunc: TruncatedOperator, pairs, t_grid) -> Localiza
     for l, r in pairs:
         if not (lo <= l <= hi and lo <= r <= hi):
             raise SupportOutsideWindow(f"pair {[l, r]!r} outside the window's sites [{lo}, {hi}]")
+    dists = np.array([abs(r - l) for l, r in pairs], dtype=float)
+    if len(set(dists)) < 2:
+        raise SpecError("the decay fit needs pairs at two or more distances |r - l|")
     w, u = trunc.eigensystem
     overlaps = [u[l - lo] * u[r - lo].conj() for l, r in pairs]
     sups = np.zeros(len(pairs))
@@ -430,7 +439,6 @@ def localization_diagnostic(trunc: TruncatedOperator, pairs, t_grid) -> Localiza
         phases = np.multiply(-1j, np.outer(ts, w), out=buf[:len(ts)])
         np.exp(phases, out=phases)
         sups = np.maximum(sups, [np.max(np.abs(phases @ ov)) for ov in overlaps])
-    dists = np.array([abs(r - l) for l, r in pairs], dtype=float)
     logs = np.log(np.maximum(sups, 1e-300))
     design = np.vstack([dists, np.ones_like(dists)]).T
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)

@@ -106,26 +106,26 @@ def fiber_matrices(J: BlockJacobiOperator, theta):
     return jf, af
 
 
-def _clusters(eigenvalues, tol=DEGENERACY_TOL):
-    """Split ascending eigenvalues into groups separated by gaps >= tol."""
+def _clusters(eigenvalues):
+    """Split ascending eigenvalues into groups separated by gaps >= DEGENERACY_TOL."""
     groups = []
     start = 0
     for i in range(1, len(eigenvalues)):
-        if eigenvalues[i] - eigenvalues[i - 1] >= tol:
+        if eigenvalues[i] - eigenvalues[i - 1] >= DEGENERACY_TOL:
             groups.append(slice(start, i))
             start = i
     groups.append(slice(start, len(eigenvalues)))
     return groups
 
 
-def _fiber_data(J, thetas, tol=DEGENERACY_TOL):
+def _fiber_data(J, thetas):
     """Eigenpairs and cluster-resolved band velocities on a 1-D theta array,
     from one stacked eigensolve.
 
     Returns (w, v, compressed, vel, flagged), stacked over theta: ascending
     eigenvalues, eigenvectors, the current in the eigenbasis v^* A_theta v,
     the band velocities, and flags for the fibers that hold a spectral
-    cluster (an eigenvalue gap below tol).
+    cluster (an eigenvalue gap below DEGENERACY_TOL).
 
     Inside a cluster the raw diagonal <v_j, A v_j> depends on the arbitrary
     basis returned by the eigensolver; the eigenvalues of the compressed
@@ -138,9 +138,9 @@ def _fiber_data(J, thetas, tol=DEGENERACY_TOL):
     compressed = np.swapaxes(v.conj(), -1, -2) @ af @ v
     del af
     vel = np.real(np.diagonal(compressed, axis1=-2, axis2=-1)).copy()
-    flagged = ~np.all(np.diff(w, axis=-1) >= tol, axis=-1)
+    flagged = ~np.all(np.diff(w, axis=-1) >= DEGENERACY_TOL, axis=-1)
     for g in np.flatnonzero(flagged):
-        for sl in _clusters(w[g], tol):
+        for sl in _clusters(w[g]):
             if sl.stop - sl.start > 1:
                 vel[g, sl] = np.sort(np.linalg.eigvalsh(compressed[g, sl, sl]))
     return w, v, compressed, vel, flagged
@@ -173,15 +173,6 @@ class BandStructure:
     def grid_size(self):
         return len(self.thetas)
 
-    def level_crossings(self, lam: float) -> int:
-        """Count sign changes of the matched curves through the level lam,
-        following each curve around the full circle via the closing
-        permutation."""
-        signs = np.sign(self.bands - lam)
-        total = int(np.sum(signs[1:] * signs[:-1] < 0))
-        wrapped = signs[-1, :] * signs[0, self.closing_permutation] < 0
-        return total + int(np.sum(wrapped))
-
 
 # A hair above 1/sqrt(2), so that roundoff in the overlaps cannot decide
 # whether a greedy match is certified.
@@ -211,12 +202,11 @@ def _match_order(v_prev, v_next):
     return perm
 
 
-def band_structure(J: BlockJacobiOperator, grid_size: int,
-                   gap_tol: float = DEGENERACY_TOL) -> BandStructure:
+def band_structure(J: BlockJacobiOperator, grid_size: int) -> BandStructure:
     """Compute matched bands and velocities on a uniform grid of [0, 2pi)."""
     G = check_grid(grid_size)
     thetas = _theta_grid(G)
-    w, v, _, vel, degenerate = _fiber_data(J, thetas, gap_tol)
+    w, v, _, vel, degenerate = _fiber_data(J, thetas)
 
     bands = np.empty_like(w)
     velocities = np.empty_like(vel)
@@ -333,17 +323,9 @@ def floquet_transform(J: BlockJacobiOperator, psi: WavePacket, G: int) -> np.nda
     return np.fft.fft(cells, axis=0)
 
 
-def floquet_parseval_check(J: BlockJacobiOperator, psi: WavePacket, grid_size: int) -> float:
-    """|trapezoid of ||F psi(theta)||^2 - ||psi||^2| on the uniform grid."""
-    G = check_grid(grid_size)
-    hat = floquet_transform(J, psi, G)
-    quad = float(np.mean(np.sum(np.abs(hat) ** 2, axis=(1, 2))))
-    return abs(quad - psi.norm() ** 2)
-
-
-def _velocity_fibers_apply(J, thetas, hat, absolute=False):
-    """Apply the fibers of the asymptotic velocity operator (or of its
-    absolute value) to the stacked vectors hat[g] at thetas[g].
+def _velocity_fibers_apply(J, thetas, hat):
+    """Apply the fibers of the asymptotic velocity operator to the stacked
+    vectors hat[g] at thetas[g].
 
     The velocity fiber is the part of A_theta that is block-diagonal with
     respect to the spectral clusters of J_theta. Off the flagged fibers every
@@ -352,16 +334,11 @@ def _velocity_fibers_apply(J, thetas, hat, absolute=False):
     """
     w, v, compressed, vel, flagged = _fiber_data(J, thetas)
     coords = (np.swapaxes(v.conj(), -1, -2) @ hat[..., None])[..., 0]
-    out = (np.abs(vel) if absolute else vel) * coords
+    out = vel * coords
     for g in np.flatnonzero(flagged):
         for sl in _clusters(w[g]):
-            if sl.stop - sl.start == 1:
-                continue
-            blk = compressed[g, sl, sl]
-            if absolute:
-                d, u = np.linalg.eigh(0.5 * (blk + blk.conj().T))
-                blk = u @ (np.abs(d)[:, None] * u.conj().T)
-            out[g, sl] = blk @ coords[g, sl]
+            if sl.stop - sl.start > 1:
+                out[g, sl] = compressed[g, sl, sl] @ coords[g, sl]
     return (v @ out[..., None])[..., 0]
 
 
@@ -402,13 +379,3 @@ def apply_q(J: BlockJacobiOperator, psi: WavePacket, grid_size: int = 512,
             f"velocity-operator quadrature error {err:.3e} exceeds tolerance {tol:.3e} at grid {G}"
         )
     return QApplication(packet=packet, quadrature_error=float(err))
-
-
-def abs_velocity_expectation(J: BlockJacobiOperator, psi: WavePacket,
-                             grid_size: int = 2048) -> float:
-    """<psi, |Q| psi> by fiberwise quadrature, |Q| taken spectrally per fiber."""
-    G = check_grid(grid_size)
-    thetas = _theta_grid(G)
-    hat = floquet_transform(J, psi, G).reshape(G, J.q * J.m)
-    qhat = _velocity_fibers_apply(J, thetas, hat, absolute=True)
-    return float(np.mean(np.real(np.sum(hat.conj() * qhat, axis=-1))))

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blockjacobi import BlockJacobiOperator, BlockSpec
+from .blockjacobi import BlockJacobiOperator, BlockSpec, TruncatedOperator
 from .errors import ChainTooLong, DimensionMismatch, InvalidSpec, SpecError
 from .floquet import q_norm
 
@@ -305,7 +305,7 @@ class SpinChain:
     def _window(self):
         """The chain's free-fermion window M, as block-site storage."""
         lo, hi = self.lam
-        return single_particle_matrix(self.spec).truncate_window(lo, hi)
+        return TruncatedOperator(single_particle_matrix(self.spec), lo, hi)
 
     def _propagator(self, t):
         """e^{-itM} on the chain's window, formed once per time by the

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochdyn import BlockSpec, WavePacket, build_operator, scalar_spec
+import reference
+from blochdyn import BlockSpec, TruncatedOperator, WavePacket, build_operator, scalar_spec
 from blochdyn.blockjacobi import (
     CHEBYSHEV_TAIL,
     MAX_DENSE_DIM,
@@ -39,6 +40,15 @@ def random_spec(rng, m, q, real=False):
 def random_packet(rng, m, lo=-3, width=6):
     c = rng.standard_normal((width, m)) + 1j * rng.standard_normal((width, m))
     return WavePacket(lo, c)
+
+
+def window_action(J, u, N=4):
+    """(J u, A u) from the window matrix M of block sites [-N, N]: M u and
+    i (M X - X M) u, X the window's position diagonal. They equal the
+    infinite-chain J u and A u when u lies inside [-N + 1, N - 1]."""
+    tr = J.truncate(N)
+    M, x, v = tr.matrix, tr.position_diagonal, tr.embed(u)
+    return tr.extract(M @ v), tr.extract(1j * (M @ (x * v) - x * (M @ v)))
 
 
 # --- construction -----------------------------------------------------------
@@ -91,54 +101,62 @@ def test_xy_style_blocks_accepted():
 
 
 def test_spec_json_round_trip():
-    rng = np.random.default_rng(1)
-    spec = random_spec(rng, 2, 3)
-    data = spec.to_json_dict()
-    back = BlockSpec.from_json_dict(data)
-    assert np.allclose(back.a, spec.a)
-    assert np.allclose(back.b, spec.b)
+    # {"m", "q", "a", "b"}, each block a row-major flat list of [re, im] pairs
+    data = {"m": 2, "q": 2,
+            "a": [[[1.0, 0.5], [2.0, 0.0], [0.0, -1.0], [3.0, 0.0]],
+                  [[4.0, 0.0], [0.0, 0.0], [0.0, 0.0], [4.0, 0.0]]],
+            "b": [[[1.0, 0.0], [0.0, 2.0], [0.0, -2.0], [-1.0, 0.0]],
+                  [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]]}
+    spec = BlockSpec.from_json_dict(data)
+    assert np.array_equal(spec.a[0], [[1.0 + 0.5j, 2.0], [-1j, 3.0]])
+    assert np.array_equal(spec.b[0], [[1.0, 2j], [-2j, -1.0]])
+    build_operator(spec)
+    for name, blocks in (("a", spec.a), ("b", spec.b)):
+        assert [[[z.real, z.imag] for z in blk.ravel()] for blk in blocks] == data[name]
 
 
-# --- apply / apply_current ---------------------------------------------------
+# --- J u and A u: the loop references against the window matrix ----------------
 
 
 def test_apply_free_delta():
-    J = free_laplacian()
-    out = J.apply(WavePacket.delta_scalar(0, 1))
-    assert out.block(-1)[0] == pytest.approx(1.0)
-    assert out.block(1)[0] == pytest.approx(1.0)
-    assert abs(out.block(0)[0]) < 1e-15
+    J, u = free_laplacian(), WavePacket.delta_scalar(0, 1)
+    for out in (reference.apply(J, u), window_action(J, u)[0]):
+        assert out.block(-1)[0] == pytest.approx(1.0)
+        assert out.block(1)[0] == pytest.approx(1.0)
+        assert abs(out.block(0)[0]) < 1e-15
 
 
 def test_apply_constant_diagonal():
-    J = build_operator(scalar_spec([3.0]))
-    out = J.apply(WavePacket.delta_scalar(0, 1))
-    assert out.block(0)[0] == pytest.approx(3.0)
-    assert out.block(1)[0] == pytest.approx(1.0)
-    assert out.block(-1)[0] == pytest.approx(1.0)
+    J, u = build_operator(scalar_spec([3.0])), WavePacket.delta_scalar(0, 1)
+    for out in (reference.apply(J, u), window_action(J, u)[0]):
+        assert out.block(0)[0] == pytest.approx(3.0)
+        assert out.block(1)[0] == pytest.approx(1.0)
+        assert out.block(-1)[0] == pytest.approx(1.0)
 
 
 def test_apply_period2_phase_convention():
-    # site 0 carries the first listed diagonal value
+    # site 0 carries the first listed diagonal value, site 1 the second
     v = 0.7
     J = build_operator(scalar_spec([v, -v]))
-    out = J.apply(WavePacket.delta_scalar(0, 1))
-    assert out.block(0)[0] == pytest.approx(v)
-    assert out.block(1)[0] == pytest.approx(1.0)
-    assert out.block(-1)[0] == pytest.approx(1.0)
+    for site, value in ((0, v), (1, -v), (-1, -v)):
+        u = WavePacket.delta_scalar(site, 1)
+        for out in (reference.apply(J, u), window_action(J, u)[0]):
+            assert out.block(site)[0] == pytest.approx(value)
+            assert out.block(site + 1)[0] == pytest.approx(1.0)
+            assert out.block(site - 1)[0] == pytest.approx(1.0)
 
 
 def test_apply_current_free_delta():
-    J = free_laplacian()
-    out = J.apply_current(WavePacket.delta_scalar(0, 1))
-    assert out.block(-1)[0] == pytest.approx(1j)
-    assert out.block(1)[0] == pytest.approx(-1j)
+    J, u = free_laplacian(), WavePacket.delta_scalar(0, 1)
+    for out in (reference.apply_current(J, u), window_action(J, u)[1]):
+        assert out.block(-1)[0] == pytest.approx(1j)
+        assert out.block(1)[0] == pytest.approx(-1j)
 
 
 def test_apply_current_zero_packet():
-    J = free_laplacian()
-    out = J.apply_current(WavePacket.zero(1))
-    assert out.norm() == 0.0
+    J, u = free_laplacian(), WavePacket.zero(1)
+    for out in (reference.apply_current(J, u), window_action(J, u)[1]):
+        assert out.norm() == 0.0
 
 
 def test_apply_current_xy_isotropic_blocks():
@@ -147,18 +165,20 @@ def test_apply_current_xy_isotropic_blocks():
     b = np.zeros((1, 2, 2), dtype=complex)
     J = build_operator(BlockSpec(m=2, q=1, a=a, b=b))
     e1 = WavePacket.delta_block(0, 0, 2)
-    out = J.apply_current(e1)
-    assert np.allclose(out.block(1), -1j * gamma_blk.conj().T @ np.array([1.0, 0.0]))
-    assert np.allclose(out.block(-1), 1j * gamma_blk @ np.array([1.0, 0.0]))
+    for out in (reference.apply_current(J, e1), window_action(J, e1)[1]):
+        assert np.allclose(out.block(1), -1j * gamma_blk.conj().T @ np.array([1.0, 0.0]))
+        assert np.allclose(out.block(-1), 1j * gamma_blk @ np.array([1.0, 0.0]))
 
 
 def test_current_is_position_commutator():
+    # the loop-built A u against i[M, X] u from the window's matrix and
+    # position diagonal
     rng = np.random.default_rng(7)
     for m, q in [(1, 1), (1, 2), (2, 3)]:
         J = build_operator(random_spec(rng, m, q))
         u = random_packet(rng, m)
-        lhs = J.apply_current(u)
-        rhs = 1j * (J.apply(u.position_applied()) - J.apply(u).position_applied())
+        lhs = reference.apply_current(J, u)
+        rhs = window_action(J, u)[1]
         assert (lhs - rhs).norm() < 1e-12 * max(1.0, u.norm())
 
 
@@ -170,7 +190,7 @@ def test_truncate_free_3x3():
     tr = J.truncate(1)
     assert np.allclose(tr.matrix.real, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     # closed-form path-graph eigenvalues
-    assert np.allclose(tr.eigenvalues, [-np.sqrt(2), 0.0, np.sqrt(2)], atol=1e-12)
+    assert np.allclose(tr.eigensystem[0], [-np.sqrt(2), 0.0, np.sqrt(2)], atol=1e-12)
 
 
 def test_truncation_hermitian_and_bounded():
@@ -179,8 +199,8 @@ def test_truncation_hermitian_and_bounded():
         J = build_operator(random_spec(rng, m, q))
         tr = J.truncate(6)
         assert np.max(np.abs(tr.matrix - tr.matrix.conj().T)) < 1e-12
-        assert np.max(np.abs(tr.eigenvalues)) <= J.norm_bound + 1e-10
-        _, u = tr.eigensystem
+        w, u = tr.eigensystem
+        assert np.max(np.abs(w)) <= J.norm_bound + 1e-10
         assert np.max(np.abs(u.conj().T @ u - np.eye(tr.dim))) < 1e-10
 
 
@@ -191,7 +211,7 @@ def test_truncation_interior_matches_apply():
     tr = J.truncate(N)
     u = random_packet(rng, 2, lo=-N + 2, width=5)
     dense = tr.matrix @ tr.embed(u)
-    direct = tr.embed(J.apply(u))
+    direct = tr.embed(reference.apply(J, u))
     assert np.max(np.abs(dense - direct)) < 1e-12
 
 
@@ -223,8 +243,8 @@ def test_chebyshev_order_refuses_a_light_cone_wider_than_any_window():
 def test_chebyshev_matches_spectral(m, q, lo, width, t, k, seed):
     rng = np.random.default_rng(seed)
     J = build_operator(random_spec(rng, m, q))
-    cheb = J.truncate_window(lo, lo + width - 1)
-    w, u = J.truncate_window(lo, lo + width - 1).eigensystem
+    cheb = TruncatedOperator(J, lo, lo + width - 1)
+    w, u = TruncatedOperator(J, lo, lo + width - 1).eigensystem
     block = rng.standard_normal((cheb.dim, k)) + 1j * rng.standard_normal((cheb.dim, k))
     block /= np.linalg.norm(block, axis=0)
     vec = block[:, 0]
@@ -274,7 +294,10 @@ def test_scalar_index_convention():
     p = WavePacket.delta_scalar(-1, 2)
     assert p.support() == (-1, -1)
     assert p.block(-1)[1] == 1.0
-    assert p.scalar_coefficient(-1) == 1.0
+    # and to row n - lo m of a window starting at block site lo
+    J2 = build_operator(BlockSpec(m=2, q=1, a=[np.eye(2)], b=np.zeros((1, 2, 2))))
+    tr = J2.truncate(2)
+    assert np.flatnonzero(tr.embed(p)).tolist() == [-1 - tr.window[0] * 2]
     p2 = WavePacket.delta_scalar(4, 2)
     assert p2.support() == (2, 2)
     assert p2.block(2)[0] == 1.0
@@ -285,7 +308,8 @@ def test_packet_arithmetic_and_inner():
     b = WavePacket.delta_scalar(3, 1)
     s = a + 2.0 * b
     assert s.norm() == pytest.approx(np.sqrt(5.0))
-    assert s.inner(a) == pytest.approx(1.0)
+    assert reference.inner(s, a) == pytest.approx(1.0)
+    assert reference.inner(a, 1j * s) == pytest.approx(1j)
     assert (s - a - 2.0 * b).norm() == 0.0
 
 

@@ -277,7 +277,7 @@ VALID = {
     "ballistic-check": dict(DELTA0, times=[5.0]),
     "derivative-check": DELTA0,
     "corollary-probe": {"operator": FREE_OPERATOR, "epsilon": 0.2, "K": 0, "times": [10.0]},
-    "localization": {"operator": FREE_OPERATOR, "half_width": 40, "pairs": [[0, 4]]},
+    "localization": {"operator": FREE_OPERATOR, "half_width": 40, "pairs": [[0, 4], [0, 8]]},
     "xy-velocity": {"mu": [1.0], "gamma": [0.5], "nu": [1.0]},
     "xy-verify": dict(XY_SMALL, window=[1, 4]),
     "lyapunov": {"potential": [0.0], "energies": [[1.0, 0.0]]},
@@ -362,7 +362,8 @@ def test_every_schema_field_rejects_wrong_values(tmp_path, capsys, command, fiel
     ("generic", {"stages": 6}),
     ("exponents", dict(DELTA0, times=[1.0, 2.0], p=0)),
     ("exponents", dict(DELTA0, times=[1.0, 2.0, 2.0])),
-    ("bands", {"operator": FREE_OPERATOR, "gap_tol": "x"}),
+    # gap_tol is no longer a bands field
+    ("bands", {"operator": FREE_OPERATOR, "gap_tol": 1e-8}),
     ("localization", dict(VALID["localization"], pairs=[[0]])),
     ("localization", dict(VALID["localization"], pairs=[[0, 400]])),
     ("localization", dict(VALID["localization"], pairs=[[-41, 0]])),
@@ -430,7 +431,8 @@ def test_huge_time_is_refused_before_the_light_cone_is_tabulated(tmp_path, capsy
 @pytest.mark.parametrize("command, cfg", [
     ("evolve", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
                 "times": [1.1e6]}),
-    ("localization", {"operator": FREE_OPERATOR, "half_width": 5000, "pairs": [[0, 4]]}),
+    ("localization", {"operator": FREE_OPERATOR, "half_width": 5000,
+                      "pairs": [[0, 4], [0, 8]]}),
     ("derivative-check", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
                           "T": 2100.0}),
     # 256 fibers of 2048x2048: two stacks of 2^30 entries
@@ -630,6 +632,17 @@ def test_localization_cmd(tmp_path, capsys):
     code, out, _ = run(tmp_path, capsys, "localization", cfg)
     assert code == 0
     assert json.loads(out)["verdict"] == "not_localized"
+
+
+@pytest.mark.parametrize("pairs", [[[0, 4]], [[0, 4], [-2, 2]]])
+def test_localization_one_distance_exits_2(tmp_path, capsys, pairs):
+    # the decay fit needs two distances |r - l|; with one, the free
+    # Laplacian read "localized"
+    cfg = {"operator": FREE_OPERATOR, "half_width": 40, "pairs": pairs}
+    code, out, err = run(tmp_path, capsys, "localization", cfg)
+    assert (code, out) == (2, "")
+    assert _one_json_error(err)["error"] == "SpecError"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_ballistic_cmd(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from blochdyn import (
     BlockSpec,
+    MomentTrajectory,
     TruncatedOperator,
     WavePacket,
     apply_q,
@@ -198,6 +199,18 @@ def test_exponent_estimate_needs_two_samples():
     with pytest.raises(ValueError, match="two sample times") as exc:
         exponent_estimate(traj)
     assert type(exc.value) is SpecError
+
+
+@pytest.mark.parametrize("times", [[10.0, 10.0, 20.0], [0.0, 10.0, 20.0], [-5.0, 10.0]])
+def test_exponent_estimate_needs_positive_increasing_times(times):
+    # a repeated time divides by a zero log spacing and a time of 0 takes
+    # log 0; both are refused before the fit, not left to a NaN estimate or
+    # a LAPACK error
+    with pytest.raises(SpecError, match="positive and strictly increasing"):
+        transport_exponents(free_laplacian(), WavePacket.delta_scalar(0, 1), 2.0, times)
+    traj = MomentTrajectory(times=np.array([20.0, 10.0]), p=2.0, values=np.array([4.0, 1.0]))
+    with pytest.raises(SpecError, match="positive and strictly increasing"):
+        exponent_estimate(traj)
 
 
 def test_moment_trajectory_chains_samples(monkeypatch):
@@ -599,6 +612,17 @@ def test_localization_phase_memory_is_bounded(monkeypatch):
     monkeypatch.setattr(dynamics, "PHASE_CHUNK", 1000)
     fine = localization_diagnostic(trunc, pairs, t_grid)
     assert np.allclose(fine.sup_amplitudes, rep.sup_amplitudes, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("pairs", [[(0, 4)], [(0, 4), (-2, 2)], [(3, 0), (0, 3), (1, 4)]])
+def test_localization_needs_two_distances(pairs):
+    # one distance leaves the decay fit without a slope: on the free
+    # Laplacian it read "localized" with R^2 = 1 for one pair and R^2 = -1
+    # for two pairs at one distance; refused before the eigensolve
+    trunc = free_laplacian().truncate(30)
+    with pytest.raises(SpecError, match="two or more distances"):
+        localization_diagnostic(trunc, pairs, np.arange(0.0, 10.0, 0.1))
+    assert "eigensystem" not in trunc.__dict__
 
 
 def test_localization_grid_guard():

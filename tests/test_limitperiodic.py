@@ -163,6 +163,25 @@ def test_free_laplacian_million_steps():
     assert_unimodular(prod)
 
 
+@pytest.mark.parametrize("w", [[1.0, -1.0], [0.5, -1.0, 0.3]])
+def test_periodic_products_near_a_million_steps_bracket_the_spectral_radius(w):
+    # n = k p steps of a p-periodic potential give Phi(n) = M^k, M the
+    # one-period product with eigenvectors V, so rho(M)^k <= ||M^k|| <=
+    # cond(V) rho(M)^k. Off the band log_norm is log_scale plus the log of
+    # an O(1) norm, so this pins log_scale, which the determinant check
+    # cannot reach once the product has been rescaled.
+    k = (10**6 - 1) // len(w)
+    energies = np.array([3.0, 3.0 + 0.5j, -2.9])
+    prod = transfer_matrix(k * len(w), energies, w)
+    for energy, log_norm in zip(energies, prod.log_norm):
+        M = np.eye(2, dtype=complex)
+        for wj in w:
+            M = np.array([[energy - wj, -1.0], [1.0, 0.0]]) @ M
+        lam, V = np.linalg.eig(M)
+        offset = log_norm - k * math.log(np.max(np.abs(lam)))
+        assert -1e-6 <= offset <= math.log(np.linalg.cond(V)) + 1e-6, (energy, offset)
+
+
 def test_kernel_takes_order_sqrt_n_vectorized_steps(monkeypatch):
     steps = []
     kernel_step = limitperiodic._step

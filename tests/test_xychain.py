@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochdyn import xychain
-from blochdyn.blockjacobi import BlockJacobiOperator
+from blochdyn.blockjacobi import TruncatedOperator
 from blochdyn.cli import main
 from blochdyn.errors import ChainTooLong, DimensionMismatch, InvalidSpec, SpecError
 from blochdyn.xychain import (
@@ -70,7 +70,7 @@ def test_blocks_anisotropic():
 
 def test_window_layout():
     # diagonal blocks on (c_j, c_j^*) rows, coupling block one step right
-    M = single_particle_matrix(ANISO).truncate_window(1, 3).matrix
+    M = TruncatedOperator(single_particle_matrix(ANISO), 1, 3).matrix
     assert M.shape == (6, 6)
     assert np.allclose(M[0:2, 0:2], np.diag([2.0, -2.0]))
     assert np.allclose(M[0:2, 2:4], [[-2.0, -1.0], [1.0, 2.0]])
@@ -354,7 +354,7 @@ class _Reference:
 
     def __init__(self, spec, lo, hi):
         self.w, self.u = np.linalg.eigh(_reference_hamiltonian(spec, lo, hi).real)
-        M = single_particle_matrix(spec).truncate_window(lo, hi).matrix
+        M = TruncatedOperator(single_particle_matrix(spec), lo, hi).matrix
         self.mw, self.mu = np.linalg.eigh(M)
 
     def heisenberg(self, A, t):
@@ -632,18 +632,18 @@ def test_xy_verify_eigensolves(tmp_path, capsys, monkeypatch, pairs, times, case
     # two spin-sector eigensolves and one free-fermion window, which is
     # propagated and never diagonalized, whatever the check count
     solves, windows = [], []
-    eigh, truncate = np.linalg.eigh, BlockJacobiOperator.truncate_window
+    eigh, init = np.linalg.eigh, TruncatedOperator.__init__
 
     def counting_eigh(a, *args, **kwargs):
         solves.append(a.shape)
         return eigh(a, *args, **kwargs)
 
-    def counting_truncate(*args):
-        windows.append(args[1:])
-        return truncate(*args)
+    def counting_init(self, operator, lo, hi):
+        windows.append((lo, hi))
+        init(self, operator, lo, hi)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(BlockJacobiOperator, "truncate_window", counting_truncate)
+    monkeypatch.setattr(TruncatedOperator, "__init__", counting_init)
     cfg = tmp_path / "xy.json"
     cfg.write_text(json.dumps({"mu": [1.0, 0.7], "gamma": [0.5, 0.2, -0.3], "nu": [0.4],
                                "window": [0, 6], "pairs": pairs, "times": times,
