@@ -186,13 +186,6 @@ class WavePacket:
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
 
-    def block(self, site):
-        """Coefficient vector at a block site (zero vector off support)."""
-        i = site - self.base
-        if 0 <= i < self.coeffs.shape[0]:
-            return self.coeffs[i].copy()
-        return np.zeros(self.m, dtype=complex)
-
     @classmethod
     def delta_block(cls, site, component, m):
         c = np.zeros((1, m), dtype=complex)
@@ -216,30 +209,6 @@ class WavePacket:
             return WavePacket.zero(self.m)
         lo, hi = keep[0], keep[-1]
         return WavePacket(self.base + lo, self.coeffs[lo : hi + 1].copy())
-
-    def _aligned(self, other):
-        if self.m != other.m:
-            raise DimensionMismatch("wave packets have different block dimensions")
-        lo = min(self.base, other.base)
-        hi = max(self.base + len(self.coeffs), other.base + len(other.coeffs))
-        out_a = np.zeros((hi - lo, self.m), dtype=complex)
-        out_b = np.zeros_like(out_a)
-        out_a[self.base - lo : self.base - lo + len(self.coeffs)] = self.coeffs
-        out_b[other.base - lo : other.base - lo + len(other.coeffs)] = other.coeffs
-        return lo, out_a, out_b
-
-    def __add__(self, other):
-        lo, x, y = self._aligned(other)
-        return WavePacket(lo, x + y)
-
-    def __sub__(self, other):
-        lo, x, y = self._aligned(other)
-        return WavePacket(lo, x - y)
-
-    def __mul__(self, scalar):
-        return WavePacket(self.base, self.coeffs * scalar)
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,14 @@ class ExponentEstimate:
             raise ValueError("beta_minus_hat must not exceed beta_plus_hat")
 
 
+def _check_fit_times(times):
+    """SpecError unless there are two or more times, positive and increasing."""
+    if len(times) < 2:
+        raise SpecError("need at least two sample times")
+    if times[0] <= 0 or np.any(np.diff(times) <= 0):
+        raise SpecError("sample times must be positive and strictly increasing")
+
+
 def exponent_estimate(traj: MomentTrajectory) -> ExponentEstimate:
     """Exponent surrogate from a computed trajectory.
 
@@ -205,10 +213,7 @@ def exponent_estimate(traj: MomentTrajectory) -> ExponentEstimate:
     divides by their spacings, so it needs at least two times, all positive
     and strictly increasing (SpecError otherwise).
     """
-    if len(traj.times) < 2:
-        raise SpecError("need at least two sample times")
-    if traj.times[0] <= 0 or np.any(np.diff(traj.times) <= 0):
-        raise SpecError("sample times must be positive and strictly increasing")
+    _check_fit_times(traj.times)
     p = traj.p
     logs = np.log(traj.values)
     logt = np.log(traj.times)
@@ -229,7 +234,9 @@ def exponent_estimate(traj: MomentTrajectory) -> ExponentEstimate:
 
 def transport_exponents(J: BlockJacobiOperator, psi: WavePacket, p: float,
                         times) -> ExponentEstimate:
-    """Estimate the transport exponents of psi under J at moment order p."""
+    """Estimate the transport exponents of psi under J at moment order p; the
+    sorted times are checked before anything is evolved."""
+    _check_fit_times(sorted(times))
     return exponent_estimate(moment_trajectory(J, psi, p, times))
 
 

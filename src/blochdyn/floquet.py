@@ -4,17 +4,21 @@ A q-periodic operator diagonalizes over quasi-momentum theta into mq x mq
 fibers J_theta (and the current operator into A_theta). Band curves are the
 fiber eigenvalues matched across the grid by eigenvector overlap; band
 velocities are q * dlambda/dtheta, which coincide with <v, A_theta v> on the
-fiber eigenvectors away from degeneracies.
+fiber eigenvectors.
 
 The asymptotic velocity operator acts fiberwise as the part of A_theta that
 is block-diagonal with respect to the spectral clusters of J_theta; its norm
 is the maximal band speed and bounds every transport light cone from below.
+Each cluster's eigenvectors are turned onto those of the compressed current,
+which continue the band curves through the crossing, so every fiber's basis
+diagonalizes the velocity operator.
 
 Neighbouring fibers are matched by the permutation of largest total overlap.
 The row-wise largest overlaps already give it whenever each exceeds
-1/sqrt(2) (see _match_order); scipy's linear_sum_assignment is imported only
-for a pair of fibers where that certificate fails, which happens at exact
-crossings on grid points.
+1/sqrt(2) (see _match_order), crossings on grid points included; scipy's
+linear_sum_assignment is imported only where eigenvectors turn by more than
+45 degrees (coarse grids, or a cluster whose compressed current is itself
+degenerate).
 """
 
 from __future__ import annotations
@@ -119,18 +123,13 @@ def _clusters(eigenvalues):
 
 
 def _fiber_data(J, thetas):
-    """Eigenpairs and cluster-resolved band velocities on a 1-D theta array,
-    from one stacked eigensolve.
+    """Eigenpairs and band velocities on a 1-D theta array, from one stacked
+    eigensolve: (w, v, vel, flagged) stacked over theta, flagged marking the
+    fibers that hold a spectral cluster (a gap below DEGENERACY_TOL).
 
-    Returns (w, v, compressed, vel, flagged), stacked over theta: ascending
-    eigenvalues, eigenvectors, the current in the eigenbasis v^* A_theta v,
-    the band velocities, and flags for the fibers that hold a spectral
-    cluster (an eigenvalue gap below DEGENERACY_TOL).
-
-    Inside a cluster the raw diagonal <v_j, A v_j> depends on the arbitrary
-    basis returned by the eigensolver; the eigenvalues of the compressed
-    current matrix on the cluster are the analytic band slopes (times q), so
-    those are reported instead. Only the flagged fibers take that path.
+    The eigensolver's basis of a cluster is arbitrary; it is turned onto the
+    eigenvectors of the current compressed to the cluster, which continue the
+    band curves analytically, and their eigenvalues are the band velocities.
     """
     jf, af = fiber_matrices(J, thetas)
     w, v = np.linalg.eigh(jf)
@@ -142,8 +141,9 @@ def _fiber_data(J, thetas):
     for g in np.flatnonzero(flagged):
         for sl in _clusters(w[g]):
             if sl.stop - sl.start > 1:
-                vel[g, sl] = np.sort(np.linalg.eigvalsh(compressed[g, sl, sl]))
-    return w, v, compressed, vel, flagged
+                vel[g, sl], rot = np.linalg.eigh(compressed[g, sl, sl])
+                v[g, :, sl] = v[g, :, sl] @ rot
+    return w, v, vel, flagged
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +156,8 @@ class BandStructure:
     """Matched band curves on a uniform quasi-momentum grid.
 
     bands[g, j] is the j-th matched curve at thetas[g]; velocities carry
-    q * dlambda/dtheta per curve (Hellmann-Feynman away from flagged points,
-    symmetric differences of the matched curves at flagged points).
+    q * dlambda/dtheta per curve (Hellmann-Feynman on the fiber basis of
+    _fiber_data, flagged points included).
     closing_permutation maps curve labels at the last grid point to their
     continuations at theta = 2pi, which need not be the identity: curves may
     braid over one period.
@@ -206,7 +206,7 @@ def band_structure(J: BlockJacobiOperator, grid_size: int) -> BandStructure:
     """Compute matched bands and velocities on a uniform grid of [0, 2pi)."""
     G = check_grid(grid_size)
     thetas = _theta_grid(G)
-    w, v, _, vel, degenerate = _fiber_data(J, thetas)
+    w, v, vel, degenerate = _fiber_data(J, thetas)
 
     bands = np.empty_like(w)
     velocities = np.empty_like(vel)
@@ -221,15 +221,6 @@ def band_structure(J: BlockJacobiOperator, grid_size: int) -> BandStructure:
     # curve j at the last grid point continues at theta = 2pi into curve
     # closing_permutation[j] of the first grid point
     closing_permutation = _match_order(v[-1], v[0])[col_of_label]
-
-    # flagged points: replace velocities by symmetric differences of the
-    # matched curves (cyclically, honoring the closing permutation)
-    dtheta = 2.0 * np.pi / G
-    qf = float(J.q)
-    for g in np.nonzero(degenerate)[0]:
-        nxt = bands[g + 1] if g + 1 < G else bands[0][closing_permutation]
-        prv = bands[g - 1] if g - 1 >= 0 else bands[-1][np.argsort(closing_permutation)]
-        velocities[g] = qf * (nxt - prv) / (2.0 * dtheta)
 
     return BandStructure(
         thetas=thetas,
@@ -254,7 +245,7 @@ class VelocityMaximum:
 
 def _max_speeds(J, thetas):
     """Per theta of a 1-D array: the largest |band velocity| and its band."""
-    _, _, _, vel, _ = _fiber_data(J, thetas)
+    _, _, vel, _ = _fiber_data(J, thetas)
     speeds = np.abs(vel)
     bands = np.argmax(speeds, axis=-1)
     return np.take_along_axis(speeds, bands[:, None], axis=-1)[:, 0], bands
@@ -328,18 +319,12 @@ def _velocity_fibers_apply(J, thetas, hat):
     vectors hat[g] at thetas[g].
 
     The velocity fiber is the part of A_theta that is block-diagonal with
-    respect to the spectral clusters of J_theta. Off the flagged fibers every
-    cluster is one eigenvector and the fiber is diagonal in the eigenbasis,
-    with the band velocities on the diagonal.
+    respect to the spectral clusters of J_theta: diagonal in the fiber basis
+    of _fiber_data, with the band velocities on the diagonal.
     """
-    w, v, compressed, vel, flagged = _fiber_data(J, thetas)
+    _, v, vel, _ = _fiber_data(J, thetas)
     coords = (np.swapaxes(v.conj(), -1, -2) @ hat[..., None])[..., 0]
-    out = vel * coords
-    for g in np.flatnonzero(flagged):
-        for sl in _clusters(w[g]):
-            if sl.stop - sl.start > 1:
-                out[g, sl] = compressed[g, sl, sl] @ coords[g, sl]
-    return (v @ out[..., None])[..., 0]
+    return (v @ (vel * coords)[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -372,8 +357,11 @@ def apply_q(J: BlockJacobiOperator, psi: WavePacket, grid_size: int = 512,
     G = check_grid(grid_size)
     full = _apply_q_raw(J, psi, G)
     half = _apply_q_raw(J, psi, G // 2)  # error estimator only
-    err = (full - half).norm()
     packet = full.trimmed(Q_COEFF_FLOOR)
+    # the half grid's cells lie inside the full grid's
+    off = half.base - full.base
+    full.coeffs[off : off + len(half.coeffs)] -= half.coeffs
+    err = full.norm()
     if err > tol:
         raise QuadratureNotConverged(
             f"velocity-operator quadrature error {err:.3e} exceeds tolerance {tol:.3e} at grid {G}"

@@ -1,10 +1,12 @@
 """Independent references for the tests: J u and the current A u = i[J, X] u
-built site by site from the operator's stored blocks, the inner product of
-packets, and the Parseval sum of the Floquet transform."""
+built site by site from the operator's stored blocks, packet arithmetic and
+the inner product of packets, the Parseval sum of the Floquet transform,
+and apply_q's quadrature error estimate as a packet difference."""
 
 import numpy as np
 
 from blochdyn import WavePacket, floquet_transform
+from blochdyn.floquet import _apply_q_raw, check_grid
 
 
 def _terms(J, u):
@@ -33,12 +35,56 @@ def apply_current(J, u):
     return WavePacket(u.base - 1, 1j * (up - down))
 
 
+def block(u, site):
+    """Coefficient vector of u at a block site (zero vector off support)."""
+    i = site - u.base
+    if 0 <= i < len(u.coeffs):
+        return u.coeffs[i].copy()
+    return np.zeros(u.m, dtype=complex)
+
+
+def _aligned(u, v):
+    """(lo, x, y): the coefficients of u and v on the common sites lo .. ."""
+    assert u.m == v.m
+    lo = min(u.base, v.base)
+    hi = max(u.base + len(u.coeffs), v.base + len(v.coeffs))
+    x = np.zeros((hi - lo, u.m), dtype=complex)
+    y = np.zeros_like(x)
+    x[u.base - lo : u.base - lo + len(u.coeffs)] = u.coeffs
+    y[v.base - lo : v.base - lo + len(v.coeffs)] = v.coeffs
+    return lo, x, y
+
+
+def add(u, v):
+    """u + v."""
+    lo, x, y = _aligned(u, v)
+    return WavePacket(lo, x + y)
+
+
+def subtract(u, v):
+    """u - v."""
+    lo, x, y = _aligned(u, v)
+    return WavePacket(lo, x - y)
+
+
+def scale(c, u):
+    """c u."""
+    return WavePacket(u.base, c * u.coeffs)
+
+
 def inner(u, v):
     """<u, v>, linear in the second slot."""
-    return complex(sum(np.vdot(u.block(n), v.block(n)) for n in u.sites))
+    return complex(sum(np.vdot(block(u, n), block(v, n)) for n in u.sites))
 
 
 def parseval_gap(J, psi, G):
     """|mean over the G-point grid of ||(F psi)(theta)||^2 - ||psi||^2|."""
     hat = floquet_transform(J, psi, G)
     return abs(float(np.mean(np.sum(np.abs(hat) ** 2, axis=(1, 2)))) - psi.norm() ** 2)
+
+
+def quadrature_error(J, psi, grid_size):
+    """apply_q's error estimate ||Q_G psi - Q_{G/2} psi|| as the norm of the
+    packet difference of the full- and half-grid quadratures."""
+    G = check_grid(grid_size)
+    return subtract(_apply_q_raw(J, psi, G), _apply_q_raw(J, psi, G // 2)).norm()

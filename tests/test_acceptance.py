@@ -61,23 +61,20 @@ def test_c01_free_ballistic_speed():
 
 
 def test_c02_hellmann_feynman():
-    # 4th-order central differences of the matched bands vs <v, A v>/q
+    # 4th-order central differences of the matched bands vs <v, A v>/q at
+    # every interior point, the crossings on grid points of [0.3, -0.3] x 2
+    # and [0] x 4 included
     specs = [free_laplacian(), period2(0.5), period2(1.0),
              single_particle_matrix(XYChainSpec(mu=[1.0], gamma=[0.0], nu=[0.0])),
-             single_particle_matrix(ANISO)]
+             single_particle_matrix(ANISO),
+             build_operator(scalar_spec([0.3, -0.3] * 2)),
+             build_operator(scalar_spec([0.0] * 4))]
     grid = 1024
     h = 2 * np.pi / grid
     worst = 0.0
     for J in specs:
         bs = band_structure(J, grid)
-        excluded = np.zeros(grid, dtype=bool)
-        for g in np.nonzero(bs.degenerate)[0]:
-            for d in range(-2, 3):
-                excluded[(g + d) % grid] = True
-        excluded[:2] = excluded[-2:] = True
         for g in range(2, grid - 2):
-            if excluded[g]:
-                continue
             fd = (-bs.bands[g + 2] + 8 * bs.bands[g + 1]
                   - 8 * bs.bands[g - 1] + bs.bands[g - 2]) / (12 * h)
             worst = max(worst, float(np.max(np.abs(fd - bs.velocities[g] / J.q) * J.q)))

@@ -112,28 +112,51 @@ def test_grid_too_coarse():
         band_structure(free_laplacian(), 8)
 
 
-def hf_deviation(J, grid=1024, exclude=2):
-    """max over non-flagged interior points of |q * 4th-order FD - velocity|."""
+def hf_deviation(J, grid=1024):
+    """max over interior points, flagged ones included, of
+    |q * 4th-order FD - velocity|; the stencil stays off the wrap-around."""
     bs = band_structure(J, grid)
     h = 2 * np.pi / grid
-    bad = np.zeros(grid, dtype=bool)
-    for g in np.nonzero(bs.degenerate)[0]:
-        for d in range(-exclude, exclude + 1):
-            bad[(g + d) % grid] = True
-    bad[:2] = bad[-2:] = True  # keep the stencil off the wrap-around
-    worst = 0.0
-    for g in range(grid):
-        if bad[g]:
-            continue
-        fd = (-bs.bands[g + 2] + 8 * bs.bands[g + 1] - 8 * bs.bands[g - 1] + bs.bands[g - 2]) / (12 * h)
-        worst = max(worst, float(np.max(np.abs(J.q * fd - bs.velocities[g]))))
-    return worst
+    b = bs.bands
+    fd = (-b[4:] + 8 * b[3:-1] - 8 * b[1:-3] + b[:-4]) / (12 * h)
+    return float(np.max(np.abs(J.q * fd - bs.velocities[2:-2])))
 
 
 def test_hellmann_feynman_consistency():
+    # [0.3, -0.3] x 2 and [0] x 4 cross on the grid points 0 and pi
     for J in (free_laplacian(), period2(0.5), period2(1.0),
-              xy_operator(1.0, 0.0, 0.0), xy_operator(1.0, 0.5, 1.0)):
+              xy_operator(1.0, 0.0, 0.0), xy_operator(1.0, 0.5, 1.0),
+              build_operator(scalar_spec([0.3, -0.3] * 2)),
+              build_operator(scalar_spec([0.0] * 4))):
         assert hf_deviation(J) < 1e-6
+
+
+@pytest.mark.parametrize("q, G", [(2, 64), (3, 48), (4, 16), (4, 64)])
+def test_folded_laplacian_curves_are_analytic(q, G):
+    # the free Laplacian written with period q: its fiber eigenvalues are
+    # 2 cos((theta + 2 pi k) / q), k = 0..q-1, crossing on grid points. Each
+    # matched curve follows one k through the crossings, with velocity
+    # q dlambda/dtheta = -2 sin((theta + 2 pi k) / q), and continues at
+    # theta = 2 pi into the curve of k + 1
+    bs = band_structure(build_operator(scalar_spec([0.0] * q)), G)
+    assert bs.degenerate.any()
+    phase = (bs.thetas[:, None, None] + 2 * np.pi * np.arange(q)[None, None, :]) / q
+    err = np.maximum(np.abs(bs.bands[:, :, None] - 2 * np.cos(phase)),
+                     np.abs(bs.velocities[:, :, None] + 2 * np.sin(phase))).max(axis=0)
+    k = np.argmin(err, axis=1)
+    assert np.all(err[np.arange(q), k] < 1e-12)
+    assert sorted(k) == list(range(q))
+    assert np.array_equal(k[bs.closing_permutation], (k + 1) % q)
+
+
+def test_identical_copies_velocities_exact_on_flagged_fibers():
+    # two identical copies of the free Laplacian (m = 2): every fiber holds
+    # the double eigenvalue 2 cos theta, with velocity -2 sin theta
+    J = build_operator(BlockSpec(m=2, q=1, a=[np.eye(2)], b=np.zeros((1, 2, 2))))
+    bs = band_structure(J, 64)
+    assert bs.degenerate.all()
+    assert np.allclose(bs.bands, 2 * np.cos(bs.thetas)[:, None], rtol=0, atol=1e-12)
+    assert np.allclose(bs.velocities, -2 * np.sin(bs.thetas)[:, None], rtol=0, atol=1e-12)
 
 
 def level_crossings(bs, lam):
@@ -221,9 +244,9 @@ def test_apply_q_free_delta_exact():
     res = apply_q(free_laplacian(), WavePacket.delta_scalar(0, 1), grid_size=64)
     p = res.packet
     assert p.support() == (-1, 1)
-    assert p.block(-1)[0] == pytest.approx(1j, abs=1e-12)
-    assert p.block(1)[0] == pytest.approx(-1j, abs=1e-12)
-    assert abs(p.block(0)[0]) < 1e-12
+    assert reference.block(p, -1)[0] == pytest.approx(1j, abs=1e-12)
+    assert reference.block(p, 1)[0] == pytest.approx(-1j, abs=1e-12)
+    assert abs(reference.block(p, 0)[0]) < 1e-12
     assert res.quadrature_error < 1e-12
 
 
@@ -237,14 +260,25 @@ def test_apply_q_grid_too_coarse_reported():
 
 def test_degenerate_cluster_velocity_fibers():
     # the free Laplacian written with period 2: its two bands cross at
-    # theta = pi, a grid point, so the velocity fibers there take the
-    # cluster branch; the operator, and hence Q, is the period-1 one
+    # theta = pi, a grid point, where the fiber basis is turned onto the
+    # current's eigenvectors; the operator, and hence Q, is the period-1 one
     J2 = build_operator(scalar_spec([0.0, 0.0]))
     assert band_structure(J2, 64).degenerate.any()
     psi = WavePacket.delta_scalar(0, 1)
     q2 = apply_q(J2, psi, grid_size=64).packet
     q1 = apply_q(free_laplacian(), psi, grid_size=64).packet
-    assert np.max(np.abs((q2 - q1).coeffs)) < 1e-12
+    assert np.max(np.abs(reference.subtract(q2, q1).coeffs)) < 1e-12
+
+
+@pytest.mark.parametrize("G", [16, 17, 64, 101])
+def test_apply_q_quadrature_error_is_the_packet_difference(G):
+    # apply_q subtracts the half grid's coefficients in place; the estimate
+    # is bit for bit the norm of the packet difference
+    rng = np.random.default_rng(G)
+    for J in (period2(1.0), xy_operator(1.0, 0.5, 1.0), build_operator(scalar_spec([0.0] * 4))):
+        psi = WavePacket(int(rng.integers(-5, 5)), rng.standard_normal((3, J.m)))
+        err = apply_q(J, psi, grid_size=G, tol=np.inf).quadrature_error
+        assert err == reference.quadrature_error(J, psi, G)
 
 
 def test_parseval_delta():
@@ -255,7 +289,7 @@ def test_parseval_delta():
 
 def test_parseval_one_period_apart():
     J = period2(1.0)
-    psi = WavePacket.delta_scalar(0, 1) + WavePacket.delta_scalar(2, 1)
+    psi = reference.add(WavePacket.delta_scalar(0, 1), WavePacket.delta_scalar(2, 1))
     assert reference.parseval_gap(J, psi, 16) < 1e-10
 
 
@@ -481,11 +515,13 @@ def test_match_order_near_tie_falls_back():
 
 def test_folded_laplacian_bands_match_assignment_everywhere(monkeypatch):
     # q = 4 copies of the free Laplacian: double eigenvalues on the grid
-    # points theta = 0 and pi, where the greedy match is not certified
+    # points theta = 0 and pi. There the fiber basis continues the curves
+    # through the crossing, so the greedy match is certified and scipy is
+    # never called
     J = build_operator(scalar_spec([0.0] * 4))
     with counted_assignments() as lsa:
         bs = band_structure(J, 16)
-    assert lsa.call_count == 2
+    assert lsa.call_count == 0
     monkeypatch.setattr(floquet_module, "_match_order", lsa_match)
     ref = band_structure(J, 16)
     for field in ("bands", "velocities", "degenerate", "closing_permutation"):
