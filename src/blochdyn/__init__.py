@@ -27,7 +27,6 @@ from .dynamics import (
     evolve,
     exponent_estimate,
     localization_diagnostic,
-    moment,
     moment_table,
     moment_trajectory,
     required_half_width,

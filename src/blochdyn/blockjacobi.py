@@ -139,11 +139,11 @@ class BlockSpec:
         return cls(m=m, q=q, a=decode(data["a"], "a"), b=decode(data["b"], "b"))
 
 
-def scalar_spec(potential, hopping=1.0):
-    """Scalar (m=1) spec from a periodic potential sequence and constant hopping."""
+def scalar_spec(potential):
+    """Scalar (m=1) spec from a periodic potential sequence, with hopping 1."""
     pot = np.atleast_1d(np.asarray(potential, dtype=float))
     q = len(pot)
-    a = np.full((q, 1, 1), complex(hopping))
+    a = np.ones((q, 1, 1), dtype=complex)
     b = pot.reshape(q, 1, 1).astype(complex)
     return BlockSpec(m=1, q=q, a=a, b=b)
 
@@ -299,6 +299,23 @@ def _chebyshev_coefficients(x):
     return coef
 
 
+def block_tridiagonal(diag_blocks, off_blocks):
+    """Dense complex matrix with diagonal blocks diag_blocks (n, m, m) and
+    off_blocks (n - 1, m, m) above the diagonal, their adjoints below it."""
+    n, m = diag_blocks.shape[:2]
+    mat = np.zeros((n, m, n, m), dtype=complex)
+    i = np.arange(n)
+    mat[i, :, i, :] = diag_blocks
+    mat[i[:-1], :, i[1:], :] = off_blocks
+    mat[i[1:], :, i[:-1], :] = np.conj(np.swapaxes(off_blocks, 1, 2))
+    return mat.reshape(n * m, n * m)
+
+
+def current_matrix(h, x):
+    """The current i[H, X] of a dense h and X = diag(x): i h_jk (x_k - x_j)."""
+    return 1j * h * (x[None, :] - x[:, None])
+
+
 def _block_matvec(diag, upper, lower, v):
     """Block-tridiagonal product on v of shape (n, m, k).
 
@@ -409,13 +426,7 @@ class TruncatedOperator:
     def matrix(self):
         """Dense (dim, dim) complex matrix of the window."""
         self._check_dense()
-        n, m = len(self.diag_blocks), self.m
-        mat = np.zeros((n, m, n, m), dtype=complex)
-        i = np.arange(n)
-        mat[i, :, i, :] = self.diag_blocks
-        mat[i[:-1], :, i[1:], :] = self.off_blocks
-        mat[i[1:], :, i[:-1], :] = np.conj(np.swapaxes(self.off_blocks, 1, 2))
-        mat = mat.reshape(self.dim, self.dim)
+        mat = block_tridiagonal(self.diag_blocks, self.off_blocks)
         mat.setflags(write=False)
         return mat
 

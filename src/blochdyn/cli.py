@@ -315,6 +315,7 @@ def cmd_evolve(a, out):
 
 
 def cmd_exponents(a, out):
+    dynamics._check_fit_times(sorted(a["times"]))
     traj = dynamics.moment_trajectory(a["operator"], a["state"], a["p"], a["times"])
     est = dynamics.exponent_estimate(traj)
     out.write_csv("exponents.csv", {

@@ -40,6 +40,7 @@ from .blockjacobi import (
     WavePacket,
     chebyshev_order,
     chebyshev_propagate,
+    current_matrix,
 )
 from .errors import DimensionMismatch, SizeLimitExceeded, SpecError, SupportOutsideWindow
 from .floquet import apply_q, q_norm
@@ -134,12 +135,6 @@ def evolve(J: BlockJacobiOperator, psi: WavePacket, times,
 # ---------------------------------------------------------------------------
 # Moments and transport exponents
 # ---------------------------------------------------------------------------
-
-
-def moment(psi: WavePacket, p: float) -> float:
-    """<psi, |X|^p psi> under the block-site position convention."""
-    weights = np.abs(psi.sites.astype(float)) ** p
-    return float(np.sum(weights * np.sum(np.abs(psi.coeffs) ** 2, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -292,10 +287,7 @@ def check_derivative_identity(J: BlockJacobiOperator, psi: WavePacket, T: float,
     psi_T = u @ (np.exp(-1j * T * w) * phi)
     lhs = u @ (np.exp(1j * T * w) * (u_h @ (x_diag * psi_T))) - x_diag * vec
 
-    # current operator as a dense window matrix: A = i [J, X], entrywise
-    # A_jk = i J_jk (x_k - x_j)
-    a_mat = 1j * trunc.matrix * (x_diag[None, :] - x_diag[:, None])
-    a_eig = u_h @ a_mat @ u
+    a_eig = u_h @ current_matrix(trunc.matrix, x_diag) @ u
     ts = np.linspace(0.0, T, steps + 1)
     weights = np.ones(steps + 1)
     weights[1:-1:2] = 4.0
@@ -340,8 +332,8 @@ def corollary_probe(J: BlockJacobiOperator, epsilon: float, t_grid, K: int,
     delta_k>|^2. A coefficient c_tilde is fitted by least squares to
     mass ~ c/T; each record passes when its mass reaches c_tilde / (2T).
     The sources are the columns of one `_light_cone` recurrence across the
-    times; a source block beyond its size limit is refused before any source
-    exists.
+    times; a time <= 0 (SpecError) and a source block beyond its size limit
+    are refused before any source exists.
     """
     if epsilon <= 0:
         raise SpecError("epsilon must be positive")
@@ -349,6 +341,8 @@ def corollary_probe(J: BlockJacobiOperator, epsilon: float, t_grid, K: int,
     if K < 0:
         raise SpecError("K must be nonnegative")
     t_grid = np.asarray(sorted(t_grid), dtype=float)
+    if np.any(t_grid <= 0):
+        raise SpecError("corollary-probe times must be positive")
     m = J.m
     # delta_k sits at block site floor(k / m), so the sources reach ceil(K / m)
     _light_cone_half([J], -(-K // m), t_grid, 2 * K + 1)

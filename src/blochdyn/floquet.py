@@ -13,6 +13,11 @@ Each cluster's eigenvectors are turned onto those of the compressed current,
 which continue the band curves through the crossing, so every fiber's basis
 diagonalizes the velocity operator.
 
+Fibers share the window assembler (blockjacobi.block_tridiagonal and
+current_matrix); only the wrap block carries the phase. The maximal band
+speed zooms in on its grid argmax: each round is one stacked eigensolve across
+a bracket around the best point so far, an eighth as wide as the one before.
+
 Neighbouring fibers are matched by the permutation of largest total overlap.
 The row-wise largest overlaps already give it whenever each exceeds
 1/sqrt(2) (see _match_order), crossings on grid points included; scipy's
@@ -28,13 +33,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockjacobi import MAX_DENSE_DIM, BlockJacobiOperator, WavePacket
+from .blockjacobi import (
+    MAX_DENSE_DIM,
+    BlockJacobiOperator,
+    WavePacket,
+    block_tridiagonal,
+    current_matrix,
+)
 from .errors import GridTooCoarse, QuadratureNotConverged, SizeLimitExceeded
 
 MIN_GRID = 16
 DEGENERACY_TOL = 1e-8
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-GOLDEN_ITERS = 80  # golden-section steps refining velocity_maximum's grid argmax
+ZOOM_ROUNDS = 10  # batched scans refining velocity_maximum's grid argmax
+ZOOM_POINTS = 17  # fibers per scan
 Q_COEFF_FLOOR = 1e-12  # apply_q drops smaller coefficients
 
 
@@ -63,8 +74,9 @@ def fiber_matrices(J: BlockJacobiOperator, theta):
     """Assemble the mq x mq fiber matrices (J_theta, A_theta).
 
     The coupling of fiber slot k to k+1 carries the block a[k]; only the
-    wrap-around slot q-1 -> 0 carries a phase. With J_0, A_0 the
-    theta-independent part and C the block a[q-1] at slot (q-1, 0),
+    wrap-around slot q-1 -> 0 carries a phase. With J_0 the window matrix of
+    b and a[:-1], A_0 its current at the slot positions and C the block
+    a[q-1] at slot (q-1, 0),
 
         J_theta = J_0 + e^{i theta} C + e^{-i theta} C^*,
         A_theta = A_0 + i (e^{i theta} C - e^{-i theta} C^*).
@@ -86,18 +98,8 @@ def fiber_matrices(J: BlockJacobiOperator, theta):
         raise SizeLimitExceeded(f"{theta.size} fibers of {dim}x{dim} need "
                                 f"{theta.size * dim**2} entries per stack "
                                 f"(limit {MAX_DENSE_DIM**2})")
-    j0 = np.zeros((dim, dim), dtype=complex)
-    a0 = np.zeros((dim, dim), dtype=complex)
-    for k in range(q):
-        sl = slice(k * m, (k + 1) * m)
-        j0[sl, sl] += b[k]
-    for k in range(q - 1):
-        sl, sr = slice(k * m, (k + 1) * m), slice((k + 1) * m, (k + 2) * m)
-        j0[sl, sr] += a[k]
-        j0[sr, sl] += a[k].conj().T
-        a0[sl, sr] += 1j * a[k]
-        a0[sr, sl] += -1j * a[k].conj().T
-
+    j0 = block_tridiagonal(b, a[:-1])
+    a0 = current_matrix(j0, np.repeat(np.arange(q), m))
     ph = np.exp(1j * theta)[..., None, None]
     jf = np.broadcast_to(j0, theta.shape + j0.shape).copy()
     af = np.broadcast_to(a0, theta.shape + a0.shape).copy()
@@ -251,42 +253,20 @@ def _max_speeds(J, thetas):
     return np.take_along_axis(speeds, bands[:, None], axis=-1)[:, 0], bands
 
 
-def _max_speed_at(J, theta):
-    values, bands = _max_speeds(J, [theta % (2.0 * np.pi)])
-    return float(values[0]), int(bands[0])
-
-
 def velocity_maximum(J: BlockJacobiOperator, grid_size: int = 512) -> VelocityMaximum:
-    """Maximal |band velocity|: coarse grid scan plus golden-section refinement
-    of the winning bracket."""
+    """Maximal |band velocity|: a scan of the uniform grid, then ZOOM_ROUNDS
+    scans of ZOOM_POINTS fibers across the best point so far +- the last
+    scan's spacing; a point replaces the best only when strictly faster."""
     G = check_grid(grid_size)
-    thetas = _theta_grid(G)
-    values, bands = _max_speeds(J, thetas)
-    g_star = int(np.argmax(values))
-    best_val = float(values[g_star])
-    best_theta = float(thetas[g_star])
-    best_band = int(bands[g_star])
-
-    # golden-section maximization on the bracketing cell around the grid argmax
-    h = 2.0 * np.pi / G
-    a, b = thetas[g_star] - h, thetas[g_star] + h
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, _ = _max_speed_at(J, x1)
-    f2, _ = _max_speed_at(J, x2)
-    for _ in range(GOLDEN_ITERS):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2, _ = _max_speed_at(J, x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1, _ = _max_speed_at(J, x1)
-    x_ref = 0.5 * (a + b)
-    f_ref, band_ref = _max_speed_at(J, x_ref)
-    if f_ref > best_val:
-        best_val, best_theta, best_band = f_ref, x_ref % (2.0 * np.pi), band_ref
+    thetas, half = _theta_grid(G), 2.0 * np.pi / G
+    best_val, best_theta, best_band = -np.inf, 0.0, 0
+    for _ in range(ZOOM_ROUNDS + 1):
+        values, bands = _max_speeds(J, thetas)
+        g = int(np.argmax(values))
+        if values[g] > best_val:
+            best_val, best_theta, best_band = float(values[g]), float(thetas[g]), int(bands[g])
+        thetas = (best_theta + np.linspace(-half, half, ZOOM_POINTS)) % (2.0 * np.pi)
+        half *= 2.0 / (ZOOM_POINTS - 1)
     return VelocityMaximum(value=best_val, theta=best_theta, band=best_band)
 
 

@@ -1,7 +1,8 @@
 """Independent references for the tests: J u and the current A u = i[J, X] u
-built site by site from the operator's stored blocks, packet arithmetic and
-the inner product of packets, the Parseval sum of the Floquet transform,
-and apply_q's quadrature error estimate as a packet difference."""
+built site by site from the operator's stored blocks, packet arithmetic,
+the inner product and position moments of packets, the Parseval sum of the
+Floquet transform, and apply_q's quadrature error estimate as a packet
+difference."""
 
 import numpy as np
 
@@ -75,6 +76,12 @@ def scale(c, u):
 def inner(u, v):
     """<u, v>, linear in the second slot."""
     return complex(sum(np.vdot(block(u, n), block(v, n)) for n in u.sites))
+
+
+def moment(psi, p):
+    """<psi, |X|^p psi> under the block-site position convention."""
+    weights = np.abs(psi.sites.astype(float)) ** p
+    return float(np.sum(weights * np.sum(np.abs(psi.coeffs) ** 2, axis=1)))
 
 
 def parseval_gap(J, psi, G):

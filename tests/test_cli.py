@@ -541,6 +541,19 @@ def test_exponents(tmp_path, capsys):
     assert 0.9 < payload["beta_plus_hat"] < 1.1
 
 
+def test_exponents_one_time_is_refused_before_evolving(tmp_path, capsys, monkeypatch):
+    # the exponent fit needs two times; a lone t = 20000 would run a
+    # light-cone recurrence of about 80000 window rows before the fit refused it
+    calls = []
+    monkeypatch.setattr(blochdyn.dynamics, "chebyshev_propagate", lambda *args: calls.append(args))
+    cfg = {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0}, "times": [20000.0]}
+    code, out, err = run(tmp_path, capsys, "exponents", cfg)
+    assert (code, out) == (2, "")
+    assert _one_json_error(err)["error"] == "SpecError"
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_lyapunov_csv(tmp_path, capsys):
     cfg = {"potential": [0.0], "energies": [[3.0, 0.0]], "n": 500}
     code, _, _ = run(tmp_path, capsys, "lyapunov", cfg)

@@ -23,7 +23,6 @@ from blochdyn import (
     evolve,
     exponent_estimate,
     localization_diagnostic,
-    moment,
     moment_table,
     moment_trajectory,
     required_half_width,
@@ -156,11 +155,11 @@ def test_evolve_times_in_any_order():
 
 
 def test_moment_examples():
-    assert moment(WavePacket.delta_scalar(0, 1), 2.0) == 0.0
-    assert moment(WavePacket.delta_scalar(5, 1), 2.0) == 25.0
+    assert reference.moment(WavePacket.delta_scalar(0, 1), 2.0) == 0.0
+    assert reference.moment(WavePacket.delta_scalar(5, 1), 2.0) == 25.0
     psi = reference.scale(1 / np.sqrt(2), reference.add(WavePacket.delta_scalar(-1, 1),
                                                      WavePacket.delta_scalar(1, 1)))
-    assert moment(psi, 1.0) == pytest.approx(1.0)
+    assert reference.moment(psi, 1.0) == pytest.approx(1.0)
 
 
 def test_free_second_moment_bessel_identity():
@@ -244,7 +243,7 @@ def test_moment_trajectory_chains_samples(monkeypatch):
     assert steps == [(rows, 5.0), (rows, 5.0), (rows, 10.0)]
     monkeypatch.undo()
     for t, val in zip(traj.times, traj.values):
-        assert val == pytest.approx(moment(evolve(J, psi, [t])[0], 2.0), rel=1e-12)
+        assert val == pytest.approx(reference.moment(evolve(J, psi, [t])[0], 2.0), rel=1e-12)
 
 
 def test_constant_diagonal_matches_free_moments():
@@ -571,6 +570,19 @@ def test_corollary_probe_degenerate_shell():
     # epsilon = q_norm covers the whole cone, trivially satisfied
     result = corollary_probe(free_laplacian(), 2.0, [10.0, 20.0], 0, grid_size=64)
     assert result.all_ok
+
+
+@pytest.mark.parametrize("times", [[0.0, 10.0], [-5.0, 10.0]])
+def test_corollary_probe_refuses_nonpositive_times_before_running(monkeypatch, times):
+    # a time <= 0 has no shell and no 1/T fit; it is refused before the
+    # band maximum and the light cone
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before the times were checked")
+
+    monkeypatch.setattr(dynamics, "q_norm", unreachable)
+    monkeypatch.setattr(dynamics, "_light_cone", unreachable)
+    with pytest.raises(SpecError):
+        corollary_probe(free_laplacian(), 0.2, times, 2)
 
 
 # --- localization diagnostic ---------------------------------------------------------

@@ -227,6 +227,33 @@ def test_velocity_maximum_detail():
     assert min(abs(vm.theta - np.pi / 2), abs(vm.theta - 3 * np.pi / 2)) < 1e-6
 
 
+def test_velocity_maximum_is_one_grid_scan_and_one_stack_per_round(monkeypatch):
+    # the grid scan and each zoom round assemble one stack of fibers
+    calls = []
+    assemble = floquet_module.fiber_matrices
+
+    def counting(J, theta):
+        calls.append(np.shape(theta))
+        return assemble(J, theta)
+
+    monkeypatch.setattr(floquet_module, "fiber_matrices", counting)
+    velocity_maximum(xy_operator(1.0, 0.5, 1.0), grid_size=64)
+    assert len(calls) <= floquet_module.ZOOM_ROUNDS + 1
+    assert calls[0] == (64,)
+
+
+@pytest.mark.parametrize("G", [16, 17, 64, 512, 2048])
+@pytest.mark.parametrize("v", [0.1, 0.5, 1.0, 2.0, 3.7])
+def test_q_norm_period2_closed_form(v, G):
+    # bands lambda^2 = a + 2 cos theta, a = v^2 + 2, with velocities
+    # -2 sin theta / lambda; the largest speed sits at cos theta = c, the
+    # root of c^2 + a c + 1 = 0 in (-1, 0)
+    a = v * v + 2.0
+    c = (-a + np.sqrt(a * a - 4.0)) / 2.0
+    exact = 2.0 * np.sqrt((1.0 - c * c) / (a + 2.0 * c))
+    assert q_norm(period2(v), grid_size=G) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
 def test_q_norm_positive():
     for J in (free_laplacian(), period2(0.5), xy_operator(1.0, 0.5, 1.0)):
         assert q_norm(J, grid_size=128) > 0.0
