@@ -181,16 +181,15 @@ SCHEMAS = {
 }
 
 
-# fields whose entries must be distinct: exponents' running slopes need
-# distinct times, and a repeat in xy-verify would repeat its rows
-_DISTINCT = {"exponents": ("times",), "xy-verify": ("pairs", "times", "cases")}
+# fields whose entries must be distinct: a repeat in xy-verify would repeat
+# its rows
+_DISTINCT = {"xy-verify": ("pairs", "times", "cases")}
 
 
 def _check_across_fields(command, a):
-    """The rules on what the CLI itself computes (exponents' running slopes,
-    xy-verify's rows, localization's time grid); the library owns every other
-    rule. Adds the XY chain spec and fills in localization's default time
-    step."""
+    """The rules on what the CLI itself computes (xy-verify's rows,
+    localization's time grid); the library owns every other rule. Adds the
+    XY chain spec and fills in localization's default time step."""
     if "mu" in a:
         a["spec"] = xychain.XYChainSpec(a["mu"], a["gamma"], a["nu"]).validate_free_fermion()
     for key in _DISTINCT.get(command, ()):
@@ -239,13 +238,13 @@ def _resolve(raw, command):
 
 
 def _cells(values):
-    """One CSV column as strings: floats by repr, ints by str, bools as 1/0,
-    strings as they are."""
+    """One CSV column as a lazy iterable of strings: floats by repr, ints by
+    str, bools as 1/0, strings as they are."""
     arr = np.asarray(values)
     values = arr.tolist()
     if arr.dtype.kind == "b":
-        return ["1" if x else "0" for x in values]
-    return list(map(repr if arr.dtype.kind == "f" else str, values))
+        return ("1" if x else "0" for x in values)
+    return map(repr if arr.dtype.kind == "f" else str, values)
 
 
 class _Artifacts:
@@ -257,15 +256,14 @@ class _Artifacts:
 
     def write_csv(self, name, columns):
         """The '#' config lines, the header and the rows of columns, a dict
-        of equally long value sequences keyed by header name."""
-        lines = [
-            f"# transportctl {self.resolved['command']}",
-            "# config: " + json.dumps(self.resolved, sort_keys=True),
-            ",".join(columns),
-        ]
-        lines.extend(map(",".join, zip(*map(_cells, columns.values()))))
+        of equally long value sequences keyed by header name; each row is
+        written as it is formatted."""
         with open(os.path.join(self.outdir, name), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(f"# transportctl {self.resolved['command']}\n"
+                     f"# config: {json.dumps(self.resolved, sort_keys=True)}\n"
+                     f"{','.join(columns)}\n")
+            for row in zip(*map(_cells, columns.values())):
+                fh.write(",".join(row) + "\n")
 
     def write_json(self, name, payload):
         with open(os.path.join(self.outdir, name), "w") as fh:

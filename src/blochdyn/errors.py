@@ -37,8 +37,8 @@ class SizeLimitExceeded(SpecError):
     arrays are allocated: a window, or a stack of light-cone windows, beyond
     the dense (MAX_DENSE_DIM) or block storage (MAX_WINDOW_DIM) row limit; a
     light-cone state block (stacked window rows times packets, such as
-    corollary-probe's sources) or a stack of Bloch fibers of more than
-    MAX_DENSE_DIM^2 entries; a localization time grid of more than
+    corollary-probe's sources) or a stack or scan of Bloch fibers of more
+    than MAX_DENSE_DIM^2 entries; a localization time grid of more than
     MAX_WINDOW_DIM samples times window rows; or a dt-criterion energy grid
     of spacing 1/T over DT_MAX_POINTS points."""
 

@@ -14,9 +14,12 @@ which continue the band curves through the crossing, so every fiber's basis
 diagonalizes the velocity operator.
 
 Fibers share the window assembler (blockjacobi.block_tridiagonal and
-current_matrix); only the wrap block carries the phase. The maximal band
-speed zooms in on its grid argmax: each round is one stacked eigensolve across
-a bracket around the best point so far, an eighth as wide as the one before.
+current_matrix); only the wrap block carries the phase. A scan assembles and
+eigensolves its fibers in consecutive slices of the theta grid, each stack
+holding at most SCAN_ENTRIES matrix entries, so its memory does not grow with
+the grid. The maximal band speed zooms in on its grid argmax: each round is
+one scan across a bracket around the best point so far, an eighth as wide as
+the one before.
 
 Neighbouring fibers are matched by the permutation of largest total overlap.
 The row-wise largest overlaps already give it whenever each exceeds
@@ -46,6 +49,7 @@ MIN_GRID = 16
 DEGENERACY_TOL = 1e-8
 ZOOM_ROUNDS = 10  # batched scans refining velocity_maximum's grid argmax
 ZOOM_POINTS = 17  # fibers per scan
+SCAN_ENTRIES = 2**16  # matrix entries per fiber stack of a scan slice
 Q_COEFF_FLOOR = 1e-12  # apply_q drops smaller coefficients
 
 
@@ -68,6 +72,25 @@ def check_grid(grid_size) -> int:
 def _theta_grid(G):
     """The uniform grid 2 pi g / G, g = 0..G-1, of [0, 2pi)."""
     return 2.0 * np.pi * np.arange(G) / G
+
+
+def _check_stack(count, dim):
+    """SizeLimitExceeded if count fibers of dim x dim hold more than
+    MAX_DENSE_DIM^2 entries."""
+    if count * dim**2 > MAX_DENSE_DIM**2:
+        raise SizeLimitExceeded(f"{count} fibers of {dim}x{dim} need "
+                                f"{count * dim**2} entries per stack "
+                                f"(limit {MAX_DENSE_DIM**2})")
+
+
+def _scan_slices(J, count):
+    """Consecutive slices covering a scan of count fibers, each of at most
+    SCAN_ENTRIES entries and at least one fiber. The whole scan is held to
+    fiber_matrices' size rule here, before anything is allocated."""
+    dim = J.m * J.q
+    _check_stack(count, dim)
+    step = max(1, SCAN_ENTRIES // dim**2)
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def fiber_matrices(J: BlockJacobiOperator, theta):
@@ -94,10 +117,7 @@ def fiber_matrices(J: BlockJacobiOperator, theta):
     a, b = J.spec.a, J.spec.b
     dim = m * q
     theta = np.asarray(theta, dtype=float)
-    if theta.size * dim**2 > MAX_DENSE_DIM**2:
-        raise SizeLimitExceeded(f"{theta.size} fibers of {dim}x{dim} need "
-                                f"{theta.size * dim**2} entries per stack "
-                                f"(limit {MAX_DENSE_DIM**2})")
+    _check_stack(theta.size, dim)
     j0 = block_tridiagonal(b, a[:-1])
     a0 = current_matrix(j0, np.repeat(np.arange(q), m))
     ph = np.exp(1j * theta)[..., None, None]
@@ -208,21 +228,26 @@ def band_structure(J: BlockJacobiOperator, grid_size: int) -> BandStructure:
     """Compute matched bands and velocities on a uniform grid of [0, 2pi)."""
     G = check_grid(grid_size)
     thetas = _theta_grid(G)
-    w, v, vel, degenerate = _fiber_data(J, thetas)
-
-    bands = np.empty_like(w)
-    velocities = np.empty_like(vel)
+    n = J.m * J.q
+    slices = _scan_slices(J, G)
+    bands, velocities = np.empty((G, n)), np.empty((G, n))
+    degenerate = np.empty(G, dtype=bool)
     # col_of_label[j] = eigen-column of the current fiber carrying curve j
-    col_of_label = np.arange(J.m * J.q)
-    for g in range(G):
-        if g > 0:
-            col_of_label = _match_order(v[g - 1], v[g])[col_of_label]
-        bands[g] = w[g, col_of_label]
-        velocities[g] = vel[g, col_of_label]
+    col_of_label = np.arange(n)
+    for sl in slices:
+        w, v, vel, degenerate[sl] = _fiber_data(J, thetas[sl])
+        for g, (wg, vg, velg) in enumerate(zip(w, v, vel), start=sl.start):
+            if g == 0:
+                first = vg.copy()
+            else:
+                col_of_label = _match_order(prev, vg)[col_of_label]
+            bands[g] = wg[col_of_label]
+            velocities[g] = velg[col_of_label]
+            prev = vg
 
     # curve j at the last grid point continues at theta = 2pi into curve
     # closing_permutation[j] of the first grid point
-    closing_permutation = _match_order(v[-1], v[0])[col_of_label]
+    closing_permutation = _match_order(prev, first)[col_of_label]
 
     return BandStructure(
         thetas=thetas,
@@ -247,10 +272,13 @@ class VelocityMaximum:
 
 def _max_speeds(J, thetas):
     """Per theta of a 1-D array: the largest |band velocity| and its band."""
-    _, _, vel, _ = _fiber_data(J, thetas)
-    speeds = np.abs(vel)
-    bands = np.argmax(speeds, axis=-1)
-    return np.take_along_axis(speeds, bands[:, None], axis=-1)[:, 0], bands
+    slices = _scan_slices(J, len(thetas))
+    values, bands = np.empty(len(thetas)), np.empty(len(thetas), dtype=np.intp)
+    for sl in slices:
+        speeds = np.abs(_fiber_data(J, thetas[sl])[2])
+        bands[sl] = np.argmax(speeds, axis=-1)
+        values[sl] = np.max(speeds, axis=-1)
+    return values, bands
 
 
 def velocity_maximum(J: BlockJacobiOperator, grid_size: int = 512) -> VelocityMaximum:
@@ -302,9 +330,13 @@ def _velocity_fibers_apply(J, thetas, hat):
     respect to the spectral clusters of J_theta: diagonal in the fiber basis
     of _fiber_data, with the band velocities on the diagonal.
     """
-    _, v, vel, _ = _fiber_data(J, thetas)
-    coords = (np.swapaxes(v.conj(), -1, -2) @ hat[..., None])[..., 0]
-    return (v @ (vel * coords)[..., None])[..., 0]
+    slices = _scan_slices(J, len(thetas))
+    out = np.empty_like(hat)
+    for sl in slices:
+        _, v, vel, _ = _fiber_data(J, thetas[sl])
+        coords = (np.swapaxes(v.conj(), -1, -2) @ hat[sl, :, None])[..., 0]
+        out[sl] = (v @ (vel * coords)[..., None])[..., 0]
+    return out
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .errors import (
     SpecError,
     WindowTooShort,
 )
-from .floquet import _theta_grid, check_grid, fiber_matrices
+from .floquet import _scan_slices, _theta_grid, check_grid, fiber_matrices
 
 DEFAULT_SEED = 20240901
 # Fixed settings of the searches below
@@ -280,8 +280,9 @@ def thouless_check(z, w, grid_size: int = 2048) -> ThoulessResult:
     J = build_operator(scalar_spec(w))
 
     def fiber_eigenvalues(grid):
-        jf, _ = fiber_matrices(J, _theta_grid(grid))
-        return np.linalg.eigvalsh(jf)
+        thetas = _theta_grid(grid)
+        return np.concatenate([np.linalg.eigvalsh(fiber_matrices(J, thetas[sl])[0])
+                               for sl in _scan_slices(J, grid)])
 
     half = G // 2
     lam, lam_half = fiber_eigenvalues(G), fiber_eigenvalues(half)

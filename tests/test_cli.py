@@ -77,6 +77,23 @@ def test_bands_csv_output(tmp_path, capsys):
     assert len(lines) == 3 + 16
 
 
+def test_streamed_csv_bytes_equal_the_joined_file(tmp_path):
+    # 24576 rows, the size of bands.csv for 12 bands at grid 2048, written
+    # row by row; the bytes are those of the whole file joined in memory
+    rng = np.random.default_rng(5)
+    n = 24576
+    columns = {"theta": rng.standard_normal(n), "band_index": np.arange(n) % 12,
+               "degenerate_flag": rng.random(n) < 0.1, "name": ["x"] * n}
+    resolved = {"command": "bands", "grid_size": 2048}
+    cli._Artifacts(str(tmp_path), resolved).write_csv("rows.csv", columns)
+    lines = ["# transportctl bands", "# config: " + json.dumps(resolved, sort_keys=True),
+             "theta,band_index,degenerate_flag,name"]
+    lines += [f"{t!r},{b},{int(f)},{s}" for t, b, f, s in
+              zip(columns["theta"].tolist(), columns["band_index"].tolist(),
+                  columns["degenerate_flag"].tolist(), columns["name"])]
+    assert (tmp_path / "rows.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_unknown_field_rejected(tmp_path, capsys):
     code, _, err = run(tmp_path, capsys, "qnorm",
                        {"operator": FREE_OPERATOR, "bogus": 1})
@@ -222,7 +239,7 @@ DELTA0 = {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0}}
     ("exponents", dict(DELTA0, times=[0.0, 5.0]), "ConfigInvalid"),
     ("exponents", dict(DELTA0, times=[5.0]), "SpecError"),
     ("exponents", dict(DELTA0, times=["5", 10.0]), "ConfigInvalid"),
-    ("exponents", dict(DELTA0, times=[5.0, 5.0]), "ConfigInvalid"),
+    ("exponents", dict(DELTA0, times=[5.0, 5.0]), "SpecError"),
     ("exponents", dict(DELTA0, times=[-5.0, 10.0]), "ConfigInvalid"),
     ("qnorm", {"operator": dict(FREE_OPERATOR, m=1.5, q="1", bogus=3)}, "DimensionMismatch"),
     ("qnorm", {"operator": dict(FREE_OPERATOR, m=1.5)}, "DimensionMismatch"),

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import blochdyn.floquet as floquet_module
+import blochdyn.limitperiodic as limitperiodic
 import reference
 from blochdyn import (
     BlockSpec,
@@ -20,8 +22,8 @@ from blochdyn import (
     scalar_spec,
     velocity_maximum,
 )
-from blochdyn.blockjacobi import CHEBYSHEV_TAIL, chebyshev_order
-from blochdyn.errors import GridTooCoarse, QuadratureNotConverged
+from blochdyn.blockjacobi import CHEBYSHEV_TAIL, MAX_DENSE_DIM, chebyshev_order
+from blochdyn.errors import GridTooCoarse, QuadratureNotConverged, SizeLimitExceeded
 from blochdyn.xychain import XYChainSpec, single_particle_matrix
 
 
@@ -553,3 +555,95 @@ def test_folded_laplacian_bands_match_assignment_everywhere(monkeypatch):
     ref = band_structure(J, 16)
     for field in ("bands", "velocities", "degenerate", "closing_permutation"):
         assert np.array_equal(getattr(bs, field), getattr(ref, field)), field
+
+
+# --- scans in slices -------------------------------------------------------------
+
+
+def bench_xy_operator():
+    # periods 2, 3, 2 for mu, gamma, nu: m = 2, q = 6
+    return single_particle_matrix(XYChainSpec(mu=[0.9, 0.4], gamma=[0.5, -0.2, 0.3],
+                                              nu=[0.75, -0.35]))
+
+
+
+
+def scan_results(J, w, G):
+    psi = WavePacket(-3, np.linspace(0.5, -1.0, 7 * J.m).reshape(7, J.m))
+    bs = band_structure(J, G)
+    vm = velocity_maximum(J, grid_size=G)
+    qa = apply_q(J, psi, grid_size=G, tol=np.inf)
+    results = {field: getattr(bs, field) for field in
+               ("thetas", "bands", "velocities", "degenerate", "closing_permutation")}
+    results.update(vm_value=vm.value, vm_theta=vm.theta, vm_band=vm.band,
+                   q_base=qa.packet.base, q_coeffs=qa.packet.coeffs,
+                   q_error=qa.quadrature_error)
+    if w is not None:
+        th = limitperiodic.thouless_check([0.3 + 1.0j, -1.1 + 0.5j], w, grid_size=G)
+        results.update(thouless_lhs=th.lhs, thouless_rhs=th.rhs)
+    return results
+
+
+@pytest.mark.parametrize("w, G", [
+    # bands of [0]x4 and [0]x3 cross on grid points, so seams meet crossings
+    ([0.0] * 4, 16),
+    ([0.0] * 3, 48),
+    ([0.3, -0.3] * 2, 64),
+    ([1.5, -0.4, 0.9, -1.2, 0.3], 64),
+    (None, 2048),  # the XY operator
+])
+def test_scan_slices_are_invisible(monkeypatch, w, G):
+    # one fiber per slice and one slice per scan give the same arrays, bit
+    # for bit, as the default slicing
+    J = bench_xy_operator() if w is None else build_operator(scalar_spec(w))
+    default = scan_results(J, w, G)
+    stacks = []
+    assemble = floquet_module.fiber_matrices
+
+    def recording(J, theta):
+        stacks.append(np.size(theta))
+        return assemble(J, theta)
+
+    monkeypatch.setattr(floquet_module, "fiber_matrices", recording)
+    monkeypatch.setattr(limitperiodic, "fiber_matrices", recording)
+    for entries, most in ((1, 1), (MAX_DENSE_DIM**2, max(G, floquet_module.ZOOM_POINTS))):
+        monkeypatch.setattr(floquet_module, "SCAN_ENTRIES", entries)
+        stacks.clear()
+        sliced = scan_results(J, w, G)
+        assert max(stacks) == most
+        for key, value in default.items():
+            assert np.array_equal(sliced[key], value), (entries, key)
+
+
+def traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scans_on_the_bench_xy_operator_hold_bounded_memory():
+    # G = 2048 fibers of 12x12: each whole stack (J_theta, A_theta, the
+    # eigenvectors, the compressed current) would take 4.7 MB
+    J = bench_xy_operator()
+    assert traced_peak(band_structure, J, 2048) < 10e6
+    assert traced_peak(velocity_maximum, J, grid_size=2048) < 10e6
+
+
+@pytest.mark.parametrize("scan", [
+    lambda J: band_structure(J, 32),
+    lambda J: velocity_maximum(J, grid_size=32),
+    lambda J: apply_q(J, WavePacket.delta_scalar(0, 1), grid_size=32),
+])
+def test_oversized_scans_are_refused_before_allocating(scan):
+    # 32 fibers of 2048x2048 ask for 2^27 entries over the whole scan, past
+    # MAX_DENSE_DIM^2, although one slice would hold a single fiber
+    J = build_operator(scalar_spec([0.0] * 2048))
+
+    def refused():
+        with pytest.raises(SizeLimitExceeded, match="32 fibers of 2048x2048"):
+            scan(J)
+
+    assert traced_peak(refused) < 4e6
