@@ -5,8 +5,9 @@ Usage:
 
 Configs are strict: unknown keys are rejected, every field is parsed once by
 the kind SCHEMAS names for it, and all defaults are echoed back into the
-outputs. CSV artifacts start with '#' header lines carrying the resolved
-config; JSON artifacts embed it under a "config" key. Exit codes: 0 success,
+outputs (a field with no effect is validated, then dropped). CSV artifacts
+start with '#' header lines carrying the resolved config; JSON artifacts
+embed it under a "config" key. Exit codes: 0 success,
 2 config error: any SpecError, raised while the config is parsed or by the
 library once the command runs (a rule the library owns is checked there
 only), 3 any other error (a numerical failure or anything unforeseen).
@@ -176,10 +177,13 @@ SCHEMAS = {
                   "perturbed_potential": (REQUIRED, _numbers), "state": (REQUIRED, _state),
                   "t": (REQUIRED, _number), "p": (2.0, _positive), "m_env": (1, _positive_int)},
     "generic": {"stages": (REQUIRED, _positive_int), "p": (2.0, _positive),
-                "m_env": (1, _positive_int),
-                "seed": (limitperiodic.DEFAULT_SEED, _nonnegative_int)},
+                "m_env": (1, _positive_int), "seed": (0, _nonnegative_int)},
 }
 
+
+# fields validated but with no effect, so neither passed on nor echoed:
+# generic's radius is proved, so its seed seeds nothing
+_NO_EFFECT = {"generic": ("seed",)}
 
 # fields whose entries must be distinct: a repeat in xy-verify would repeat
 # its rows
@@ -228,6 +232,8 @@ def _resolve(raw, command):
             value = default
         resolved[key] = value
         parsed[key] = None if value is None and default is None else kind(key, value, parsed)
+    for key in _NO_EFFECT.get(command, ()):
+        del resolved[key], parsed[key]
     _check_across_fields(command, parsed)
     return resolved, parsed
 
@@ -454,8 +460,7 @@ def cmd_stability(a, out):
 
 
 def cmd_generic(a, out):
-    construction = limitperiodic.generic_builder(a["stages"], a["p"], a["m_env"],
-                                                 seed=a["seed"])
+    construction = limitperiodic.generic_builder(a["stages"], a["p"], a["m_env"])
     stage_payload = []
     for rec in construction.records:
         stage_payload.append({

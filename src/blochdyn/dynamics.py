@@ -18,7 +18,11 @@ K block sites, never to the open boundary. So the window's exp(-itJ) psi is
 the infinite chain's to within 2 CHEBYSHEV_TAIL ||psi||; the window
 evolution is a group and each chained step adds at most CHEBYSHEV_TAIL
 ||psi||, so the k-th distinct sample (k = 1, 2, ...) is within (k + 2)
-CHEBYSHEV_TAIL ||psi||, up to roundoff. Every evolution runs forward:
+CHEBYSHEV_TAIL ||psi||, up to roundoff. At the first sample a p-th moment of
+a normalized packet is thus within 6 N^p CHEBYSHEV_TAIL (1 + 3 CHEBYSHEV_TAIL)
+of the infinite chain's moment on |n| <= N; `limitperiodic.growth_certificate`
+subtracts this term, which leaves no radius from p = 12 on (zero potential).
+Every evolution runs forward:
 exp(-itJ) is unitary, so `check_ballistic_limit` takes ||X(t) psi / t - Q psi||
 as ||X psi(t) / t - exp(-itJ) Q psi||. The derivative identity holds exactly
 on any window; the localization diagnostic's window is its own finite

@@ -13,6 +13,12 @@ ceil(sqrt(n)) steps and handles all blocks together, so it takes about
 steps: n = 10^6 at 21 energies takes about 1 s. Per-energy running
 rescaling keeps norms of order exp(10^6) representable through their
 logarithms.
+
+Growth certificates are proved, not sampled: by Duhamel,
+||psi_V(T) - psi_W(T)|| <= T ||V - W||_inf, so `growth_certificate` turns
+the margin of W's moments over T^p / log T into a radius by arithmetic.
+`generic_builder` nests the balls (perturbations delta_{k-1}/4, radii at
+most 0.499 delta_{k-1}), so its final potential lies inside every ball.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockjacobi import WavePacket, build_operator, scalar_spec
-from .dynamics import moment_table
+from .blockjacobi import CHEBYSHEV_TAIL, WavePacket, build_operator, scalar_spec
+from .dynamics import moment_table, required_half_width
 from .errors import (
     NoCertificateFound,
     PsiEnvelopeViolated,
@@ -34,12 +40,7 @@ from .errors import (
 )
 from .floquet import _scan_slices, _theta_grid, check_grid, fiber_matrices
 
-DEFAULT_SEED = 20240901
-# Fixed settings of the searches below
 ENVELOPE_CUTOFF = 40  # envelope_packet's tail cut, in decay lengths m_env
-CERTIFICATE_PERTURBATIONS = 8  # potentials growth_certificate samples per radius
-CERTIFICATE_RADIUS_FLOOR = 1e-6  # the smallest radius growth_certificate tries
-GENERIC_MAX_ATTEMPTS = 3  # perturbation halvings generic_builder tries
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +428,11 @@ class GrowthCertificate:
     """Certified (time, radius) pair for threshold-beating moment growth.
 
     time is the smallest dyadic time at which every battery packet clears
-    twice the threshold T^p / log T under the base potential; packet_times
-    holds each packet's own smallest passing time. radius is a perturbation
-    size within which sampled potentials keep every packet above the
-    (unhalved) threshold at that time.
+    twice the threshold T^p / log T under the base potential W; packet_times
+    holds each packet's own smallest passing time. radius is proved, not
+    sampled: every potential V with ||V - W||_inf <= radius keeps every
+    battery packet's moment M_V(time) >= T^p / log T, and strictly above it
+    inside the ball (see `growth_certificate`).
     """
 
     time: float
@@ -440,12 +442,24 @@ class GrowthCertificate:
     packet_moments: dict
 
 
-def growth_certificate(W, p: float, m_env: int, seed: int = DEFAULT_SEED,
+def growth_certificate(W, p: float, m_env: int,
                        time_budget: float = 4096.0) -> GrowthCertificate:
     """Search dyadic times for moment growth beating 2 T^p / log T, then
-    bisect the perturbation radius that preserves T^p / log T.
+    prove the radius of the ball of potentials that keep T^p / log T.
 
-    Raises NoCertificateFound when either search exhausts its budget.
+    The proof is arithmetic on the moments M~ the time search computed on
+    the window |n| <= R, R = `required_half_width` at the certified time T:
+    radius = (min M~ - thr - 6 R^p CHEBYSHEV_TAIL (1 + 3 CHEBYSHEV_TAIL))
+    / (2 R^p T). If ||V - W||_inf <= delta, Duhamel gives ||psi_V(T) -
+    psi_W(T)|| <= T delta, so the moment restricted to |n| <= R moves by at
+    most 2 R^p T delta; the computed state is within 3 CHEBYSHEV_TAIL of
+    psi_W(T) (see `dynamics`), which the tail term covers; and M_V(T) is at
+    least its restriction. So every V in the closed ball has M_V(T) >= thr
+    up to roundoff, and M_V(T) > thr inside it.
+
+    Raises NoCertificateFound when the time search exhausts its budget or
+    the radius is not positive (the tail term grows like R^p and wins from
+    p = 12 on for the zero potential).
     """
     W = np.atleast_1d(np.asarray(W, dtype=float))
     jw = schroedinger_operator(W)
@@ -475,34 +489,19 @@ def growth_certificate(W, p: float, m_env: int, seed: int = DEFAULT_SEED,
             f"no dyadic time up to {time_budget} beat twice the threshold"
         )
 
-    def ball_ok(delta):
-        # every sampled potential and battery packet in one moment_table call
-        rng = np.random.default_rng(seed)
-        pr = max(16, 2 * len(W))
-        Js = [schroedinger_operator(_tiled_sum(W, rng.uniform(-delta, delta, pr)))
-              for _ in range(CERTIFICATE_PERTURBATIONS)]
-        moments = moment_table(Js, packets, p, [certified_T])
-        return bool(np.all(moments > _threshold(certified_T, p)))
-
-    hi = 1.0
-    while not ball_ok(hi):
-        hi *= 0.5
-        if hi < CERTIFICATE_RADIUS_FLOOR:
-            raise NoCertificateFound(
-                f"no perturbation radius above {CERTIFICATE_RADIUS_FLOOR} preserved the threshold"
-            )
-    lo_pass, hi_fail = hi, (2.0 * hi if hi < 1.0 else None)
-    if hi_fail is not None:
-        for _ in range(8):
-            mid = 0.5 * (lo_pass + hi_fail)
-            if ball_ok(mid):
-                lo_pass = mid
-            else:
-                hi_fail = mid
+    R = required_half_width(jw, max(psi.support_radius() for psi in packets), certified_T)
+    tail = 6.0 * R**p * CHEBYSHEV_TAIL * (1.0 + 3.0 * CHEBYSHEV_TAIL)
+    margin = min(m[certified_T] for m in packet_moments.values()) - _threshold(certified_T, p)
+    radius = (margin - tail) / (2.0 * R**p * certified_T)
+    if not radius > 0.0:
+        raise NoCertificateFound(
+            f"the Chebyshev tail on the window |n| <= {R} leaves no proved radius "
+            f"at T = {certified_T} (radius {radius:.3g})"
+        )
 
     return GrowthCertificate(
         time=float(certified_T),
-        radius=float(lo_pass),
+        radius=float(radius),
         battery=tuple(name for name, _ in battery),
         packet_times={k: float(v) for k, v in packet_times.items()},
         packet_moments={k: dict(v) for k, v in packet_moments.items()},
@@ -552,61 +551,50 @@ def _alternating_pattern(period, amplitude):
     return np.concatenate([np.full(half, amplitude), np.full(period - half, -amplitude)])
 
 
-def generic_builder(stages: int, p: float, m_env: int,
-                    seed: int = DEFAULT_SEED) -> GenericConstruction:
+def generic_builder(stages: int, p: float, m_env: int) -> GenericConstruction:
     """Finite-stage realization of nested perturbation balls with certified
     moment growth.
 
-    Stage 1 starts from the zero potential; stage k doubles the period and
-    adds an alternating perturbation of size delta_{k-1}/4, then re-certifies.
-    Radii are capped to enforce delta_{k+1} < delta_k / 2, so the final
-    potential lies inside every stage's ball; the verification table replays
-    each stage's threshold inequality with the final potential.
+    Stage 1 starts from the zero potential; stage k doubles the period, adds
+    an alternating perturbation of size delta_{k-1}/4 and takes the proved
+    radius of `growth_certificate`. Capping delta_k <= 0.499 delta_{k-1}
+    puts the final potential V strictly inside every ball, ||V - V_k||_inf
+    < delta_k / 2, so every stage's inequality holds for V by the proof.
+    The verification table replays each with V as an independent check; a
+    failed row is a defect and raises NoCertificateFound naming its stage.
     """
     if not 1 <= stages <= 5:
         raise SpecError(f"stages must be between 1 and 5 (desk scale), got {stages}")
-    shrink = 1.0
-    for _ in range(GENERIC_MAX_ATTEMPTS):
-        records = []
-        potential = np.zeros(1)
-        period = 1
-        prev_delta = None
-        try:
-            for k in range(1, stages + 1):
-                if k > 1:
-                    period *= 2
-                    eps = shrink * prev_delta / 4.0
-                    potential = _tiled_sum(potential, _alternating_pattern(period, eps))
-                cert = growth_certificate(potential, p, m_env, seed=seed)
-                delta = cert.radius
-                if prev_delta is not None:
-                    delta = min(delta, 0.499 * prev_delta)
-                records.append(StageRecord(
-                    stage=k, potential=potential.copy(), period=period,
-                    delta=float(delta), time=cert.time, moment_order=float(p),
-                    envelope_m=int(m_env),
-                ))
-                prev_delta = delta
-        except NoCertificateFound:
-            shrink *= 0.5
-            continue
+    records = []
+    potential = np.zeros(1)
+    period = 1
+    delta = math.inf
+    for k in range(1, stages + 1):
+        if k > 1:
+            period *= 2
+            potential = _tiled_sum(potential, _alternating_pattern(period, delta / 4.0))
+        cert = growth_certificate(potential, p, m_env)
+        delta = min(cert.radius, 0.499 * delta)
+        records.append(StageRecord(
+            stage=k, potential=potential.copy(), period=period,
+            delta=float(delta), time=cert.time, moment_order=float(p),
+            envelope_m=int(m_env),
+        ))
 
-        final_v = records[-1].potential
-        moments = moment_table([schroedinger_operator(final_v)],
-                               [psi for _, psi in _battery(m_env)], p,
-                               [rec.time for rec in records])
-        rows = []
-        for rec, row in zip(records, moments[:, 0]):
-            worst = float(row.min())
-            thr = _threshold(rec.time, p)
-            rows.append(VerificationRow(stage=rec.stage, time=rec.time, threshold=thr,
-                                        worst_moment=worst, ok=bool(worst > thr)))
-        construction = GenericConstruction(records=tuple(records),
-                                           verification=tuple(rows),
-                                           final_potential=final_v)
-        if construction.all_ok:
-            return construction
-        shrink *= 0.5
-    raise NoCertificateFound(
-        f"staged construction failed verification after {GENERIC_MAX_ATTEMPTS} shrink attempts"
-    )
+    final_v = records[-1].potential
+    moments = moment_table([schroedinger_operator(final_v)],
+                           [psi for _, psi in _battery(m_env)], p,
+                           [rec.time for rec in records])
+    rows = []
+    for rec, row in zip(records, moments[:, 0]):
+        worst = float(row.min())
+        thr = _threshold(rec.time, p)
+        if not worst > thr:
+            raise NoCertificateFound(
+                f"stage {rec.stage}: the final potential's moment {worst:.6g} at "
+                f"T = {rec.time} does not beat the threshold {thr:.6g}"
+            )
+        rows.append(VerificationRow(stage=rec.stage, time=rec.time, threshold=thr,
+                                    worst_moment=worst, ok=True))
+    return GenericConstruction(records=tuple(records), verification=tuple(rows),
+                               final_potential=final_v)

@@ -1,7 +1,8 @@
 """Independent references for the tests: J u and the current A u = i[J, X] u
-built site by site from the operator's stored blocks, packet arithmetic,
-the inner product and position moments of packets, the Parseval sum of the
-Floquet transform, and apply_q's quadrature error estimate as a packet
+built site by site from the operator's stored blocks, exp(-itJ) u by a dense
+eigensolve of a window assembled from J u, packet arithmetic, the inner
+product and position moments of packets, the Parseval sum of the Floquet
+transform, and apply_q's quadrature error estimate as a packet
 difference."""
 
 import numpy as np
@@ -34,6 +35,28 @@ def apply_current(J, u):
     """(A u)_n = -i a(n-1)^* u_{n-1} + i a(n) u_{n+1}."""
     down, _, up = _terms(J, u)
     return WavePacket(u.base - 1, 1j * (up - down))
+
+
+def evolve(J, u, t, half):
+    """exp(-itJ) u on the block sites [-half, half], by a dense eigensolve of
+    the window matrix assembled column by column from `apply`; half must
+    hold u and reach well past the light cone of time t."""
+    m, lo = J.m, -half
+    dim = (2 * half + 1) * m
+    H = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        unit = np.zeros((1, m), dtype=complex)
+        unit[0, col % m] = 1.0
+        image = apply(J, WavePacket(lo + col // m, unit))
+        rows = (image.base - lo) * m + np.arange(image.coeffs.size)
+        keep = (rows >= 0) & (rows < dim)
+        H[rows[keep], col] = image.coeffs.ravel()[keep]
+    w, v = np.linalg.eigh(H)
+    vec = np.zeros(dim, dtype=complex)
+    start = (u.base - lo) * m
+    vec[start:start + u.coeffs.size] = u.coeffs.ravel()
+    out = v @ (np.exp(-1j * t * w) * (v.conj().T @ vec))
+    return WavePacket(lo, out.reshape(-1, m))
 
 
 def block(u, site):
@@ -78,9 +101,12 @@ def inner(u, v):
     return complex(sum(np.vdot(block(u, n), block(v, n)) for n in u.sites))
 
 
-def moment(psi, p):
-    """<psi, |X|^p psi> under the block-site position convention."""
+def moment(psi, p, radius=None):
+    """<psi, |X|^p psi> under the block-site position convention, restricted
+    to the block sites |n| <= radius when one is given."""
     weights = np.abs(psi.sites.astype(float)) ** p
+    if radius is not None:
+        weights[np.abs(psi.sites) > radius] = 0.0
     return float(np.sum(weights * np.sum(np.abs(psi.coeffs) ** 2, axis=1)))
 
 

@@ -648,6 +648,33 @@ def test_generic_cmd(tmp_path, capsys):
     assert lines[2] == "stage,T,threshold,worst_moment,ok"
 
 
+def test_generic_seed_has_no_effect(tmp_path, capsys):
+    # the certificate radius is proved, not sampled: seed is still validated
+    # but neither reaches the library nor the echoed config
+    files = ("generic_stages.json", "generic_verification.csv")
+    outputs = []
+    for seed in (1, 2):
+        out = tmp_path / str(seed)
+        out.mkdir()
+        code, _, _ = run(out, capsys, "generic", {"stages": 2, "seed": seed})
+        assert code == 0
+        outputs.append([(out / name).read_bytes() for name in files])
+    assert outputs[0] == outputs[1]
+    assert b"seed" not in outputs[0][0]
+
+
+def test_generic_refuses_a_non_positive_radius(tmp_path, capsys):
+    # at p = 12 the Chebyshev term of the certificate beats the margin, so
+    # no radius is proved: a numerical failure, exit 3
+    code, out, err = run(tmp_path, capsys, "generic", {"stages": 1, "p": 12.0})
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "NoCertificateFound"
+    assert not (tmp_path / "generic_stages.json").exists()
+
+
 def test_corollary_cmd(tmp_path, capsys):
     cfg = {"operator": FREE_OPERATOR, "epsilon": 0.2, "K": 0,
            "times": [10.0, 20.0], "grid_size": 64}
@@ -713,6 +740,19 @@ def test_import_loads_no_scipy(tmp_path):
                           env=env, timeout=60, check=True)
     assert proc.stdout.strip() == "0 []"
     assert len((tmp_path / "bands.csv").read_text().splitlines()) == 3 + 2048 * 5
+
+
+def test_generic_leaves_numpy_random_unimported(tmp_path):
+    # the certificate radius is proved, so no command path samples anything
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blochdyn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cfg = tmp_path / "generic.json"
+    cfg.write_text(json.dumps({"stages": 2, "seed": 1}))
+    argv = ["generic", "--config", str(cfg), "--out", str(tmp_path)]
+    code = f"import sys; from blochdyn.cli import main; print(main({argv!r}), 'numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("command, cfg", [

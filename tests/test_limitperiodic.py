@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from blochdyn import WavePacket, limitperiodic
 from blochdyn.errors import (
     GridTooCoarse,
@@ -23,6 +24,7 @@ from blochdyn.limitperiodic import (
     growth_certificate,
     periodic_lyapunov,
     perturbation_stability,
+    schroedinger_operator,
     thouless_check,
     transfer_matrix,
 )
@@ -462,17 +464,64 @@ def test_growth_certificate_period2():
     assert cert.radius > 0.0
 
 
-def test_sampled_certificate_decisions_are_pinned():
-    # the radius bisection and the stage radii follow from threshold
-    # decisions on sampled potentials; evolving the samples and packets
-    # together must not move any of them
-    assert growth_certificate([0.0], 2.0, 1).radius == 0.78515625
+@settings(max_examples=25, deadline=None)
+@given(W=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+       shape=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+       delta=st.floats(1e-4, 0.5), p=st.sampled_from([1.0, 2.0]),
+       T=st.floats(0.5, 4.0), R=st.integers(1, 30))
+def test_duhamel_bounds_the_restricted_moment(W, shape, delta, p, T, R):
+    # ||psi_V(T) - psi_W(T)|| <= T ||V - W||_inf, and weights |n|^p <= R^p
+    # on |n| <= R, so the restricted moments differ by at most 2 R^p T delta;
+    # both evolutions by the dense reference on a window far past the light
+    # cone (s <= 3.5, T <= 4)
+    V = limitperiodic._tiled_sum(W, delta * np.asarray(shape))
+    psi = WavePacket.delta_scalar(0, 1)
+    mw, mv = (reference.moment(reference.evolve(schroedinger_operator(U), psi, T, 60), p,
+                               radius=R)
+              for U in (W, V))
+    assert abs(mw - mv) <= 2.0 * R**p * T * delta + 1e-12 * R**p
+
+
+@pytest.mark.parametrize("W, p", [([0.0], 2.0), ([1.0, -1.0], 1.0)])
+def test_no_sampled_potential_on_the_sphere_falsifies_the_radius(W, p):
+    # the retired radius sampler as a falsification test: potentials with
+    # ||V - W||_inf = radius exactly, evolved by the dense reference on a
+    # window past the light cone, keep every battery packet above threshold
+    cert = growth_certificate(W, p, 1)
+    rng = np.random.default_rng(20240901)
+    packets = [psi for _, psi in limitperiodic._battery(1)]
+    # the envelope packet's support, twice the light cone of a norm bound
+    # s <= 3.5, and a margin
+    half = 40 + int(2 * 3.5 * cert.time) + 40
+    thr = cert.time**p / math.log(cert.time)
+    for _ in range(8):
+        u = rng.uniform(-1.0, 1.0, 16)
+        u[rng.integers(16)] = rng.choice([-1.0, 1.0])
+        V = limitperiodic._tiled_sum(W, cert.radius * u)
+        J = schroedinger_operator(V)
+        assert np.max(np.abs(V - np.resize(W, len(V)))) == pytest.approx(cert.radius, rel=1e-12)
+        for psi in packets:
+            assert reference.moment(reference.evolve(J, psi, cert.time, half), p) > thr
+
+
+def test_proved_radii_are_pinned():
+    # the radii are arithmetic on moments computed to about 1e-13 relative;
+    # 1e-9 leaves room for a BLAS that sums in another order
+    cert = growth_certificate([0.0], 2.0, 1)
+    assert (cert.time, cert.radius) == (8.0, pytest.approx(4.6605152944438426e-4, rel=1e-9))
     cert = growth_certificate([1.0, -1.0], 1.0, 1)
-    assert (cert.time, cert.radius) == (32.0, 0.3681640625)
+    assert (cert.time, cert.radius) == (32.0, pytest.approx(1.0542616025887147e-3, rel=1e-9))
     con = generic_builder(3, 2.0, 1)
-    assert [rec.delta for rec in con.records] == [0.78515625, 0.39179296875,
-                                                   0.19550469140625001]
+    assert [rec.delta for rec in con.records] == pytest.approx(
+        [4.6605152944438426e-4, 2.3255971319274775e-4, 1.1604729688318112e-4], rel=1e-9)
     assert [rec.time for rec in con.records] == [8.0, 8.0, 8.0]
+
+
+def test_growth_certificate_refuses_a_non_positive_radius():
+    # at p = 12 the Chebyshev term 6 R^p CHEBYSHEV_TAIL on the window
+    # |n| <= 63 beats the zero potential's margin at T = 2
+    with pytest.raises(NoCertificateFound, match="no proved radius"):
+        growth_certificate([0.0], 12.0, 1)
 
 
 def test_growth_certificate_budget_exhaustion():
