@@ -300,10 +300,11 @@ def _chebyshev_coefficients(x):
 
 
 def block_tridiagonal(diag_blocks, off_blocks):
-    """Dense complex matrix with diagonal blocks diag_blocks (n, m, m) and
-    off_blocks (n - 1, m, m) above the diagonal, their adjoints below it."""
+    """Dense matrix with diagonal blocks diag_blocks (n, m, m) and off_blocks
+    (n - 1, m, m) above the diagonal, their adjoints below it, of the blocks'
+    common dtype: float64 for real blocks, complex128 for complex ones."""
     n, m = diag_blocks.shape[:2]
-    mat = np.zeros((n, m, n, m), dtype=complex)
+    mat = np.zeros((n, m, n, m), dtype=np.result_type(diag_blocks, off_blocks))
     i = np.arange(n)
     mat[i, :, i, :] = diag_blocks
     mat[i[:-1], :, i[1:], :] = off_blocks
@@ -311,9 +312,12 @@ def block_tridiagonal(diag_blocks, off_blocks):
     return mat.reshape(n * m, n * m)
 
 
-def current_matrix(h, x):
-    """The current i[H, X] of a dense h and X = diag(x): i h_jk (x_k - x_j)."""
-    return 1j * h * (x[None, :] - x[:, None])
+def position_commutator(h, x):
+    """[H, X] = h_jk (x_k - x_j) of a dense h and X = diag(x), real when h is.
+    The current of H is A = i[H, X]; callers apply the factor i."""
+    r = (x[None, :] - x[:, None]).astype(np.result_type(h, x), copy=False)
+    r *= h
+    return r
 
 
 def _block_matvec(diag, upper, lower, v):
@@ -371,9 +375,10 @@ class TruncatedOperator:
 
     The window is stored as its per-site blocks: `diag_blocks[i]` = b(lo + i)
     and `off_blocks[i]` = a(lo + i), real when the operator is real. The dense
-    matrix and its spectral decomposition are built lazily on first use and
-    cached; both are capped at MAX_DENSE_DIM rows, the block storage at
-    MAX_WINDOW_DIM rows.
+    matrix has the blocks' dtype (float64 for a real operator) and is built
+    anew on each use, never cached; the spectral decomposition is built on
+    first use and cached. Both are capped at MAX_DENSE_DIM rows, the block
+    storage at MAX_WINDOW_DIM rows.
 
     `propagate` runs `chebyshev_propagate` on the window's blocks and never
     uses the dense matrix or `eigensystem`; a caller that spreads one
@@ -422,22 +427,18 @@ class TruncatedOperator:
                 f"(limit {MAX_DENSE_DIM})"
             )
 
-    @cached_property
+    @property
     def matrix(self):
-        """Dense (dim, dim) complex matrix of the window."""
+        """Dense (dim, dim) matrix of the window, float64 for a real operator
+        and complex128 otherwise; a new array on every access."""
         self._check_dense()
-        mat = block_tridiagonal(self.diag_blocks, self.off_blocks)
-        mat.setflags(write=False)
-        return mat
+        return block_tridiagonal(self.diag_blocks, self.off_blocks)
 
     @cached_property
     def eigensystem(self):
-        """(eigenvalues, eigenvectors) of the dense truncation."""
-        self._check_dense()
-        if self.operator.is_real:
-            w, u = np.linalg.eigh(self.matrix.real)
-        else:
-            w, u = np.linalg.eigh(self.matrix)
+        """(eigenvalues, eigenvectors) of the dense truncation; the
+        eigenvectors have the matrix's dtype."""
+        w, u = np.linalg.eigh(self.matrix)
         w.setflags(write=False)
         u.setflags(write=False)
         return w, u

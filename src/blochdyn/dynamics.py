@@ -8,8 +8,13 @@ largest norm_bound s_max; the windows are stacked with zero blocks at the
 seams, every packet is one column in each, and the sorted distinct times
 run as one chain of `blockjacobi.chebyshev_propagate` steps scaled by s_max.
 The derivative identity and the localization diagnostic evaluate all their
-times in one window eigenbasis. The dense path is capped at MAX_DENSE_DIM
-rows, the window storage at MAX_WINDOW_DIM rows (both in `blockjacobi`).
+times in one window eigenbasis, of the window's own dtype: a real operator's
+window matrix and eigenvectors are real, and every product of them with a
+complex block is a real product, so no complex copy of the window is made.
+The derivative identity's current A = i[J, X] is assembled from the window
+matrix of J, not from the eigenbasis. The dense path is capped at
+MAX_DENSE_DIM rows, the window storage at MAX_WINDOW_DIM rows (both in
+`blockjacobi`).
 
 The light-cone certificate: the window reaches K = chebyshev_order(s_max |t|)
 block sites past every support, and the degree-K Chebyshev polynomial that
@@ -44,7 +49,7 @@ from .blockjacobi import (
     WavePacket,
     chebyshev_order,
     chebyshev_propagate,
-    current_matrix,
+    position_commutator,
 )
 from .errors import DimensionMismatch, SizeLimitExceeded, SpecError, SupportOutsideWindow
 from .floquet import apply_q, q_norm
@@ -263,18 +268,33 @@ def check_ballistic_limit(J: BlockJacobiOperator, psi: WavePacket, times,
     return np.array(errors)[row]
 
 
+def _product(mat, z):
+    """mat @ z for a complex z. A real mat multiplies the real and imaginary
+    parts of z, side by side, in one real product instead of being copied
+    to complex."""
+    if np.iscomplexobj(mat):
+        return mat @ z
+    return (mat @ z.view(float).reshape(len(z), -1)).view(complex).reshape(z.shape)
+
+
 def check_derivative_identity(J: BlockJacobiOperator, psi: WavePacket, T: float,
                               quad_steps: int) -> float:
     """Residual || X(T) psi - X psi - integral_0^T A(t) psi dt ||.
 
     The time integral uses composite Simpson with quad_steps intervals
     (rounded up to even) on the Heisenberg current A(t) psi, A = i[J, X].
-    The window is diagonalized once, J = U diag(lambda) U^*, and every
-    Simpson node is evaluated in that eigenbasis: with a = U^* A U and
-    phi = U^* psi, A(t) psi = U (conj(e_t) * (a @ (e_t * phi))) where
-    e_t = exp(-i t lambda), so the nodes are stacked QUAD_CHUNK at a time
-    into matrix products instead of two propagations each. X(T) psi =
-    U (conj(e_T) * (U^* (X U (e_T * phi)))) is formed in the same eigenbasis.
+    A is built from the window matrix of J, never from its eigenbasis (the
+    identity would then hold by construction), as i R with R = [J, X]
+    (`position_commutator`). The window is diagonalized once,
+    J = U diag(lambda) U^*, and every Simpson node is evaluated in that
+    eigenbasis: with r = U^* R U and phi = U^* psi,
+    A(t) psi = i U (conj(e_t) * (r @ (e_t * phi))) where e_t =
+    exp(-i t lambda), so the nodes are stacked QUAD_CHUNK at a time into
+    matrix products instead of two propagations each, and the factor i is
+    applied once, to their sum. X(T) psi = U (conj(e_T) * (U^* (X U (e_T *
+    phi)))) is formed in the same eigenbasis. A real window keeps U and r
+    real: each product of them with a complex block is one real product
+    (`_product`), and no complex copy of the window exists.
     """
     if T == 0:
         return 0.0
@@ -286,12 +306,12 @@ def check_derivative_identity(J: BlockJacobiOperator, psi: WavePacket, T: float,
     vec = trunc.embed(psi)
     x_diag = trunc.position_diagonal
     u_h = u.conj().T
-    phi = u_h @ vec
+    phi = _product(u_h, vec)
 
-    psi_T = u @ (np.exp(-1j * T * w) * phi)
-    lhs = u @ (np.exp(1j * T * w) * (u_h @ (x_diag * psi_T))) - x_diag * vec
+    psi_T = _product(u, np.exp(-1j * T * w) * phi)
+    lhs = _product(u, np.exp(1j * T * w) * _product(u_h, x_diag * psi_T)) - x_diag * vec
 
-    a_eig = u_h @ current_matrix(trunc.matrix, x_diag) @ u
+    r_eig = u_h @ (position_commutator(trunc.matrix, x_diag) @ u)
     ts = np.linspace(0.0, T, steps + 1)
     weights = np.ones(steps + 1)
     weights[1:-1:2] = 4.0
@@ -301,8 +321,8 @@ def check_derivative_identity(J: BlockJacobiOperator, psi: WavePacket, T: float,
     for start in range(0, steps + 1, QUAD_CHUNK):
         chunk = slice(start, start + QUAD_CHUNK)
         phases = np.exp(-1j * np.outer(w, ts[chunk]))
-        acc += (phases.conj() * (a_eig @ (phases * phi[:, None]))) @ weights[chunk]
-    return float(np.linalg.norm(lhs - u @ acc))
+        acc += (phases.conj() * _product(r_eig, phases * phi[:, None])) @ weights[chunk]
+    return float(np.linalg.norm(lhs - 1j * _product(u, acc)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ which continue the band curves through the crossing, so every fiber's basis
 diagonalizes the velocity operator.
 
 Fibers share the window assembler (blockjacobi.block_tridiagonal and
-current_matrix); only the wrap block carries the phase. A scan assembles and
-eigensolves its fibers in consecutive slices of the theta grid, each stack
-holding at most SCAN_ENTRIES matrix entries, so its memory does not grow with
-the grid. The maximal band speed zooms in on its grid argmax: each round is
+position_commutator); only the wrap block carries the phase. A scan
+assembles and eigensolves its fibers in consecutive slices of the theta
+grid, each stack holding at most SCAN_ENTRIES matrix entries, so its memory
+does not grow with the grid. The maximal band speed zooms in on its grid argmax: each round is
 one scan across a bracket around the best point so far, an eighth as wide as
 the one before.
 
@@ -41,7 +41,7 @@ from .blockjacobi import (
     BlockJacobiOperator,
     WavePacket,
     block_tridiagonal,
-    current_matrix,
+    position_commutator,
 )
 from .errors import GridTooCoarse, QuadratureNotConverged, SizeLimitExceeded
 
@@ -119,7 +119,7 @@ def fiber_matrices(J: BlockJacobiOperator, theta):
     theta = np.asarray(theta, dtype=float)
     _check_stack(theta.size, dim)
     j0 = block_tridiagonal(b, a[:-1])
-    a0 = current_matrix(j0, np.repeat(np.arange(q), m))
+    a0 = 1j * position_commutator(j0, np.repeat(np.arange(q), m))
     ph = np.exp(1j * theta)[..., None, None]
     jf = np.broadcast_to(j0, theta.shape + j0.shape).copy()
     af = np.broadcast_to(a0, theta.shape + a0.shape).copy()

@@ -414,6 +414,14 @@ def _threshold(T, p):
     return T**p / math.log(T)
 
 
+def _finite_power(x, p):
+    """Whether x**p is a finite float."""
+    try:
+        return math.isfinite(math.pow(x, p))
+    except OverflowError:
+        return False
+
+
 def _tiled_sum(base, extra):
     """Pointwise sum of two periodic potentials, tiled to the lcm period."""
     base = np.atleast_1d(np.asarray(base, dtype=float))
@@ -459,20 +467,33 @@ def growth_certificate(W, p: float, m_env: int,
 
     Raises NoCertificateFound when the time search exhausts its budget or
     the radius is not positive (the tail term grows like R^p and wins from
-    p = 12 on for the zero potential).
+    p = 12 on for the zero potential), and before any evolution when R^p or
+    T^p at the search's last time is not a finite float.
     """
     W = np.atleast_1d(np.asarray(W, dtype=float))
     jw = schroedinger_operator(W)
     battery = _battery(m_env)
     packets = [psi for _, psi in battery]
+    support = max(psi.support_radius() for psi in packets)
     packet_times: dict = {}
     packet_moments: dict = {}
 
     T = 1.0
     while T < max(1, m_env):
         T *= 2.0
-    certified_T = None
+    times = []
     while T <= time_budget:
+        times.append(T)
+        T *= 2.0
+    if times:
+        R = required_half_width(jw, support, times[-1])
+        if not (_finite_power(R, p) and _finite_power(times[-1], p)):
+            raise NoCertificateFound(
+                f"the moments overflow: R^p = {R}^{p:g} on the window of the last "
+                f"search time T = {times[-1]:g} is not a finite float"
+            )
+    certified_T = None
+    for T in times:
         all_pass = T > 1.0
         for (name, _), mom in zip(battery, moment_table([jw], packets, p, [T])[0, 0]):
             packet_moments.setdefault(name, {})[T] = float(mom)
@@ -483,13 +504,12 @@ def growth_certificate(W, p: float, m_env: int,
         if all_pass:
             certified_T = T
             break
-        T *= 2.0
     if certified_T is None:
         raise NoCertificateFound(
             f"no dyadic time up to {time_budget} beat twice the threshold"
         )
 
-    R = required_half_width(jw, max(psi.support_radius() for psi in packets), certified_T)
+    R = required_half_width(jw, support, certified_T)
     tail = 6.0 * R**p * CHEBYSHEV_TAIL * (1.0 + 3.0 * CHEBYSHEV_TAIL)
     margin = min(m[certified_T] for m in packet_moments.values()) - _threshold(certified_T, p)
     radius = (margin - tail) / (2.0 * R**p * certified_T)

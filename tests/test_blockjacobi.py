@@ -194,6 +194,21 @@ def test_truncate_free_3x3():
     assert np.allclose(tr.eigensystem[0], [-np.sqrt(2), 0.0, np.sqrt(2)], atol=1e-12)
 
 
+@pytest.mark.parametrize("real", [True, False])
+def test_window_matrix_and_eigenvectors_keep_the_operator_dtype(real):
+    # a real operator's window is real: its dense matrix and eigenvectors are
+    # float64, with no complex copy; a complex spec's stay complex128. The
+    # matrix is built on each access, not cached on the window
+    J = build_operator(random_spec(np.random.default_rng(5), 2, 3, real=real))
+    tr = J.truncate(4)
+    dtype = np.float64 if real else np.complex128
+    assert tr.matrix.dtype == dtype
+    assert tr.eigensystem[1].dtype == dtype
+    assert tr.eigensystem[0].dtype == np.float64
+    assert tr.matrix is not tr.matrix
+    assert "matrix" not in tr.__dict__
+
+
 def test_truncation_hermitian_and_bounded():
     rng = np.random.default_rng(3)
     for m, q in [(1, 2), (2, 2), (3, 1)]:

@@ -675,6 +675,26 @@ def test_generic_refuses_a_non_positive_radius(tmp_path, capsys):
     assert not (tmp_path / "generic_stages.json").exists()
 
 
+def test_generic_huge_p_is_one_json_line(tmp_path):
+    # at p = 200 the moment weights |n|^p and T^p overflow: the run exits 3
+    # before any evolution, and stderr (of a fresh process, where numpy's
+    # warnings would print) is exactly one JSON line with no warning
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blochdyn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cfg = tmp_path / "hugep.json"
+    cfg.write_text(json.dumps({"stages": 1, "p": 200.0}))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "blochdyn.cli", "generic", "--config", str(cfg),
+                           "--out", str(out)], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "NoCertificateFound"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_corollary_cmd(tmp_path, capsys):
     cfg = {"operator": FREE_OPERATOR, "epsilon": 0.2, "K": 0,
            "times": [10.0, 20.0], "grid_size": 64}

@@ -440,6 +440,50 @@ def test_derivative_identity_simpson_order():
     assert r[1] / r[2] > 10.0
 
 
+def test_derivative_identity_catches_a_wrong_current(monkeypatch):
+    # A is assembled from the window matrix of J, not from its eigenbasis,
+    # where the identity would hold by construction: a current 1% off is
+    # caught. The per-node reference cannot see this, as both routes use
+    # the same A
+    J, psi = period2(1.0), WavePacket.delta_scalar(0, 1)
+    assert check_derivative_identity(J, psi, 5.0, 256) < 1e-6
+    commutator = dynamics.position_commutator
+    monkeypatch.setattr(dynamics, "position_commutator",
+                        lambda h, x: 1.01 * commutator(h, x))
+    assert check_derivative_identity(J, psi, 5.0, 256) > 1e-3
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of its traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_dense_diagnostics_stay_real_on_a_real_window():
+    # on a real window of 1013 rows no complex copy of the window exists:
+    # the matrix is real and not cached, U^* R U is formed by real products,
+    # and every product of U with a complex block is one real product. Peaks
+    # in units of the window's real dense size, 8 dim^2 bytes; a complex,
+    # cached window matrix reads 9.0 and 3.6
+    J = build_operator(scalar_spec([0.5, -1.0, 0.3]))
+    half = required_half_width(J, 1, 140.0)
+    dense = 8.0 * (2 * half + 1) ** 2
+    assert 2 * half + 1 == 1013
+    res, peak = traced_peak(check_derivative_identity, J, WavePacket.delta_scalar(0, 1),
+                            140.0, 64)
+    assert np.isfinite(res)
+    assert peak <= 4.5 * dense
+    trunc = J.truncate(half)
+    t_grid = np.arange(0.0, 40.0, dynamics.localization_step(J))
+    _, peak = traced_peak(localization_diagnostic, trunc, [(0, 4), (0, 8), (-10, 20)], t_grid)
+    assert peak <= 2.5 * dense
+
+
 def derivative_residual_per_node(J, psi, T, quad_steps):
     """Reference for check_derivative_identity: the same Simpson nodes and
     weights, each node evaluated by two spectral propagations and one dense

@@ -524,6 +524,19 @@ def test_growth_certificate_refuses_a_non_positive_radius():
         growth_certificate([0.0], 12.0, 1)
 
 
+@pytest.mark.parametrize("p", [79.0, 200.0])
+def test_growth_certificate_refuses_overflowing_moments_before_evolving(monkeypatch, p):
+    # the window of the last search time (T = 4096) has R = 8464 for the
+    # zero potential, so R^p overflows a float from p = 78.5 on: refused
+    # before the first moment table is evolved
+    def no_evolution(*args):
+        raise AssertionError("evolved before the refusal")
+
+    monkeypatch.setattr(limitperiodic, "moment_table", no_evolution)
+    with pytest.raises(NoCertificateFound, match="not a finite float"):
+        growth_certificate([0.0], p, 1)
+
+
 def test_growth_certificate_budget_exhaustion():
     # strong disorder on a long period suppresses transport at small times
     rng = np.random.default_rng(3)
