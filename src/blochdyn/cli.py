@@ -24,7 +24,6 @@ import sys
 
 import numpy as np
 
-from . import dynamics, floquet, limitperiodic, xychain
 from .blockjacobi import MAX_WINDOW_DIM, BlockSpec, WavePacket, build_operator
 from .errors import ConfigInvalid, SizeLimitExceeded, SpecError
 
@@ -96,6 +95,7 @@ _check_names = _list_kind(f"check names from {list(XY_CHECKS)}", lambda x: x in 
 
 
 def _grid(key, value, parsed):
+    from . import floquet
     return floquet.check_grid(value)
 
 
@@ -195,11 +195,13 @@ def _check_across_fields(command, a):
     localization's time grid); the library owns every other rule. Adds the
     XY chain spec and fills in localization's default time step."""
     if "mu" in a:
+        from . import xychain
         a["spec"] = xychain.XYChainSpec(a["mu"], a["gamma"], a["nu"]).validate_free_fermion()
     for key in _DISTINCT.get(command, ()):
         if len(set(a[key])) != len(a[key]):
             raise ConfigInvalid(f"'{key}' must be distinct, got {json.dumps(a[key])}")
     if command == "localization":
+        from . import dynamics
         J = a["operator"]
         a["t_step"] = a["t_step"] or dynamics.localization_step(J)
         samples = math.ceil((a["t_max"] + 1e-12) / a["t_step"])
@@ -283,6 +285,7 @@ class _Artifacts:
 
 
 def cmd_bands(a, out):
+    from . import floquet
     G = a["grid_size"]
     bs = floquet.band_structure(a["operator"], G)
     n = bs.bands.shape[1]
@@ -297,6 +300,7 @@ def cmd_bands(a, out):
 
 
 def cmd_qnorm(a, out):
+    from . import floquet
     vm = floquet.velocity_maximum(a["operator"], grid_size=a["grid_size"])
     payload = {"q_norm": vm.value, "argmax_theta": vm.theta, "argmax_band": vm.band}
     out.write_json("qnorm.json", payload)
@@ -304,6 +308,7 @@ def cmd_qnorm(a, out):
 
 
 def cmd_evolve(a, out):
+    from . import dynamics
     columns = {"t": [], "site": [], "component": [], "re": [], "im": []}
     for t, pt in zip(a["times"], dynamics.evolve(a["operator"], a["state"], a["times"])):
         # entries in site-major order, as (site, component) pairs
@@ -319,6 +324,7 @@ def cmd_evolve(a, out):
 
 
 def cmd_exponents(a, out):
+    from . import dynamics
     dynamics._check_fit_times(sorted(a["times"]))
     traj = dynamics.moment_trajectory(a["operator"], a["state"], a["p"], a["times"])
     est = dynamics.exponent_estimate(traj)
@@ -333,6 +339,7 @@ def cmd_exponents(a, out):
 
 
 def cmd_ballistic_check(a, out):
+    from . import dynamics
     times = sorted(a["times"])
     errors = dynamics.check_ballistic_limit(a["operator"], a["state"], times,
                                             grid_size=a["grid_size"])
@@ -341,6 +348,7 @@ def cmd_ballistic_check(a, out):
 
 
 def cmd_derivative_check(a, out):
+    from . import dynamics
     residual = dynamics.check_derivative_identity(a["operator"], a["state"], a["T"],
                                                   a["quad_steps"])
     payload = {"residual": residual, "T": a["T"], "quad_steps": a["quad_steps"]}
@@ -349,6 +357,7 @@ def cmd_derivative_check(a, out):
 
 
 def cmd_corollary_probe(a, out):
+    from . import dynamics
     result = dynamics.corollary_probe(a["operator"], a["epsilon"], a["times"], a["K"],
                                       grid_size=a["grid_size"])
     records = result.records
@@ -365,6 +374,7 @@ def cmd_corollary_probe(a, out):
 
 
 def cmd_localization(a, out):
+    from . import dynamics
     trunc = a["operator"].truncate(a["half_width"])
     t_grid = np.arange(0.0, a["t_max"] + 1e-12, a["t_step"])
     report = dynamics.localization_diagnostic(trunc, a["pairs"], t_grid)
@@ -380,12 +390,14 @@ def cmd_localization(a, out):
 
 
 def cmd_xy_velocity(a, out):
+    from . import xychain
     payload = {"v0": xychain.lr_velocity_bound(a["spec"], grid_size=a["grid_size"])}
     out.write_json("xy_velocity.json", payload)
     return payload
 
 
 def cmd_xy_verify(a, out):
+    from . import xychain
     pairs, times, checks = a["pairs"], a["times"], a["checks"]
     # every pair and case refused before any sector eigensolve
     for l, r in pairs:
@@ -422,6 +434,7 @@ def cmd_xy_verify(a, out):
 
 
 def cmd_lyapunov(a, out):
+    from . import limitperiodic
     ns, energies = a["n"], a["energies"]
     exponents = [limitperiodic.finite_lyapunov(n, energies, a["potential"]) for n in ns]
     # energy-major rows: every n for the first energy, then the next
@@ -435,6 +448,7 @@ def cmd_lyapunov(a, out):
 
 
 def cmd_thouless(a, out):
+    from . import limitperiodic
     w, zs = a["potential"], a["points"]
     res = limitperiodic.thouless_check(zs, w, grid_size=a["grid_size"])
     out.write_csv("thouless.csv", {
@@ -444,6 +458,7 @@ def cmd_thouless(a, out):
 
 
 def cmd_dt_criterion(a, out):
+    from . import limitperiodic
     value = limitperiodic.dt_criterion(a["potential"], a["coupling"], a["K"], a["T"], a["alpha"])
     payload = {"integral": value, "K": a["K"], "T": a["T"], "alpha": a["alpha"]}
     out.write_json("dt_criterion.json", payload)
@@ -451,6 +466,7 @@ def cmd_dt_criterion(a, out):
 
 
 def cmd_stability(a, out):
+    from . import limitperiodic
     diff = limitperiodic.perturbation_stability(
         a["base_potential"], a["perturbed_potential"], a["state"], a["t"], a["p"],
         a["m_env"])
@@ -460,6 +476,7 @@ def cmd_stability(a, out):
 
 
 def cmd_generic(a, out):
+    from . import limitperiodic
     construction = limitperiodic.generic_builder(a["stages"], a["p"], a["m_env"])
     stage_payload = []
     for rec in construction.records:

@@ -1,12 +1,23 @@
 """Finite-window unitary evolution, moments, and transport diagnostics.
 
-One private engine, `_light_cone`, runs every infinite-chain evolution of
-`evolve`, `moment_table` (so `moment_trajectory`), `check_ballistic_limit`
+One private entry point, `_light_cone`, runs every infinite-chain evolution
+of `evolve`, `moment_table` (so `moment_trajectory`), `check_ballistic_limit`
 and `corollary_probe`. Every operator gets the window [-N, N] of
 `required_half_width` for the widest packet, the largest |t| and the
-largest norm_bound s_max; the windows are stacked with zero blocks at the
-seams, every packet is one column in each, and the sorted distinct times
-run as one chain of `blockjacobi.chebyshev_propagate` steps scaled by s_max.
+largest norm_bound s_max, and every packet is one column. Two routes give
+the states on it, chosen per call by a deterministic memory rule
+(`_use_bloch`), with no option:
+- Chebyshev: the windows are stacked with zero blocks at the seams and the
+  sorted distinct times run as one chain of
+  `blockjacobi.chebyshev_propagate` steps scaled by s_max;
+- Bloch: the operator's fibers on the grid of G quasi-momenta, G the
+  smallest power of two with G q >= 2N + 1, are eigensolved once (in the
+  slices of `floquet._scan_slices`), and each sample is computed from
+  t = 0 as phases e^{-itw}, the map back from the eigenbasis and one
+  inverse FFT over the cell axis, read on [-N, N] by cell index mod G.
+  Unlike a band scan it holds every fiber's eigenvectors for the whole
+  call, G (mq)^2 entries per operator, so it runs only where they number
+  at most BLOCH_MEMORY_RATIO times the entries of the Chebyshev state.
 The derivative identity and the localization diagnostic evaluate all their
 times in one window eigenbasis, of the window's own dtype: a real operator's
 window matrix and eigenvectors are real, and every product of them with a
@@ -23,9 +34,22 @@ K block sites, never to the open boundary. So the window's exp(-itJ) psi is
 the infinite chain's to within 2 CHEBYSHEV_TAIL ||psi||; the window
 evolution is a group and each chained step adds at most CHEBYSHEV_TAIL
 ||psi||, so the k-th distinct sample (k = 1, 2, ...) is within (k + 2)
-CHEBYSHEV_TAIL ||psi||, up to roundoff. At the first sample a p-th moment of
-a normalized packet is thus within 6 N^p CHEBYSHEV_TAIL (1 + 3 CHEBYSHEV_TAIL)
-of the infinite chain's moment on |n| <= N; `limitperiodic.growth_certificate`
+CHEBYSHEV_TAIL ||psi||, up to roundoff.
+
+The Bloch certificate: the fibers diagonalize exactly the G-periodic ring
+of G q sites, onto which the packets fold injectively. The degree-K
+Chebyshev polynomial of the same expansion moves a packet within [-N, N]
+on the chain, and folding intertwines it with the ring's, so on the window
+the ring's exp(-itJ) psi and the chain's differ by at most the two tails:
+each sample is within 2 CHEBYSHEV_TAIL ||psi|| of the infinite chain,
+because G q >= 2N + 1 keeps the window from aliasing. Roundoff grows like
+eps s |t| through the phases and does not grow with the number of samples,
+since each is computed from t = 0.
+
+On either route the first sample is thus within 3 CHEBYSHEV_TAIL ||psi||
+of the infinite chain, and a p-th moment of a normalized packet within
+6 N^p CHEBYSHEV_TAIL (1 + 3 CHEBYSHEV_TAIL) of the infinite chain's moment
+on |n| <= N; `limitperiodic.growth_certificate`
 subtracts this term, which leaves no radius from p = 12 on (zero potential).
 Every evolution runs forward:
 exp(-itJ) is unitary, so `check_ballistic_limit` takes ||X(t) psi / t - Q psi||
@@ -51,8 +75,21 @@ from .blockjacobi import (
     chebyshev_propagate,
     position_commutator,
 )
-from .errors import DimensionMismatch, SizeLimitExceeded, SpecError, SupportOutsideWindow
-from .floquet import apply_q, q_norm
+from .errors import (
+    DimensionMismatch,
+    NumericsError,
+    SizeLimitExceeded,
+    SpecError,
+    SupportOutsideWindow,
+)
+from .floquet import (
+    _scan_slices,
+    _theta_grid,
+    apply_q,
+    fiber_matrices,
+    floquet_transform,
+    q_norm,
+)
 
 # Simpson nodes per matrix product in check_derivative_identity; it bounds the
 # (dim, QUAD_CHUNK) work arrays whatever quad_steps is
@@ -60,11 +97,23 @@ QUAD_CHUNK = 128
 # Largest (time samples, window rows) phase block localization_diagnostic
 # forms at once (16 MB of complex entries)
 PHASE_CHUNK = 2**20
+# eigenvector entries the Bloch route may hold per entry of the Chebyshev
+# state (rows x packets); chebyshev_propagate itself holds about six such
+# arrays, so the Bloch route stays within a few times its memory
+BLOCH_MEMORY_RATIO = 16
 
 
 # ---------------------------------------------------------------------------
 # Windows and evolution
 # ---------------------------------------------------------------------------
+
+
+def _finite_power(x, p) -> bool:
+    """Whether x**p is a finite float."""
+    try:
+        return math.isfinite(math.pow(x, p))
+    except OverflowError:
+        return False
 
 
 def required_half_width(J: BlockJacobiOperator, support_radius: int, t_max: float) -> int:
@@ -90,12 +139,89 @@ def _light_cone_half(Js, radius, times, columns) -> int:
     return half
 
 
+def _bloch_grid(J, half) -> int:
+    """G of the Bloch route: the smallest power of two with G q >= 2 half + 1,
+    so the G-periodic ring of G q sites holds the window [-half, half] once."""
+    return 1 << (-(-(2 * half + 1) // J.q) - 1).bit_length()
+
+
+def _use_bloch(Js, half, columns) -> bool:
+    """Whether `_light_cone` takes the Bloch route: wherever no operator's
+    scan would be refused (`floquet._scan_slices`) and the route's
+    eigenvectors, G d^2 entries per operator with d = mq and G =
+    `_bloch_grid`, number at most BLOCH_MEMORY_RATIO times the rows x
+    columns entries of the Chebyshev route's state on the stacked windows.
+
+    Since G q >= 2N + 1, a lone operator never takes the Bloch route when
+    d > 16 columns; when G > 1, G q < 2 (2N + 1) too, and it always does
+    when d <= 8 columns. Elsewhere the Chebyshev route runs, so the choice
+    never refuses anything itself.
+    """
+    entries = 0
+    for J in Js:
+        G = _bloch_grid(J, half)
+        try:
+            _scan_slices(J, G)
+        except SizeLimitExceeded:
+            return False
+        entries += G * (J.m * J.q) ** 2
+    rows = len(Js) * (2 * half + 1) * Js[0].m
+    return entries <= BLOCH_MEMORY_RATIO * rows * columns
+
+
+def _bloch_states(Js, psis, samples, half):
+    """(t, state) per sorted sample, as in `_light_cone`, each computed from
+    t = 0 in Bloch space: every operator's fibers on `_theta_grid(G)` are
+    eigensolved once, slice by slice, and each packet's `floquet_transform`
+    is kept in their eigenbases; a sample is the phases e^{-itw}, the map
+    back and one inverse FFT over the cell axis, whose cells are read on the
+    window sites [-half, half] by cell index mod G and slot."""
+    sites = np.arange(-half, half + 1)
+    spectra = []
+    for J in Js:
+        G, d = _bloch_grid(J, half), J.m * J.q
+        thetas = _theta_grid(G)
+        coords = np.stack([floquet_transform(J, psi, G).reshape(G, d) for psi in psis], axis=-1)
+        w, v = np.empty((G, d)), np.empty((G, d, d), dtype=complex)
+        for sl in _scan_slices(J, G):
+            w[sl], v[sl] = np.linalg.eigh(fiber_matrices(J, thetas[sl])[0])
+            coords[sl] = np.swapaxes(v[sl].conj(), -1, -2) @ coords[sl]
+        spectra.append((J, G, w, v, coords))
+    for t in samples:
+        state = []
+        for J, G, w, v, coords in spectra:
+            cells = np.fft.ifft(v @ (np.exp(-1j * t * w)[..., None] * coords), axis=0)
+            cells = cells.reshape(G, J.q, J.m, len(psis))
+            state.append(cells[sites // J.q % G, sites % J.q].reshape(-1, len(psis)))
+        yield t, np.stack(state)
+
+
+def _chebyshev_states(Js, psis, samples, half, trunc):
+    """(t, state) per sorted sample, as in `_light_cone`, by one chain of
+    `chebyshev_propagate` steps from each sample to the next on the stacked
+    windows, scaled by the largest norm_bound."""
+    m = Js[0].m
+    s = max(J.norm_bound for J in Js)
+    truncs = [trunc] + [J.truncate(half) for J in Js[1:]]
+    seam = np.zeros((1, m, m))
+    diag = np.concatenate([tr.diag_blocks for tr in truncs])
+    off = np.concatenate([blocks for tr in truncs for blocks in (seam, tr.off_blocks)][1:])
+    vec = np.tile(np.stack([trunc.embed(psi) for psi in psis], axis=1), (len(Js), 1))
+    t_prev = 0.0
+    for t in samples:
+        vec = chebyshev_propagate(diag, off, s, vec, t - t_prev)
+        yield t, vec.reshape(len(Js), -1, len(psis))
+        t_prev = t
+
+
 def _light_cone(Js, psis, times):
     """(trunc, row, states) for the evolutions of every packet psis[j] under
     every operator Js[i] (see the module docstring): trunc is Js[0] on the
     shared window; times[k] is the row[k]-th sorted distinct sample; states
     yields (t, state) per sample in that order, state[i, :, j] the evolution
-    of psis[j] under Js[i]. Raises DimensionMismatch unless all share m.
+    of psis[j] under Js[i] on the window. The route, Bloch or Chebyshev, is
+    the one `_use_bloch` picks. Raises DimensionMismatch
+    unless all share m.
     """
     Js, psis = list(Js), list(psis)
     if not Js or not psis:
@@ -107,28 +233,17 @@ def _light_cone(Js, psis, times):
     # return_inverse also keeps np.unique from importing numpy.ma
     samples, row = np.unique(times, return_inverse=True)
     half = _light_cone_half(Js, max(psi.support_radius() for psi in psis), times, len(psis))
-    s = max(J.norm_bound for J in Js)
-    truncs = [J.truncate(half) for J in Js]
-    seam = np.zeros((1, m, m))
-    diag = np.concatenate([tr.diag_blocks for tr in truncs])
-    off = np.concatenate([blocks for tr in truncs for blocks in (seam, tr.off_blocks)][1:])
-    vec = np.tile(np.stack([truncs[0].embed(psi) for psi in psis], axis=1), (len(Js), 1))
-
-    def states(vec):
-        t_prev = 0.0
-        for t in samples:
-            vec = chebyshev_propagate(diag, off, s, vec, t - t_prev)
-            yield t, vec.reshape(len(Js), -1, len(psis))
-            t_prev = t
-
-    return truncs[0], row, states(vec)
+    trunc = Js[0].truncate(half)
+    if _use_bloch(Js, half, len(psis)):
+        return trunc, row, _bloch_states(Js, psis, samples, half)
+    return trunc, row, _chebyshev_states(Js, psis, samples, half, trunc)
 
 
 def evolve(J: BlockJacobiOperator, psi: WavePacket, times,
            trim: float | None = None) -> list:
     """The packets exp(-i t J) psi for every t of times, in the order of
     times; repeats, zero and negative times are allowed. One `_light_cone`
-    recurrence runs them all on the light-cone window of the largest |t|.
+    call runs them all on the light-cone window of the largest |t|.
 
     The default trim (1e-12 relative) sits above the propagation roundoff
     and the Chebyshev tail (1e-15 relative), so the returned support tracks
@@ -160,10 +275,19 @@ class MomentTrajectory:
 def moment_table(Js, psis, p: float, times) -> np.ndarray:
     """Moments <psi_j(t), |X|^p psi_j(t)> under every operator Js[i] at every
     sample time, as an array of shape (len(times), len(Js), len(psis)) whose
-    row k belongs to times[k]. All evolutions run as one `_light_cone`
-    recurrence, and raise what it raises.
+    row k belongs to times[k]. All evolutions run through one `_light_cone`
+    call, and raise what it raises. A negative moment order (its weight at
+    the origin is infinite) raises SpecError, and one whose weight N^p on the
+    window [-N, N] is not a finite float raises NumericsError, both before
+    any evolution.
     """
+    if not p >= 0:
+        raise SpecError(f"moment order p must be >= 0, got {p}")
     trunc, row, states = _light_cone(Js, psis, times)
+    half = trunc.window[1]
+    if not _finite_power(half, p):
+        raise NumericsError(f"the moments overflow: the weight N^p = {half}^{p:g} of the "
+                            f"window [-{half}, {half}] is not a finite float")
     weights = np.abs(trunc.position_diagonal) ** p
     # one dot per column, as for a lone evolution: a matrix product
     # could sum in another order
@@ -255,7 +379,7 @@ def check_ballistic_limit(J: BlockJacobiOperator, psi: WavePacket, times,
 
     exp(-itJ) is unitary, so each error is ||X psi(t) / t - exp(-itJ) Q psi||:
     psi and Q psi (from the fiber quadrature) evolve forward as the two
-    columns of one `_light_cone` recurrence, whose window holds both supports.
+    columns of one `_light_cone` call, whose window holds both supports.
     """
     times = np.asarray(sorted(times), dtype=float)
     if np.any(times <= 0):
@@ -355,7 +479,7 @@ def corollary_probe(J: BlockJacobiOperator, epsilon: float, t_grid, K: int,
     and sources |k| <= K are scanned for the largest |<delta_n, e^{-iTJ}
     delta_k>|^2. A coefficient c_tilde is fitted by least squares to
     mass ~ c/T; each record passes when its mass reaches c_tilde / (2T).
-    The sources are the columns of one `_light_cone` recurrence across the
+    The sources are the columns of one `_light_cone` call across the
     times; a time <= 0 (SpecError) and a source block beyond its size limit
     are refused before any source exists.
     """

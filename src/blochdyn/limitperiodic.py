@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockjacobi import CHEBYSHEV_TAIL, WavePacket, build_operator, scalar_spec
-from .dynamics import moment_table, required_half_width
+from .dynamics import _finite_power, moment_table, required_half_width
 from .errors import (
     NoCertificateFound,
     PsiEnvelopeViolated,
@@ -412,14 +412,6 @@ def _battery(m_env):
 
 def _threshold(T, p):
     return T**p / math.log(T)
-
-
-def _finite_power(x, p):
-    """Whether x**p is a finite float."""
-    try:
-        return math.isfinite(math.pow(x, p))
-    except OverflowError:
-        return False
 
 
 def _tiled_sum(base, extra):

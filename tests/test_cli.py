@@ -562,7 +562,13 @@ def test_exponents_one_time_is_refused_before_evolving(tmp_path, capsys, monkeyp
     # the exponent fit needs two times; a lone t = 20000 would run a
     # light-cone recurrence of about 80000 window rows before the fit refused it
     calls = []
+
+    def bloch_states(*args):
+        calls.append(args)
+        yield from ()
+
     monkeypatch.setattr(blochdyn.dynamics, "chebyshev_propagate", lambda *args: calls.append(args))
+    monkeypatch.setattr(blochdyn.dynamics, "_bloch_states", bloch_states)
     cfg = {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0}, "times": [20000.0]}
     code, out, err = run(tmp_path, capsys, "exponents", cfg)
     assert (code, out) == (2, "")
@@ -695,6 +701,30 @@ def test_generic_huge_p_is_one_json_line(tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("exponents", {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0},
+                   "times": [25.0, 50.0, 400.0], "p": 200.0}),
+    ("stability", {"base_potential": [0.0], "perturbed_potential": [0.1, -0.1],
+                   "state": {"delta_scalar": 0}, "t": 400.0, "p": 200.0}),
+])
+def test_moment_weights_that_overflow_are_one_json_line(tmp_path, command, cfg):
+    # at p = 200 the weight N^p of the light-cone window overflows a float:
+    # the run exits 3 before any evolution instead of printing NaN, and
+    # stderr (of a fresh process, where numpy's warnings would print) is
+    # exactly one JSON line with no warning
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blochdyn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "blochdyn.cli", command, "--config", str(path),
+                           "--out", str(out)], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert _one_json_error(proc.stderr)["error"] == "NumericsError"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_corollary_cmd(tmp_path, capsys):
     cfg = {"operator": FREE_OPERATOR, "epsilon": 0.2, "K": 0,
            "times": [10.0, 20.0], "grid_size": 64}
@@ -760,6 +790,38 @@ def test_import_loads_no_scipy(tmp_path):
                           env=env, timeout=60, check=True)
     assert proc.stdout.strip() == "0 []"
     assert len((tmp_path / "bands.csv").read_text().splitlines()) == 3 + 2048 * 5
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    # blochdyn resolves its names on first use and cli imports the library
+    # layers inside the commands, so starting the CLI loads no layer it does
+    # not run, and bands loads neither the dynamics nor the XY chain
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blochdyn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    layers = ("dynamics", "limitperiodic", "xychain")
+    loaded = f"[m for m in {['blochdyn.' + m for m in layers]!r} if m in sys.modules]"
+    proc = subprocess.run([sys.executable, "-c", f"import sys, blochdyn.cli; print({loaded})"],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
+
+    cfg = tmp_path / "bands.json"
+    cfg.write_text(json.dumps({"operator": GAPPED5, "grid_size": 16}))
+    argv = ["bands", "--config", str(cfg), "--out", str(tmp_path)]
+    code = f"import sys; from blochdyn.cli import main; print(main({argv!r}), {loaded})"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == "0 []"
+
+
+def test_package_names_resolve_to_their_modules():
+    # the package namespace loads each name's module on first access
+    from blochdyn import dynamics, floquet, xychain
+
+    assert blochdyn.evolve is dynamics.evolve
+    assert blochdyn.q_norm is floquet.q_norm
+    assert blochdyn.SpinChain is xychain.SpinChain
+    with pytest.raises(AttributeError):
+        blochdyn.no_such_name
 
 
 def test_generic_leaves_numpy_random_unimported(tmp_path):

@@ -22,6 +22,7 @@ from blochdyn import (
     dynamics,
     evolve,
     exponent_estimate,
+    floquet,
     localization_diagnostic,
     moment_table,
     moment_trajectory,
@@ -33,6 +34,7 @@ from blochdyn.blockjacobi import CHEBYSHEV_TAIL, MAX_DENSE_DIM, MAX_WINDOW_DIM, 
 from blochdyn.cli import main
 from blochdyn.errors import (
     DimensionMismatch,
+    NumericsError,
     QuadratureNotConverged,
     SizeLimitExceeded,
     SpecError,
@@ -93,13 +95,11 @@ def test_evolve_unitary_and_reversible():
         assert reference.subtract(back, psi).norm() < 1e-10
 
 
-def test_evolve_free_beyond_dense_ceiling(tmp_path, capsys):
-    # psi(t)_n = (-i)^|n| J_|n|(2t) on the default window, which is past the
-    # dense ceiling, so only the Chebyshev backend can evolve it; every window
-    # site is compared
+def check_free_bessel(tmp_path, capsys, t):
+    """psi(t)_n = (-i)^|n| J_|n|(2t) for delta_0 under the free Laplacian at
+    every site of the default window, through the library and the CLI."""
     from scipy.special import jv
 
-    t = 2500.0
     J, psi = free_laplacian(), WavePacket.delta_scalar(0, 1)
     half = required_half_width(J, 0, t)
     assert 2 * half + 1 > MAX_DENSE_DIM
@@ -120,6 +120,18 @@ def test_evolve_free_beyond_dense_ceiling(tmp_path, capsys):
     sites = np.array([int(r.split(",")[1]) for r in rows])
     amps = np.array([complex(float(r.split(",")[3]), float(r.split(",")[4])) for r in rows])
     assert np.max(np.abs(amps - (-1j) ** np.abs(sites) * jv(np.abs(sites), 2.0 * t))) < 1e-12
+
+
+def test_evolve_free_beyond_dense_ceiling(tmp_path, capsys):
+    # the default window at t = 2500 is past the dense ceiling, so no window
+    # eigenbasis can evolve it
+    check_free_bessel(tmp_path, capsys, 2500.0)
+
+
+def test_evolve_free_bessel_at_long_times(tmp_path, capsys):
+    # at t = 1e4 the window holds about 4e4 sites: the Bloch route's
+    # roundoff grows like eps s |t| and stays below the same bound
+    check_free_bessel(tmp_path, capsys, 1e4)
 
 
 def test_evolve_window_guards():
@@ -152,6 +164,17 @@ def test_evolve_times_in_any_order():
 
 
 # --- moments -------------------------------------------------------------------
+
+
+def spy_on_engines(monkeypatch, calls):
+    """Record in calls every evolution step of either `_light_cone` engine:
+    a Chebyshev propagation, or a sample drawn from the Bloch states."""
+    def bloch_states(*args):
+        calls.append(args)
+        yield from ()
+
+    monkeypatch.setattr(dynamics, "chebyshev_propagate", lambda *args: calls.append(args))
+    monkeypatch.setattr(dynamics, "_bloch_states", bloch_states)
 
 
 def test_moment_examples():
@@ -218,17 +241,29 @@ def test_exponent_estimate_needs_positive_increasing_times(times):
 def test_transport_exponents_refuses_times_before_evolving(monkeypatch, times):
     # the sorted times are checked before the light-cone evolution runs
     calls = []
-    monkeypatch.setattr(dynamics, "chebyshev_propagate", lambda *args: calls.append(args))
+    spy_on_engines(monkeypatch, calls)
     J = build_operator(scalar_spec([0.5, -1.0, 0.3]))
     with pytest.raises(SpecError):
         transport_exponents(J, WavePacket.delta_scalar(0, 1), 2.0, times)
     assert calls == []
 
 
+def test_moment_weights_that_overflow_are_refused_before_evolving(monkeypatch):
+    # N^p on the window of t = 400 overflows a float at p = 200; the moments
+    # would be NaN, so the table is refused before either engine runs
+    calls = []
+    spy_on_engines(monkeypatch, calls)
+    with pytest.raises(NumericsError, match="overflow"):
+        moment_table([free_laplacian()], [WavePacket.delta_scalar(0, 1)], 200.0, [25.0, 400.0])
+    assert calls == []
+
+
 def test_moment_trajectory_chains_samples(monkeypatch):
-    # one propagation per sample, each from the previous sample's time, on
-    # the window of the largest time (2 half + 1 block sites)
+    # on the Chebyshev route: one propagation per sample, each from the
+    # previous sample's time, on the window of the largest time
+    # (2 half + 1 block sites)
     J, psi = period2(1.0), WavePacket.delta_scalar(0, 1)
+    monkeypatch.setattr(dynamics, "_use_bloch", lambda *args: False)
     steps = []
     propagate = dynamics.chebyshev_propagate
 
@@ -283,23 +318,93 @@ def random_packet(rng, m):
        times=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3),
        seed=st.integers(0, 2**32 - 1))
 def test_moment_table_matches_separate_evolutions(m, qs, packets, times, seed):
-    # the windows of the direct sum stay decoupled: every entry is the lone
-    # evolution up to roundoff (the batch scales by the largest norm bound
-    # and sizes every window by the widest packet), and moment_trajectory,
-    # the table of one operator and one packet, is that evolution bit for bit
+    # on the Chebyshev route the windows of the direct sum stay decoupled:
+    # every entry is the lone evolution up to roundoff (the batch scales by
+    # the largest norm bound and sizes every window by the widest packet),
+    # and moment_trajectory, the table of one operator and one packet, is
+    # that evolution bit for bit
     rng = np.random.default_rng(seed)
     Js = [build_operator(random_spec(rng, m, q, bool(rng.integers(2)))) for q in qs]
     psis = [random_packet(rng, m) for _ in range(packets)]
-    table = moment_table(Js, psis, 2.0, times)
-    assert table.shape == (len(times), len(Js), len(psis))
-    order = np.argsort(times)
-    for i, J in enumerate(Js):
-        for j, psi in enumerate(psis):
-            lone = lone_moments(J, psi, 2.0, times)
-            # relative to the trajectory's largest moment: a moment near zero
-            # (the packet back at the origin) is roundoff on both sides
-            assert np.allclose(table[order, i, j], lone, rtol=0.0, atol=1e-12 * lone.max())
-            assert np.array_equal(moment_trajectory(J, psi, 2.0, times).values, lone)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_use_bloch", lambda *args: False)
+        table = moment_table(Js, psis, 2.0, times)
+        assert table.shape == (len(times), len(Js), len(psis))
+        order = np.argsort(times)
+        for i, J in enumerate(Js):
+            for j, psi in enumerate(psis):
+                lone = lone_moments(J, psi, 2.0, times)
+                # relative to the trajectory's largest moment: a moment near
+                # zero (the packet back at the origin) is roundoff on both sides
+                assert np.allclose(table[order, i, j], lone, rtol=0.0, atol=1e-12 * lone.max())
+                assert np.array_equal(moment_trajectory(J, psi, 2.0, times).values, lone)
+
+
+def light_cone_states(Js, psis, times, bloch):
+    """The window states of `_light_cone` at the sorted distinct times, on
+    the route `bloch` names."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_use_bloch", lambda *args: bloch)
+        trunc, _, states = dynamics._light_cone(Js, psis, times)
+        return trunc, [state for _, state in states]
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([1, 2]), qs=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       packets=st.integers(1, 2),
+       times=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_bloch_route_matches_chebyshev(m, qs, packets, times, seed):
+    # both routes return the infinite-chain evolution on the window to within
+    # 2 CHEBYSHEV_TAIL ||psi|| at each sample, up to roundoff of order
+    # eps s |t|, so every window entry agrees to 1e-12 ||psi||
+    rng = np.random.default_rng(seed)
+    Js = [build_operator(random_spec(rng, m, q, bool(rng.integers(2)))) for q in qs]
+    psis = [random_packet(rng, m) for _ in range(packets)]
+    _, bloch = light_cone_states(Js, psis, times, True)
+    _, chebyshev = light_cone_states(Js, psis, times, False)
+    assert len(bloch) == len(chebyshev) == len(set(times))
+    for b, c in zip(bloch, chebyshev):
+        assert b.shape == c.shape
+        # every packet is normalized
+        assert np.max(np.abs(b - c)) <= 1e-12
+
+
+def test_light_cone_route_follows_the_memory_rule():
+    # the light-cone exponents config (q = 2, times to 400) takes the Bloch
+    # route; a q = 1024 operator at a short time keeps the Chebyshev route,
+    # whose window state is far smaller than one 1024 x 1024 eigenbasis
+    psi = WavePacket.delta_scalar(0, 1)
+    times = np.array([25.0, 50.0, 100.0, 200.0, 400.0])
+    J = period2(1.0)
+    half = dynamics._light_cone_half([J], 0, times, 1)
+    assert dynamics._use_bloch([J], half, 1)
+    wide = build_operator(scalar_spec(np.linspace(-1.0, 1.0, 1024)))
+    half = dynamics._light_cone_half([wide], 0, [2.0], 1)
+    assert not dynamics._use_bloch([wide], half, 1)
+
+
+def test_large_q_long_time_stays_on_chebyshev():
+    # q = 128, m = 2, four packets at t = 3000: the scan is allowed, but its
+    # eigenvectors (1024 fibers of 256 x 256, about 1 GB) would be about 90
+    # times the Chebyshev state, so the Chebyshev route runs
+    J = build_operator(random_spec(np.random.default_rng(0), 2, 128, True))
+    half = dynamics._light_cone_half([J], 0, [3000.0], 4)
+    G = dynamics._bloch_grid(J, half)
+    assert G * 256**2 >= 2**26
+    floquet._scan_slices(J, G)
+    assert G * 256**2 > 64 * (2 * half + 1) * 2 * 4
+    assert not dynamics._use_bloch([J], half, 4)
+
+
+def test_negative_moment_order_is_refused_before_evolving(monkeypatch):
+    # |x|^p is infinite at the origin for p < 0
+    calls = []
+    spy_on_engines(monkeypatch, calls)
+    for p in (-1.0, float("nan")):
+        with pytest.raises(SpecError, match="moment order"):
+            moment_table([free_laplacian()], [WavePacket.delta_scalar(0, 1)], p, [0.0, 5.0])
+    assert calls == []
 
 
 def test_moment_table_refusals():
@@ -397,9 +502,11 @@ def test_forward_ballistic_errors_match_the_pull_back(m, q, real, times, seed):
 
 
 def test_infinite_chain_evolutions_run_forward_in_sorted_steps(monkeypatch):
-    # ballistic-check and corollary-probe chain their sorted times from
-    # t = 0 on one recurrence: no step runs backward, the steps are the
-    # differences of the sorted distinct times, and no window propagates
+    # on the Chebyshev route, ballistic-check and corollary-probe chain their
+    # sorted times from t = 0 on one recurrence: no step runs backward, the
+    # steps are the differences of the sorted distinct times, and no window
+    # propagates
+    monkeypatch.setattr(dynamics, "_use_bloch", lambda *args: False)
     steps, lone = [], []
     propagate = dynamics.chebyshev_propagate
 
@@ -739,7 +846,9 @@ def test_single_time_evolutions_never_diagonalize(windows, tmp_path, capsys):
         "state": {"delta_scalar": 0}, "times": [3.0, 6.0]}))
     assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert len(built) == 6
+    # one window per call: the two operators of perturbation_stability take
+    # the Bloch route, which builds only the returned window of the first
+    assert len(built) == 5
     assert solved == []
     assert not any("eigensystem" in w.__dict__ for w in built)
 
