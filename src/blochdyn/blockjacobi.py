@@ -335,41 +335,6 @@ def _block_matvec(diag, upper, lower, v):
     return out
 
 
-def chebyshev_propagate(diag_blocks, off_blocks, s, vec, t):
-    """exp(-i t H) applied to a (rows,) vector or to the columns of a
-    (rows, k) block, where H is the Hermitian block-tridiagonal matrix with
-    diagonal blocks diag_blocks (n, m, m) and blocks off_blocks (n - 1, m, m)
-    above the diagonal (their adjoints below it).
-
-    Computes sum_k c_k T_k(H / s) vec for a scale s >= ||H|| by the
-    three-term recurrence T_{k+1} = 2 (H/s) T_k - T_{k-1}; it is unitary up
-    to roundoff and the neglected orders weigh at most CHEBYSHEV_TAIL ||vec||.
-    Every operation is elementwise along the columns and the zero entries of
-    H add exact zeros, so a column's result does not depend on the other
-    columns, nor on decoupled blocks of rows stacked next to its own.
-    """
-    coef = _chebyshev_coefficients(s * t)
-    m = diag_blocks.shape[1]
-    v = np.asarray(vec, dtype=complex)
-    cur = v.reshape(len(diag_blocks), m, -1)
-    acc = coef[0] * cur
-    if len(coef) > 1:
-        scale = 2.0 / s
-        lower_blocks = np.conj(np.swapaxes(off_blocks, 1, 2))
-        diag, upper, lower = (
-            [scale * blocks[:, :, j, None] for j in range(m)]
-            for blocks in (diag_blocks, off_blocks, lower_blocks)
-        )
-        prev, cur = cur, 0.5 * _block_matvec(diag, upper, lower, cur)
-        acc += coef[1] * cur
-        for c in coef[2:]:
-            nxt = _block_matvec(diag, upper, lower, cur)
-            nxt -= prev
-            acc += c * nxt
-            prev, cur = cur, nxt
-    return acc.reshape(v.shape)
-
-
 class TruncatedOperator:
     """Hermitian open-boundary restriction of the operator to a block-site window.
 
@@ -380,7 +345,7 @@ class TruncatedOperator:
     first use and cached. Both are capped at MAX_DENSE_DIM rows, the block
     storage at MAX_WINDOW_DIM rows.
 
-    `propagate` runs `chebyshev_propagate` on the window's blocks and never
+    `propagate` is the Chebyshev recurrence on the window's blocks and never
     uses the dense matrix or `eigensystem`; a caller that spreads one
     window over many times works in `eigensystem` itself.
     All state is immutable after construction, so instances are safe to share.
@@ -463,5 +428,31 @@ class TruncatedOperator:
 
     def propagate(self, vec: np.ndarray, t: float) -> np.ndarray:
         """exp(-i t J_window) applied to a (dim,) vector or to the columns of
-        a (dim, k) block, by `chebyshev_propagate` scaled by norm_bound."""
-        return chebyshev_propagate(self.diag_blocks, self.off_blocks, self.norm_bound, vec, t)
+        a (dim, k) block.
+
+        Computes sum_k c_k T_k(J_window / s) vec for s = norm_bound by the
+        three-term recurrence T_{k+1} = 2 (J/s) T_k - T_{k-1}; it is unitary
+        up to roundoff and the neglected orders weigh at most
+        CHEBYSHEV_TAIL ||vec||. Every operation is elementwise along the
+        columns, so a column's result does not depend on the other columns.
+        """
+        s = self.norm_bound
+        coef = _chebyshev_coefficients(s * t)
+        v = np.asarray(vec, dtype=complex)
+        cur = v.reshape(len(self.diag_blocks), self.m, -1)
+        acc = coef[0] * cur
+        if len(coef) > 1:
+            scale = 2.0 / s
+            lower_blocks = np.conj(np.swapaxes(self.off_blocks, 1, 2))
+            diag, upper, lower = (
+                [scale * blocks[:, :, j, None] for j in range(self.m)]
+                for blocks in (self.diag_blocks, self.off_blocks, lower_blocks)
+            )
+            prev, cur = cur, 0.5 * _block_matvec(diag, upper, lower, cur)
+            acc += coef[1] * cur
+            for c in coef[2:]:
+                nxt = _block_matvec(diag, upper, lower, cur)
+                nxt -= prev
+                acc += c * nxt
+                prev, cur = cur, nxt
+        return acc.reshape(v.shape)

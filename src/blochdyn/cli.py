@@ -325,7 +325,7 @@ def cmd_evolve(a, out):
 
 def cmd_exponents(a, out):
     from . import dynamics
-    dynamics._check_fit_times(sorted(a["times"]))
+    dynamics._check_fit(a["state"], a["times"])
     traj = dynamics.moment_trajectory(a["operator"], a["state"], a["p"], a["times"])
     est = dynamics.exponent_estimate(traj)
     out.write_csv("exponents.csv", {

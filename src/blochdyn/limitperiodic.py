@@ -396,12 +396,11 @@ def envelope_packet(m_env: int) -> WavePacket:
 
 def perturbation_stability(W, V, psi: WavePacket, t: float, p: float,
                            m_env: int) -> float:
-    """|moment(t; base potential) - moment(t; perturbed potential)|, both
-    evolutions run by one `moment_table` call, on windows sized by the larger
-    norm bound of the two operators."""
+    """|moment(t; base potential) - moment(t; perturbed potential)|, one
+    `moment_table` call per operator, each on its own light-cone window."""
     check_envelope(psi, m_env)
     Js = [schroedinger_operator(W), schroedinger_operator(V)]
-    mw, mv = moment_table(Js, [psi], p, [t])[0, :, 0]
+    mw, mv = (moment_table(J, [psi], p, [t])[0, 0] for J in Js)
     return float(abs(mw - mv))
 
 
@@ -487,7 +486,7 @@ def growth_certificate(W, p: float, m_env: int,
     certified_T = None
     for T in times:
         all_pass = T > 1.0
-        for (name, _), mom in zip(battery, moment_table([jw], packets, p, [T])[0, 0]):
+        for (name, _), mom in zip(battery, moment_table(jw, packets, p, [T])[0]):
             packet_moments.setdefault(name, {})[T] = float(mom)
             passed = T > 1.0 and mom > 2.0 * _threshold(T, p)
             if passed and name not in packet_times:
@@ -594,11 +593,11 @@ def generic_builder(stages: int, p: float, m_env: int) -> GenericConstruction:
         ))
 
     final_v = records[-1].potential
-    moments = moment_table([schroedinger_operator(final_v)],
+    moments = moment_table(schroedinger_operator(final_v),
                            [psi for _, psi in _battery(m_env)], p,
                            [rec.time for rec in records])
     rows = []
-    for rec, row in zip(records, moments[:, 0]):
+    for rec, row in zip(records, moments):
         worst = float(row.min())
         thr = _threshold(rec.time, p)
         if not worst > thr:

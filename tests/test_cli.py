@@ -567,13 +567,25 @@ def test_exponents_one_time_is_refused_before_evolving(tmp_path, capsys, monkeyp
         calls.append(args)
         yield from ()
 
-    monkeypatch.setattr(blochdyn.dynamics, "chebyshev_propagate", lambda *args: calls.append(args))
+    monkeypatch.setattr(blochdyn.TruncatedOperator, "propagate",
+                        lambda self, *args: calls.append(args))
     monkeypatch.setattr(blochdyn.dynamics, "_bloch_states", bloch_states)
     cfg = {"operator": FREE_OPERATOR, "state": {"delta_scalar": 0}, "times": [20000.0]}
     code, out, err = run(tmp_path, capsys, "exponents", cfg)
     assert (code, out) == (2, "")
     assert _one_json_error(err)["error"] == "SpecError"
     assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_exponents_zero_packet_is_refused(tmp_path, capsys):
+    # every moment of the zero packet is 0: one SpecError line and exit 2,
+    # not NaN exponents after numpy warnings
+    cfg = {"operator": FREE_OPERATOR, "state": {"base": 0, "coeffs": [[[0.0, 0.0]]]},
+           "times": [5.0, 10.0]}
+    code, out, err = run(tmp_path, capsys, "exponents", cfg)
+    assert (code, out) == (2, "")
+    assert _one_json_error(err)["error"] == "SpecError"
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 

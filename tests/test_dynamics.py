@@ -30,7 +30,7 @@ from blochdyn import (
     scalar_spec,
     transport_exponents,
 )
-from blochdyn.blockjacobi import CHEBYSHEV_TAIL, MAX_DENSE_DIM, MAX_WINDOW_DIM, chebyshev_order
+from blochdyn.blockjacobi import CHEBYSHEV_TAIL, MAX_DENSE_DIM, chebyshev_order
 from blochdyn.cli import main
 from blochdyn.errors import (
     DimensionMismatch,
@@ -173,7 +173,7 @@ def spy_on_engines(monkeypatch, calls):
         calls.append(args)
         yield from ()
 
-    monkeypatch.setattr(dynamics, "chebyshev_propagate", lambda *args: calls.append(args))
+    monkeypatch.setattr(TruncatedOperator, "propagate", lambda self, *args: calls.append(args))
     monkeypatch.setattr(dynamics, "_bloch_states", bloch_states)
 
 
@@ -248,13 +248,26 @@ def test_transport_exponents_refuses_times_before_evolving(monkeypatch, times):
     assert calls == []
 
 
+def test_zero_packet_is_refused_before_evolving(monkeypatch):
+    # every moment of the zero packet is 0, which has no logarithm: refused
+    # with the times, before either engine runs, instead of NaN exponents
+    calls = []
+    spy_on_engines(monkeypatch, calls)
+    with pytest.raises(SpecError, match="zero packet"):
+        transport_exponents(free_laplacian(), WavePacket.zero(1), 2.0, [5.0, 10.0])
+    assert calls == []
+    traj = MomentTrajectory(times=np.array([5.0, 10.0]), p=2.0, values=np.array([0.0, 1.0]))
+    with pytest.raises(SpecError, match="positive"):
+        exponent_estimate(traj)
+
+
 def test_moment_weights_that_overflow_are_refused_before_evolving(monkeypatch):
     # N^p on the window of t = 400 overflows a float at p = 200; the moments
     # would be NaN, so the table is refused before either engine runs
     calls = []
     spy_on_engines(monkeypatch, calls)
     with pytest.raises(NumericsError, match="overflow"):
-        moment_table([free_laplacian()], [WavePacket.delta_scalar(0, 1)], 200.0, [25.0, 400.0])
+        moment_table(free_laplacian(), [WavePacket.delta_scalar(0, 1)], 200.0, [25.0, 400.0])
     assert calls == []
 
 
@@ -265,13 +278,13 @@ def test_moment_trajectory_chains_samples(monkeypatch):
     J, psi = period2(1.0), WavePacket.delta_scalar(0, 1)
     monkeypatch.setattr(dynamics, "_use_bloch", lambda *args: False)
     steps = []
-    propagate = dynamics.chebyshev_propagate
+    propagate = TruncatedOperator.propagate
 
-    def recording_propagate(diag_blocks, off_blocks, s, vec, t):
-        steps.append((len(diag_blocks), t))
-        return propagate(diag_blocks, off_blocks, s, vec, t)
+    def recording_propagate(self, vec, t):
+        steps.append((len(self.diag_blocks), t))
+        return propagate(self, vec, t)
 
-    monkeypatch.setattr(dynamics, "chebyshev_propagate", recording_propagate)
+    monkeypatch.setattr(TruncatedOperator, "propagate", recording_propagate)
     traj = moment_trajectory(J, psi, 2.0, [20.0, 5.0, 10.0])
     half = required_half_width(J, 0, 20.0)
     rows = 2 * half + 1
@@ -291,9 +304,9 @@ def test_constant_diagonal_matches_free_moments():
 
 
 def lone_moments(J, psi, p, times):
-    """The moments of one packet under one operator at the sorted times,
-    chained by TruncatedOperator.propagate on that operator's own light-cone
-    window: the evolution moment_table batches."""
+    """The moments of one packet at the sorted times, chained by
+    TruncatedOperator.propagate on that packet's own light-cone window: the
+    evolution moment_table batches."""
     times = sorted(times)
     trunc = J.truncate(required_half_width(J, psi.support_radius(), max(map(abs, times))))
     weights = np.abs(trunc.position_diagonal) ** p
@@ -313,56 +326,52 @@ def random_packet(rng, m):
 
 
 @settings(max_examples=30, deadline=None)
-@given(m=st.sampled_from([1, 2]), qs=st.lists(st.integers(1, 4), min_size=1, max_size=3),
-       packets=st.integers(1, 2),
+@given(m=st.sampled_from([1, 2]), q=st.integers(1, 4), packets=st.integers(1, 3),
        times=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3),
        seed=st.integers(0, 2**32 - 1))
-def test_moment_table_matches_separate_evolutions(m, qs, packets, times, seed):
-    # on the Chebyshev route the windows of the direct sum stay decoupled:
-    # every entry is the lone evolution up to roundoff (the batch scales by
-    # the largest norm bound and sizes every window by the widest packet),
-    # and moment_trajectory, the table of one operator and one packet, is
-    # that evolution bit for bit
+def test_moment_table_matches_separate_evolutions(m, q, packets, times, seed):
+    # on the Chebyshev route the packets stay decoupled columns: every entry
+    # is the lone evolution up to roundoff (the batch sizes the window by the
+    # widest packet), and moment_trajectory, the table of one packet, is that
+    # evolution bit for bit
     rng = np.random.default_rng(seed)
-    Js = [build_operator(random_spec(rng, m, q, bool(rng.integers(2)))) for q in qs]
+    J = build_operator(random_spec(rng, m, q, bool(rng.integers(2))))
     psis = [random_packet(rng, m) for _ in range(packets)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_use_bloch", lambda *args: False)
-        table = moment_table(Js, psis, 2.0, times)
-        assert table.shape == (len(times), len(Js), len(psis))
+        table = moment_table(J, psis, 2.0, times)
+        assert table.shape == (len(times), len(psis))
         order = np.argsort(times)
-        for i, J in enumerate(Js):
-            for j, psi in enumerate(psis):
-                lone = lone_moments(J, psi, 2.0, times)
-                # relative to the trajectory's largest moment: a moment near
-                # zero (the packet back at the origin) is roundoff on both sides
-                assert np.allclose(table[order, i, j], lone, rtol=0.0, atol=1e-12 * lone.max())
-                assert np.array_equal(moment_trajectory(J, psi, 2.0, times).values, lone)
+        for j, psi in enumerate(psis):
+            lone = lone_moments(J, psi, 2.0, times)
+            # relative to the trajectory's largest moment: a moment near
+            # zero (the packet back at the origin) is roundoff on both sides
+            assert np.allclose(table[order, j], lone, rtol=0.0, atol=1e-12 * lone.max())
+            assert np.array_equal(moment_trajectory(J, psi, 2.0, times).values, lone)
 
 
-def light_cone_states(Js, psis, times, bloch):
+def light_cone_states(J, psis, times, bloch):
     """The window states of `_light_cone` at the sorted distinct times, on
     the route `bloch` names."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_use_bloch", lambda *args: bloch)
-        trunc, _, states = dynamics._light_cone(Js, psis, times)
+        trunc, _, states = dynamics._light_cone(J, psis, times)
         return trunc, [state for _, state in states]
 
 
 @settings(max_examples=40, deadline=None)
-@given(m=st.sampled_from([1, 2]), qs=st.lists(st.integers(1, 4), min_size=1, max_size=3),
-       packets=st.integers(1, 2),
+@given(m=st.sampled_from([1, 2]), q=st.integers(1, 4), packets=st.integers(1, 3),
        times=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=3),
        seed=st.integers(0, 2**32 - 1))
-def test_bloch_route_matches_chebyshev(m, qs, packets, times, seed):
+def test_bloch_route_matches_chebyshev(m, q, packets, times, seed):
     # both routes return the infinite-chain evolution on the window to within
     # 2 CHEBYSHEV_TAIL ||psi|| at each sample, up to roundoff of order
     # eps s |t|, so every window entry agrees to 1e-12 ||psi||
     rng = np.random.default_rng(seed)
-    Js = [build_operator(random_spec(rng, m, q, bool(rng.integers(2)))) for q in qs]
+    J = build_operator(random_spec(rng, m, q, bool(rng.integers(2))))
     psis = [random_packet(rng, m) for _ in range(packets)]
-    _, bloch = light_cone_states(Js, psis, times, True)
-    _, chebyshev = light_cone_states(Js, psis, times, False)
+    _, bloch = light_cone_states(J, psis, times, True)
+    _, chebyshev = light_cone_states(J, psis, times, False)
     assert len(bloch) == len(chebyshev) == len(set(times))
     for b, c in zip(bloch, chebyshev):
         assert b.shape == c.shape
@@ -377,11 +386,11 @@ def test_light_cone_route_follows_the_memory_rule():
     psi = WavePacket.delta_scalar(0, 1)
     times = np.array([25.0, 50.0, 100.0, 200.0, 400.0])
     J = period2(1.0)
-    half = dynamics._light_cone_half([J], 0, times, 1)
-    assert dynamics._use_bloch([J], half, 1)
+    half = dynamics._light_cone_half(J, 0, times, 1)
+    assert dynamics._use_bloch(J, half, 1)
     wide = build_operator(scalar_spec(np.linspace(-1.0, 1.0, 1024)))
-    half = dynamics._light_cone_half([wide], 0, [2.0], 1)
-    assert not dynamics._use_bloch([wide], half, 1)
+    half = dynamics._light_cone_half(wide, 0, [2.0], 1)
+    assert not dynamics._use_bloch(wide, half, 1)
 
 
 def test_large_q_long_time_stays_on_chebyshev():
@@ -389,12 +398,12 @@ def test_large_q_long_time_stays_on_chebyshev():
     # eigenvectors (1024 fibers of 256 x 256, about 1 GB) would be about 90
     # times the Chebyshev state, so the Chebyshev route runs
     J = build_operator(random_spec(np.random.default_rng(0), 2, 128, True))
-    half = dynamics._light_cone_half([J], 0, [3000.0], 4)
+    half = dynamics._light_cone_half(J, 0, [3000.0], 4)
     G = dynamics._bloch_grid(J, half)
     assert G * 256**2 >= 2**26
     floquet._scan_slices(J, G)
     assert G * 256**2 > 64 * (2 * half + 1) * 2 * 4
-    assert not dynamics._use_bloch([J], half, 4)
+    assert not dynamics._use_bloch(J, half, 4)
 
 
 def test_negative_moment_order_is_refused_before_evolving(monkeypatch):
@@ -403,29 +412,29 @@ def test_negative_moment_order_is_refused_before_evolving(monkeypatch):
     spy_on_engines(monkeypatch, calls)
     for p in (-1.0, float("nan")):
         with pytest.raises(SpecError, match="moment order"):
-            moment_table([free_laplacian()], [WavePacket.delta_scalar(0, 1)], p, [0.0, 5.0])
+            moment_table(free_laplacian(), [WavePacket.delta_scalar(0, 1)], p, [0.0, 5.0])
     assert calls == []
 
 
 def test_moment_table_refusals():
-    J1, J2 = free_laplacian(), build_operator(random_spec(np.random.default_rng(0), 2, 1, True))
-    psi = WavePacket.delta_scalar(0, 1)
+    J = build_operator(random_spec(np.random.default_rng(0), 2, 1, True))
     with pytest.raises(DimensionMismatch):
-        moment_table([J1, J2], [psi], 2.0, [1.0])
-    with pytest.raises(DimensionMismatch):
-        moment_table([J2], [psi], 2.0, [1.0])
-    # 50 windows of about 1e5 rows each fit alone but not stacked: refused
-    # before the stack is allocated
-    t = 2.5e4
-    assert 2 * required_half_width(J1, 0, t) + 1 <= MAX_WINDOW_DIM
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeLimitExceeded, match="stack"):
-            moment_table([J1] * 50, [psi], 2.0, [t])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+        moment_table(J, [WavePacket.delta_scalar(0, 1)], 2.0, [1.0])
+
+
+@pytest.mark.parametrize("times", [[], [1.0, float("nan")], [float("inf")]])
+def test_light_cone_refuses_empty_or_nonfinite_times(monkeypatch, times):
+    # refused before anything else: no window is sized and nothing evolves,
+    # and even a packet of the wrong block dimension is not looked at
+    calls = []
+    spy_on_engines(monkeypatch, calls)
+    J, psi = free_laplacian(), WavePacket.delta_scalar(0, 1)
+    for run in (lambda: evolve(J, psi, times),
+                lambda: moment_table(J, [psi], 2.0, times),
+                lambda: dynamics._light_cone(J, [WavePacket.delta_scalar(0, 2)], times)):
+        with pytest.raises(SpecError, match="finite times"):
+            run()
+    assert calls == []
 
 
 # --- ballistic limit -------------------------------------------------------------
@@ -504,25 +513,23 @@ def test_forward_ballistic_errors_match_the_pull_back(m, q, real, times, seed):
 def test_infinite_chain_evolutions_run_forward_in_sorted_steps(monkeypatch):
     # on the Chebyshev route, ballistic-check and corollary-probe chain their
     # sorted times from t = 0 on one recurrence: no step runs backward, the
-    # steps are the differences of the sorted distinct times, and no window
-    # propagates
+    # steps are the differences of the sorted distinct times, one
+    # propagation per sample for all columns
     monkeypatch.setattr(dynamics, "_use_bloch", lambda *args: False)
-    steps, lone = [], []
-    propagate = dynamics.chebyshev_propagate
+    steps = []
+    propagate = TruncatedOperator.propagate
 
-    def recording_propagate(diag_blocks, off_blocks, s, vec, t):
+    def recording_propagate(self, vec, t):
         steps.append(t)
-        return propagate(diag_blocks, off_blocks, s, vec, t)
+        return propagate(self, vec, t)
 
-    monkeypatch.setattr(dynamics, "chebyshev_propagate", recording_propagate)
-    monkeypatch.setattr(TruncatedOperator, "propagate", lambda self, vec, t: lone.append(t))
+    monkeypatch.setattr(TruncatedOperator, "propagate", recording_propagate)
     check_ballistic_limit(period2(1.0), WavePacket.delta_scalar(0, 1), [20.0, 5.0, 10.0, 5.0],
                           grid_size=512)
     assert steps == [5.0, 5.0, 10.0]
     steps.clear()
     corollary_probe(free_laplacian(), 0.5, [10.0, 5.0, 20.0], 2, grid_size=64)
     assert steps == [5.0, 5.0, 10.0]
-    assert lone == []
 
 
 # --- derivative identity ----------------------------------------------------------
@@ -717,16 +724,32 @@ def test_corollary_probe_free():
         assert 1.8 * rec.time <= abs(rec.n_star) <= 2.0 * rec.time
 
 
+def test_corollary_probe_pick_is_route_stable():
+    # time reversal and the period make mirror (n, k) pairs carry equal
+    # masses up to roundoff, which differs between the routes; the pick
+    # within 1e-9 relative of the largest is the same on both
+    J = build_operator(scalar_spec([-0.6726227149984079, -0.6463229813165063, 1.5,
+                                    -0.4155350650396977, -1.232868912447508]))
+    picks = []
+    for bloch in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_use_bloch", lambda *args: bloch)
+            result = corollary_probe(J, 0.2, [20.0, 40.0, 80.0], 10)
+        picks.append([(r.n_star, r.k_star) for r in result.records])
+    assert picks[0] == picks[1]
+    assert picks[0][1] == (-52, -7)
+
+
 def test_corollary_probe_degenerate_shell():
     # epsilon = q_norm covers the whole cone, trivially satisfied
     result = corollary_probe(free_laplacian(), 2.0, [10.0, 20.0], 0, grid_size=64)
     assert result.all_ok
 
 
-@pytest.mark.parametrize("times", [[0.0, 10.0], [-5.0, 10.0]])
+@pytest.mark.parametrize("times", [[0.0, 10.0], [-5.0, 10.0], [], [float("nan"), 10.0]])
 def test_corollary_probe_refuses_nonpositive_times_before_running(monkeypatch, times):
     # a time <= 0 has no shell and no 1/T fit; it is refused before the
-    # band maximum and the light cone
+    # band maximum and the light cone, as are no times and a NaN time
     def unreachable(*args, **kwargs):
         raise AssertionError("ran before the times were checked")
 
@@ -846,9 +869,8 @@ def test_single_time_evolutions_never_diagonalize(windows, tmp_path, capsys):
         "state": {"delta_scalar": 0}, "times": [3.0, 6.0]}))
     assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    # one window per call: the two operators of perturbation_stability take
-    # the Bloch route, which builds only the returned window of the first
-    assert len(built) == 5
+    # one window per operator: perturbation_stability builds two
+    assert len(built) == 6
     assert solved == []
     assert not any("eigensystem" in w.__dict__ for w in built)
 

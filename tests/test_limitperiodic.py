@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from blochdyn import WavePacket, limitperiodic
+from blochdyn import WavePacket, dynamics, limitperiodic, moment_table
 from blochdyn.errors import (
     GridTooCoarse,
     NoCertificateFound,
@@ -431,8 +431,22 @@ def test_stability_trivial_ceiling():
     psi = envelope_packet(1)
     t, p = 2.0, 2.0
     diff = perturbation_stability([0.0], [0.3, -0.3], psi, t, p, 1)
-    n_window = 2 * (2 + 40 + 20) + 1  # generous bound on the shared window
+    n_window = 2 * (2 + 40 + 20) + 1  # generous bound on the larger window
     assert diff <= 2.0 * n_window**p * psi.norm() ** 2
+
+
+@pytest.mark.parametrize("bloch", [True, False])
+def test_stability_is_two_separate_moment_tables(monkeypatch, bloch):
+    # each operator evolves alone on its own light-cone window: norm bounds
+    # 3 and 4.3 give windows of different widths, and the difference is
+    # that of the two lone moments bit for bit, on either route
+    monkeypatch.setattr(dynamics, "_use_bloch", lambda *args: bloch)
+    W, V = [0.5, -1.0], [0.8, -2.3, 0.1]
+    psi, t, p = envelope_packet(1), 30.0, 2.0
+    Jw, Jv = schroedinger_operator(W), schroedinger_operator(V)
+    assert Jw.norm_bound != Jv.norm_bound
+    mw, mv = (moment_table(J, [psi], p, [t])[0, 0] for J in (Jw, Jv))
+    assert perturbation_stability(W, V, psi, t, p, 1) == abs(mw - mv)
 
 
 # --- growth certificates ----------------------------------------------------------------
