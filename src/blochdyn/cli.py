@@ -290,7 +290,9 @@ def cmd_bands(a, out):
     bs = floquet.band_structure(a["operator"], G)
     n = bs.bands.shape[1]
     out.write_csv("bands.csv", {
-        "theta": np.repeat(bs.thetas, n),
+        # each theta formatted once, as _cells formats a float, and its
+        # string shared by its n rows
+        "theta": np.repeat(np.array([repr(t) for t in bs.thetas.tolist()], dtype=object), n),
         "band_index": np.tile(np.arange(n), G),
         "lambda": bs.bands.ravel(),
         "velocity": bs.velocities.ravel(),

@@ -9,8 +9,9 @@ a deterministic memory rule (`_use_bloch`), with no option:
 - Chebyshev: the sorted distinct times run as one chain of
   `TruncatedOperator.propagate` steps on the window;
 - Bloch: the operator's fibers on the grid of G quasi-momenta, G the
-  smallest power of two with G q >= 2N + 1, are eigensolved once (in the
-  slices of `floquet._scan_slices`), and each sample is computed from
+  smallest power of two with G q >= 2N + 1, are eigensolved once, in the
+  slices of `floquet._grid_scan` (G // 2 + 1 of them for a real operator,
+  whose other fibers are their conjugates), and each sample is computed from
   t = 0 as phases e^{-itw}, the map back from the eigenbasis and one
   inverse FFT over the cell axis, read on [-N, N] by cell index mod G.
   Unlike a band scan it holds every fiber's eigenvectors for the whole
@@ -79,8 +80,8 @@ from .errors import (
     SupportOutsideWindow,
 )
 from .floquet import (
+    _grid_scan,
     _scan_slices,
-    _theta_grid,
     apply_q,
     fiber_matrices,
     floquet_transform,
@@ -158,18 +159,26 @@ def _use_bloch(J, half, columns) -> bool:
 
 def _bloch_states(J, psis, samples, half):
     """(t, state) per sorted sample, as in `_light_cone`, each computed from
-    t = 0 in Bloch space: J's fibers on `_theta_grid(G)` are eigensolved
-    once, slice by slice, and each packet's `floquet_transform` is kept in
-    their eigenbases; a sample is the phases e^{-itw}, the map back and one
-    inverse FFT over the cell axis, whose cells are read on the window sites
-    [-half, half] by cell index mod G and slot."""
+    t = 0 in Bloch space: J's fibers on the grid of G are eigensolved once,
+    slice by slice, those of `_grid_scan` (a real J's fiber G - g takes the
+    eigenvalues and the conjugate eigenvectors of fiber g), and each
+    packet's `floquet_transform` is kept in their eigenbases; a sample is
+    the phases e^{-itw}, the map back and one inverse FFT over the cell
+    axis, whose cells are read on the window sites [-half, half] by cell
+    index mod G and slot."""
     G, d = _bloch_grid(J, half), J.m * J.q
     sites = np.arange(-half, half + 1)
-    thetas = _theta_grid(G)
+    thetas, slices = _grid_scan(J, G)
+    count = len(thetas)
     coords = np.stack([floquet_transform(J, psi, G).reshape(G, d) for psi in psis], axis=-1)
     w, v = np.empty((G, d)), np.empty((G, d, d), dtype=complex)
-    for sl in _scan_slices(J, G):
+    for sl in slices:
         w[sl], v[sl] = np.linalg.eigh(fiber_matrices(J, thetas[sl])[0])
+    # the fibers past the scan mirror it (`floquet._grid_source`): fiber
+    # G - g takes w[g] and conj(v[g]), written in place
+    w[count:] = w[G - count:0:-1]
+    np.conjugate(v[G - count:0:-1], out=v[count:])
+    for sl in _scan_slices(J, G):
         coords[sl] = np.swapaxes(v[sl].conj(), -1, -2) @ coords[sl]
     for t in samples:
         cells = np.fft.ifft(v @ (np.exp(-1j * t * w)[..., None] * coords), axis=0)
@@ -367,10 +376,12 @@ def check_ballistic_limit(J: BlockJacobiOperator, psi: WavePacket, times,
     exp(-itJ) is unitary, so each error is ||X psi(t) / t - exp(-itJ) Q psi||:
     psi and Q psi (from the fiber quadrature) evolve forward as the two
     columns of one `_light_cone` call, whose window holds both supports.
+    No times, or a time <= 0 or non-finite, raise SpecError before Q psi
+    is computed.
     """
     times = np.asarray(sorted(times), dtype=float)
-    if np.any(times <= 0):
-        raise SpecError("ballistic-limit times must be positive")
+    if times.size == 0 or not np.all(np.isfinite(times) & (times > 0)):
+        raise SpecError("ballistic-limit needs one or more finite positive times")
     q_psi = apply_q(J, psi, grid_size=grid_size).packet
     trunc, row, states = _light_cone(J, [psi, q_psi], times)
     x_diag = trunc.position_diagonal

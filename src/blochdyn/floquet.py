@@ -17,9 +17,14 @@ Fibers share the window assembler (blockjacobi.block_tridiagonal and
 position_commutator); only the wrap block carries the phase. A scan
 assembles and eigensolves its fibers in consecutive slices of the theta
 grid, each stack holding at most SCAN_ENTRIES matrix entries, so its memory
-does not grow with the grid. The maximal band speed zooms in on its grid argmax: each round is
-one scan across a bracket around the best point so far, an eighth as wide as
-the one before.
+does not grow with the grid. A real operator's fiber at 2pi - theta is the
+complex conjugate of the fiber at theta, so a scan of its grid 2 pi g / G
+eigensolves g = 0 .. G // 2 only (`_grid_scan`) and reads the others from
+their mirrors; a complex operator's scan eigensolves all G fibers. The
+maximal band speed zooms in on its grid argmax, which for a real operator
+is the first of two mirror points, in [0, pi]: each round is one scan
+across a bracket around the best point so far, an eighth as wide as the
+one before.
 
 Neighbouring fibers are matched by the permutation of largest total overlap.
 The row-wise largest overlaps already give it whenever each exceeds
@@ -90,7 +95,30 @@ def _scan_slices(J, count):
     dim = J.m * J.q
     _check_stack(count, dim)
     step = max(1, SCAN_ENTRIES // dim**2)
-    return [slice(start, start + step) for start in range(0, count, step)]
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _grid_scan(J, G):
+    """(thetas, slices) of a scan of the grid 2 pi g / G: the fibers it
+    eigensolves and the slices covering them.
+
+    A real operator has J_{2pi - theta} = conj(J_theta) and A_{2pi - theta}
+    = -conj(A_theta), so fiber G - g has the eigenvalues of fiber g, the
+    conjugate eigenvectors and the negated band velocities: its scan
+    eigensolves g = 0 .. G // 2 only, and every later fiber is read from
+    its mirror (`_grid_source`). A complex operator's scan eigensolves all
+    G fibers. Either way the size rule judges the whole grid of G.
+    """
+    _check_stack(G, J.m * J.q)
+    count = G // 2 + 1 if J.is_real else G
+    return _theta_grid(G)[:count], _scan_slices(J, count)
+
+
+def _grid_source(count, G):
+    """For each point g of the grid of G, the fiber of a scan of count fibers
+    (`_grid_scan`) it reads: g itself if g < count, else its mirror G - g."""
+    g = np.arange(G)
+    return np.where(g < count, g, G - g)
 
 
 def fiber_matrices(J: BlockJacobiOperator, theta):
@@ -225,36 +253,58 @@ def _match_order(v_prev, v_next):
 
 
 def band_structure(J: BlockJacobiOperator, grid_size: int) -> BandStructure:
-    """Compute matched bands and velocities on a uniform grid of [0, 2pi)."""
+    """Compute matched bands and velocities on a uniform grid of [0, 2pi).
+
+    The scan (`_grid_scan`) matches its fibers forward. A real operator's
+    fibers g > G // 2 are the conjugates of fibers G - g, and the overlaps
+    of conjugates are those of the originals, so each step between two of
+    them is the inverse of a forward step; only the seam at theta = pi and
+    the closing step are matched directly.
+    """
     G = check_grid(grid_size)
-    thetas = _theta_grid(G)
-    n = J.m * J.q
-    slices = _scan_slices(J, G)
-    bands, velocities = np.empty((G, n)), np.empty((G, n))
-    degenerate = np.empty(G, dtype=bool)
-    # col_of_label[j] = eigen-column of the current fiber carrying curve j
-    col_of_label = np.arange(n)
+    thetas, slices = _grid_scan(J, G)
+    count, n = len(thetas), J.m * J.q
+    w, vel = np.empty((count, n)), np.empty((count, n))
+    flagged = np.empty(count, dtype=bool)
+    # steps[g] maps the eigen-columns of fiber g - 1 to their continuations
+    # in fiber g; kept holds the eigenvectors the direct matches need
+    steps = np.empty((count, n), dtype=np.intp)
+    kept = {}
     for sl in slices:
-        w, v, vel, degenerate[sl] = _fiber_data(J, thetas[sl])
-        for g, (wg, vg, velg) in enumerate(zip(w, v, vel), start=sl.start):
-            if g == 0:
-                first = vg.copy()
-            else:
-                col_of_label = _match_order(prev, vg)[col_of_label]
-            bands[g] = wg[col_of_label]
-            velocities[g] = velg[col_of_label]
+        w[sl], v, vel[sl], flagged[sl] = _fiber_data(J, thetas[sl])
+        for g, vg in enumerate(v, start=sl.start):
+            if g:
+                steps[g] = _match_order(prev, vg)
+            if g in (0, 1, G - count, count - 1):
+                kept[g] = vg.copy()
             prev = vg
 
-    # curve j at the last grid point continues at theta = 2pi into curve
-    # closing_permutation[j] of the first grid point
-    closing_permutation = _match_order(prev, first)[col_of_label]
+    moves = list(steps[1:])
+    if count < G:
+        # across theta = pi, fiber count continues fiber count - 1; past it,
+        # fiber k + 1 continues fiber k as fiber G - k - 1 continues G - k,
+        # reversed; the last fiber, conj of fiber 1, closes onto fiber 0
+        moves.append(_match_order(kept[count - 1], kept[G - count].conj()))
+        moves.extend(np.argsort(steps[G - count:1:-1], axis=1))
+        closing = _match_order(kept[1].conj(), kept[0])
+    else:
+        closing = _match_order(kept[G - 1], kept[0])
+    # cols[g, j] = eigen-column of grid point g carrying curve j
+    cols = np.empty((G, n), dtype=np.intp)
+    cols[0] = np.arange(n)
+    for g, move in enumerate(moves, start=1):
+        cols[g] = move[cols[g - 1]]
+    source = _grid_source(count, G)
+    sign = np.where(np.arange(G) < count, 1.0, -1.0)[:, None]
 
     return BandStructure(
-        thetas=thetas,
-        bands=bands,
-        velocities=velocities,
-        degenerate=degenerate,
-        closing_permutation=closing_permutation,
+        thetas=_theta_grid(G),
+        bands=np.take_along_axis(w[source], cols, axis=1),
+        velocities=sign * np.take_along_axis(vel[source], cols, axis=1),
+        degenerate=flagged[source],
+        # curve j at the last grid point continues at theta = 2pi into
+        # curve closing_permutation[j] of the first grid point
+        closing_permutation=closing[cols[-1]],
     )
 
 
@@ -282,11 +332,12 @@ def _max_speeds(J, thetas):
 
 
 def velocity_maximum(J: BlockJacobiOperator, grid_size: int = 512) -> VelocityMaximum:
-    """Maximal |band velocity|: a scan of the uniform grid, then ZOOM_ROUNDS
-    scans of ZOOM_POINTS fibers across the best point so far +- the last
-    scan's spacing; a point replaces the best only when strictly faster."""
+    """Maximal |band velocity|: a scan of the uniform grid (`_grid_scan`;
+    a mirrored fiber has the same speeds), then ZOOM_ROUNDS scans of
+    ZOOM_POINTS fibers across the best point so far +- the last scan's
+    spacing; a point replaces the best only when strictly faster."""
     G = check_grid(grid_size)
-    thetas, half = _theta_grid(G), 2.0 * np.pi / G
+    thetas, half = _grid_scan(J, G)[0], 2.0 * np.pi / G
     best_val, best_theta, best_band = -np.inf, 0.0, 0
     for _ in range(ZOOM_ROUNDS + 1):
         values, bands = _max_speeds(J, thetas)
@@ -322,21 +373,33 @@ def floquet_transform(J: BlockJacobiOperator, psi: WavePacket, G: int) -> np.nda
     return np.fft.fft(cells, axis=0)
 
 
-def _velocity_fibers_apply(J, thetas, hat):
-    """Apply the fibers of the asymptotic velocity operator to the stacked
-    vectors hat[g] at thetas[g].
+def _velocity_fibers_apply(J, G, hats):
+    """Apply the fibers of the asymptotic velocity operator on the grid of G
+    to each array of hats: a hat of G' rows, G' dividing G, holds in row h
+    a vector at theta = 2 pi h / G', the grid's fiber h G / G'.
 
     The velocity fiber is the part of A_theta that is block-diagonal with
     respect to the spectral clusters of J_theta: diagonal in the fiber basis
-    of _fiber_data, with the band velocities on the diagonal.
+    of _fiber_data, with the band velocities on the diagonal. One scan of
+    the grid (`_grid_scan`) serves every hat; a real operator's fiber
+    G - g > G // 2 applies conj(v) and -vel of fiber g.
     """
-    slices = _scan_slices(J, len(thetas))
-    out = np.empty_like(hat)
+    thetas, slices = _grid_scan(J, G)
+    count = len(thetas)
+    outs = [np.empty_like(hat) for hat in hats]
     for sl in slices:
         _, v, vel, _ = _fiber_data(J, thetas[sl])
-        coords = (np.swapaxes(v.conj(), -1, -2) @ hat[sl, :, None])[..., 0]
-        out[sl] = (v @ (vel * coords)[..., None])[..., 0]
-    return out
+        g = np.arange(sl.start, sl.stop)
+        mirrored = (G - g) % G >= count
+        for fibers, vecs, speeds in ((g, v, vel),
+                                     (G - g[mirrored], v[mirrored].conj(), -vel[mirrored])):
+            for hat, out in zip(hats, outs):
+                step = G // len(hat)
+                on = fibers % step == 0
+                rows = fibers[on] // step
+                coords = (np.swapaxes(vecs[on].conj(), -1, -2) @ hat[rows, :, None])[..., 0]
+                out[rows] = (vecs[on] @ (speeds[on] * coords)[..., None])[..., 0]
+    return outs
 
 
 @dataclass(frozen=True)
@@ -348,13 +411,22 @@ class QApplication:
 
 
 def _apply_q_raw(J, psi, G):
-    """Q psi on the cells -(G // 2) .. G - G // 2 - 1: the inverse FFT of the
-    velocity fibers applied to F psi, rolled so that cell -(G // 2) comes first."""
-    thetas = _theta_grid(G)
-    hat = floquet_transform(J, psi, G).reshape(G, J.q * J.m)
-    y = _velocity_fibers_apply(J, thetas, hat)
-    coeff = np.roll(np.fft.ifft(y, axis=0), G // 2, axis=0)
-    return WavePacket(-(G // 2) * J.q, coeff.reshape(G * J.q, J.m))
+    """Q psi on the grid of G and on its half grid of G // 2, each on the
+    cells -(n // 2) .. n - n // 2 - 1 of its grid n: the inverse FFT of the
+    velocity fibers applied to F psi, rolled so that cell -(n // 2) comes
+    first. For even G the half grid's fibers are the grid's even ones, and
+    one scan serves both."""
+    grids = (G, G // 2)
+    hats = [floquet_transform(J, psi, n).reshape(n, J.q * J.m) for n in grids]
+    if G % 2:
+        ys = [_velocity_fibers_apply(J, n, [hat])[0] for n, hat in zip(grids, hats)]
+    else:
+        ys = _velocity_fibers_apply(J, G, hats)
+    packets = []
+    for n, y in zip(grids, ys):
+        coeff = np.roll(np.fft.ifft(y, axis=0), n // 2, axis=0)
+        packets.append(WavePacket(-(n // 2) * J.q, coeff.reshape(n * J.q, J.m)))
+    return packets
 
 
 def apply_q(J: BlockJacobiOperator, psi: WavePacket, grid_size: int = 512,
@@ -367,8 +439,7 @@ def apply_q(J: BlockJacobiOperator, psi: WavePacket, grid_size: int = 512,
     QuadratureNotConverged when the error estimate exceeds tol.
     """
     G = check_grid(grid_size)
-    full = _apply_q_raw(J, psi, G)
-    half = _apply_q_raw(J, psi, G // 2)  # error estimator only
+    full, half = _apply_q_raw(J, psi, G)  # half: error estimator only
     packet = full.trimmed(Q_COEFF_FLOOR)
     # the half grid's cells lie inside the full grid's
     off = half.base - full.base

@@ -38,7 +38,7 @@ from .errors import (
     SpecError,
     WindowTooShort,
 )
-from .floquet import _scan_slices, _theta_grid, check_grid, fiber_matrices
+from .floquet import _grid_scan, _grid_source, check_grid, fiber_matrices
 
 ENVELOPE_CUTOFF = 40  # envelope_packet's tail cut, in decay lengths m_env
 
@@ -266,6 +266,9 @@ def thouless_check(z, w, grid_size: int = 2048) -> ThoulessResult:
     (1 / (2 pi p)) integral of sum_j log|z - lambda_j(theta)|.
     The fiber eigenvalues do not depend on z: they are computed once, on the
     grid and on its half for the convergence test, and shared by all points.
+    The real fibers of the grid 2 pi g / G mirror at g and G - g, so the
+    scan eigensolves g = 0 .. G // 2 (`floquet._grid_scan`); for an even G
+    the half grid is every other point of the grid.
     Requires Im z >= THOULESS_MIN_IMAG so the integrand stays smooth; the
     two grids must agree to THOULESS_QUAD_TOL.
     """
@@ -281,12 +284,16 @@ def thouless_check(z, w, grid_size: int = 2048) -> ThoulessResult:
     J = build_operator(scalar_spec(w))
 
     def fiber_eigenvalues(grid):
-        thetas = _theta_grid(grid)
-        return np.concatenate([np.linalg.eigvalsh(fiber_matrices(J, thetas[sl])[0])
-                               for sl in _scan_slices(J, grid)])
+        # (grid, p) eigenvalues, the scan's fibers read on the whole grid
+        thetas, slices = _grid_scan(J, grid)
+        lam = np.concatenate([np.linalg.eigvalsh(fiber_matrices(J, thetas[sl])[0])
+                              for sl in slices])
+        return lam[_grid_source(len(thetas), grid)]
 
     half = G // 2
-    lam, lam_half = fiber_eigenvalues(G), fiber_eigenvalues(half)
+    lam = fiber_eigenvalues(G)
+    # the half grid's fibers are the even ones of an even grid
+    lam_half = fiber_eigenvalues(half) if G % 2 else lam[::2]
     lhs, rhs = periodic_lyapunov(zs, w), np.empty(len(zs))
     for i, zi in enumerate(zs.tolist()):
         rhs[i] = np.sum(np.log(np.abs(zi - lam))) / (G * p)

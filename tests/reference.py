@@ -2,13 +2,23 @@
 built site by site from the operator's stored blocks, exp(-itJ) u by a dense
 eigensolve of a window assembled from J u, packet arithmetic, the inner
 product and position moments of packets, the Parseval sum of the Floquet
-transform, and apply_q's quadrature error estimate as a packet
-difference."""
+transform, apply_q's quadrature error estimate as a packet difference,
+and the scans of the whole theta grid, every fiber eigensolved, that a
+real operator's mirrored scans must reproduce."""
 
 import numpy as np
 
-from blochdyn import WavePacket, floquet_transform
-from blochdyn.floquet import _apply_q_raw, check_grid
+from blochdyn import WavePacket, build_operator, floquet_transform, scalar_spec
+from blochdyn.floquet import (
+    ZOOM_POINTS,
+    ZOOM_ROUNDS,
+    _apply_q_raw,
+    _fiber_data,
+    _match_order,
+    _theta_grid,
+    check_grid,
+    fiber_matrices,
+)
 
 
 def _terms(J, u):
@@ -119,5 +129,52 @@ def parseval_gap(J, psi, G):
 def quadrature_error(J, psi, grid_size):
     """apply_q's error estimate ||Q_G psi - Q_{G/2} psi|| as the norm of the
     packet difference of the full- and half-grid quadratures."""
-    G = check_grid(grid_size)
-    return subtract(_apply_q_raw(J, psi, G), _apply_q_raw(J, psi, G // 2)).norm()
+    full, half = _apply_q_raw(J, psi, check_grid(grid_size))
+    return subtract(full, half).norm()
+
+
+def band_structure(J, G):
+    """(bands, velocities, degenerate, closing_permutation) on the grid of G,
+    every fiber eigensolved in one stack and matched to the next."""
+    w, v, vel, flagged = _fiber_data(J, _theta_grid(G))
+    bands, velocities = np.empty_like(w), np.empty_like(vel)
+    col = np.arange(w.shape[1])
+    for g in range(G):
+        if g:
+            col = _match_order(v[g - 1], v[g])[col]
+        bands[g], velocities[g] = w[g, col], vel[g, col]
+    return bands, velocities, flagged, _match_order(v[-1], v[0])[col]
+
+
+def q_norm(J, G):
+    """The largest band speed: a scan of every fiber of the grid of G, then
+    ZOOM_ROUNDS scans of ZOOM_POINTS fibers around the best point so far."""
+    thetas, half = _theta_grid(G), 2.0 * np.pi / G
+    best, best_theta = -np.inf, 0.0
+    for _ in range(ZOOM_ROUNDS + 1):
+        speeds = np.max(np.abs(_fiber_data(J, thetas)[2]), axis=-1)
+        g = int(np.argmax(speeds))
+        if speeds[g] > best:
+            best, best_theta = float(speeds[g]), float(thetas[g])
+        thetas = (best_theta + np.linspace(-half, half, ZOOM_POINTS)) % (2.0 * np.pi)
+        half *= 2.0 / (ZOOM_POINTS - 1)
+    return best
+
+
+def velocity_quadrature(J, psi, G):
+    """Q psi by the quadrature on the grid of G, every fiber eigensolved: the
+    packet on the cells -(G // 2) .. G - G // 2 - 1 that apply_q trims."""
+    hat = floquet_transform(J, psi, G).reshape(G, J.q * J.m, 1)
+    _, v, vel, _ = _fiber_data(J, _theta_grid(G))
+    coords = (np.swapaxes(v.conj(), -1, -2) @ hat)[..., 0]
+    y = (v @ (vel * coords)[..., None])[..., 0]
+    coeff = np.roll(np.fft.ifft(y, axis=0), G // 2, axis=0)
+    return WavePacket(-(G // 2) * J.q, coeff.reshape(G * J.q, J.m))
+
+
+def thouless_rhs(z, w, G):
+    """The density-of-states route of thouless_check at one point z, from the
+    eigenvalues of every fiber of the grid of G."""
+    J = build_operator(scalar_spec(w))
+    lam = np.linalg.eigvalsh(fiber_matrices(J, _theta_grid(G))[0])
+    return float(np.sum(np.log(np.abs(z - lam))) / (G * len(w)))

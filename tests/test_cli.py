@@ -77,6 +77,21 @@ def test_bands_csv_output(tmp_path, capsys):
     assert len(lines) == 3 + 16
 
 
+def test_bands_csv_formats_each_theta_as_a_float_column(tmp_path, capsys):
+    # theta is formatted once per grid point; the rows are those of the
+    # repeated float column, byte for byte
+    from blochdyn import band_structure, build_operator, scalar_spec
+
+    code, _, _ = run(tmp_path, capsys, "bands", {"operator": GAPPED5, "grid_size": 64})
+    assert code == 0
+    bs = band_structure(build_operator(scalar_spec(GAPPED5_POTENTIAL)), 64)
+    columns = {"theta": np.repeat(bs.thetas, 5), "band_index": np.tile(np.arange(5), 64),
+               "lambda": bs.bands.ravel(), "velocity": bs.velocities.ravel(),
+               "degenerate_flag": np.repeat(bs.degenerate, 5)}
+    rows = [",".join(row) for row in zip(*map(cli._cells, columns.values()))]
+    assert (tmp_path / "bands.csv").read_text().splitlines()[3:] == rows
+
+
 def test_streamed_csv_bytes_equal_the_joined_file(tmp_path):
     # 24576 rows, the size of bands.csv for 12 bands at grid 2048, written
     # row by row; the bytes are those of the whole file joined in memory
@@ -883,7 +898,9 @@ def test_thouless_eigensolves_once_per_command(tmp_path, capsys, monkeypatch):
     cfg = {"potential": GAPPED5_POTENTIAL, "points": points, "grid_size": 2048}
     code, _, _ = run(tmp_path, capsys, "thouless", cfg)
     assert code == 0
-    assert shapes == [(2048, 5, 5), (1024, 5, 5)]
+    # the real potential's fibers 0 .. 1024 of 2048; the half grid of 1024
+    # is the even ones
+    assert shapes == [(1025, 5, 5)]
     rows = (tmp_path / "thouless.csv").read_text().splitlines()[3:]
     assert len(rows) == len(points)
     # each row is what a call at that point alone gives

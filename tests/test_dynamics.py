@@ -452,6 +452,15 @@ def test_ballistic_limit_zero_packet():
     assert np.all(errs == 0.0)
 
 
+@pytest.mark.parametrize("times", [[], [np.nan, 5.0], [np.inf], [0.0, 5.0], [-1.0, 5.0]])
+def test_ballistic_limit_refuses_bad_times_before_apply_q(monkeypatch, times):
+    calls = []
+    monkeypatch.setattr(dynamics, "apply_q", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(SpecError, match="finite positive times"):
+        check_ballistic_limit(period2(1.0), WavePacket.delta_scalar(0, 1), times)
+    assert calls == []
+
+
 def test_ballistic_limit_period2_decreasing():
     errs = check_ballistic_limit(period2(1.0), WavePacket.delta_scalar(0, 1),
                                  [50.0, 200.0], grid_size=512)

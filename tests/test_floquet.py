@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import blochdyn.dynamics as dynamics
 import blochdyn.floquet as floquet_module
 import blochdyn.limitperiodic as limitperiodic
 import reference
@@ -241,7 +242,8 @@ def test_velocity_maximum_is_one_grid_scan_and_one_stack_per_round(monkeypatch):
     monkeypatch.setattr(floquet_module, "fiber_matrices", counting)
     velocity_maximum(xy_operator(1.0, 0.5, 1.0), grid_size=64)
     assert len(calls) <= floquet_module.ZOOM_ROUNDS + 1
-    assert calls[0] == (64,)
+    # the real operator's grid scan eigensolves fibers 0 .. 32 of 64
+    assert calls[0] == (33,)
 
 
 @pytest.mark.parametrize("G", [16, 17, 64, 512, 2048])
@@ -594,7 +596,8 @@ def scan_results(J, w, G):
 ])
 def test_scan_slices_are_invisible(monkeypatch, w, G):
     # one fiber per slice and one slice per scan give the same arrays, bit
-    # for bit, as the default slicing
+    # for bit, as the default slicing; a scan of these real operators
+    # eigensolves G // 2 + 1 fibers
     J = bench_xy_operator() if w is None else build_operator(scalar_spec(w))
     default = scan_results(J, w, G)
     stacks = []
@@ -606,7 +609,7 @@ def test_scan_slices_are_invisible(monkeypatch, w, G):
 
     monkeypatch.setattr(floquet_module, "fiber_matrices", recording)
     monkeypatch.setattr(limitperiodic, "fiber_matrices", recording)
-    for entries, most in ((1, 1), (MAX_DENSE_DIM**2, max(G, floquet_module.ZOOM_POINTS))):
+    for entries, most in ((1, 1), (MAX_DENSE_DIM**2, max(G // 2 + 1, floquet_module.ZOOM_POINTS))):
         monkeypatch.setattr(floquet_module, "SCAN_ENTRIES", entries)
         stacks.clear()
         sliced = scan_results(J, w, G)
@@ -647,3 +650,122 @@ def test_oversized_scans_are_refused_before_allocating(scan):
             scan(J)
 
     assert traced_peak(refused) < 4e6
+
+
+# --- mirrored fibers ---------------------------------------------------------------
+
+
+@st.composite
+def real_block_operators(draw):
+    m = draw(st.sampled_from([1, 2]))
+    q = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((q, m, m)) + 3 * np.eye(m)
+    braw = rng.standard_normal((q, m, m))
+    b = 0.5 * (braw + np.transpose(braw, (0, 2, 1)))
+    return build_operator(BlockSpec(m=m, q=q, a=a, b=b))
+
+
+def complex_operator():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2)) + 3 * np.eye(2)
+    braw = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    b = 0.5 * (braw + np.conj(np.transpose(braw, (0, 2, 1))))
+    return build_operator(BlockSpec(m=2, q=3, a=a, b=b))
+
+
+def random_packet(rng, m):
+    coeffs = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+    return WavePacket(int(rng.integers(-4, 4)), coeffs / np.linalg.norm(coeffs))
+
+
+def light_cone_states(J, psi, t, bloch):
+    with mock.patch.object(dynamics, "_use_bloch", lambda *args: bloch):
+        _, _, states = dynamics._light_cone(J, [psi], [t])
+        return [state for _, state in states]
+
+
+@settings(max_examples=30, deadline=None)
+@given(J=real_block_operators(), G=st.integers(16, 65), t=st.floats(-30.0, 30.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_mirrored_scans_match_the_full_grid(J, G, t, seed):
+    # a real operator's scans eigensolve fibers 0 .. G // 2 and read fiber
+    # G - g as the mirror of fiber g; they agree with the scans of every
+    # fiber up to roundoff
+    assert J.is_real
+    rng = np.random.default_rng(seed)
+    bs = band_structure(J, G)
+    bands, velocities, degenerate, closing = reference.band_structure(J, G)
+    assert np.max(np.abs(bs.bands - bands)) <= 1e-12
+    assert np.max(np.abs(bs.velocities - velocities)) <= 1e-9
+    assert np.array_equal(bs.degenerate, degenerate)
+    assert np.array_equal(bs.closing_permutation, closing)
+    assert q_norm(J, grid_size=G) == pytest.approx(reference.q_norm(J, G), rel=1e-13, abs=0.0)
+    psi = random_packet(rng, J.m)
+    for packet, n in zip(floquet_module._apply_q_raw(J, psi, G), (G, G // 2)):
+        ref = reference.velocity_quadrature(J, psi, n)
+        assert packet.base == ref.base
+        assert np.max(np.abs(packet.coeffs - ref.coeffs)) <= 1e-13
+    w = rng.standard_normal(J.q)
+    z = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.5, 2.0))
+    with mock.patch.object(limitperiodic, "THOULESS_QUAD_TOL", np.inf):
+        rhs = limitperiodic.thouless_check(z, w, grid_size=G).rhs
+    assert abs(rhs - reference.thouless_rhs(z, w, G)) <= 1e-13
+    # the Bloch route mirrors the fibers of its own grid, a power of two
+    (bloch,), (chebyshev,) = (light_cone_states(J, psi, t, route) for route in (True, False))
+    assert np.max(np.abs(bloch - chebyshev)) <= 1e-12
+
+
+@pytest.mark.parametrize("G", [16, 17, 64, 65])
+def test_complex_scans_are_the_full_grid_bit_for_bit(G):
+    # a complex operator has no mirror: its scans eigensolve every fiber
+    J = complex_operator()
+    assert not J.is_real
+    bs = band_structure(J, G)
+    got = (bs.bands, bs.velocities, bs.degenerate, bs.closing_permutation)
+    for field, want in zip(got, reference.band_structure(J, G)):
+        assert np.array_equal(field, want)
+    assert q_norm(J, grid_size=G) == reference.q_norm(J, G)
+    psi = random_packet(np.random.default_rng(G), J.m)
+    for packet, n in zip(floquet_module._apply_q_raw(J, psi, G), (G, G // 2)):
+        assert np.array_equal(packet.coeffs, reference.velocity_quadrature(J, psi, n).coeffs)
+
+
+@pytest.mark.parametrize("G", [16, 17, 64, 65])
+@pytest.mark.parametrize("real", [True, False])
+def test_scans_eigensolve_each_distinct_fiber_once(monkeypatch, G, real):
+    # the fibers every scan assembles: G // 2 + 1 of a real operator's grid
+    # of G, all G of a complex one's; apply_q's half grid of an even grid is
+    # read from the same scan, an odd grid's half grid is scanned on its own
+    J = period2(1.0) if real else complex_operator()
+    sizes = []
+    assemble = floquet_module.fiber_matrices
+
+    def recording(J, theta):
+        sizes.append(np.size(theta))
+        return assemble(J, theta)
+
+    for module in (floquet_module, limitperiodic, dynamics):
+        monkeypatch.setattr(module, "fiber_matrices", recording)
+
+    def distinct(n):
+        return n // 2 + 1 if real else n
+
+    def assembled(scan, *args, **kwargs):
+        sizes.clear()
+        scan(*args, **kwargs)
+        return list(sizes)
+
+    assert assembled(band_structure, J, G) == [distinct(G)]
+    assert assembled(velocity_maximum, J, grid_size=G)[0] == distinct(G)
+    psi = WavePacket.delta_scalar(0, J.m)
+    half = [] if G % 2 == 0 else [distinct(G // 2)]
+    assert assembled(apply_q, J, psi, grid_size=G, tol=np.inf) == [distinct(G)] + half
+    if real:
+        with mock.patch.object(limitperiodic, "THOULESS_QUAD_TOL", np.inf):
+            assert assembled(limitperiodic.thouless_check, 0.5j, [1.0, -1.0],
+                             grid_size=G) == [distinct(G)] + half
+    # a light cone on the Bloch route scans the fibers of its own grid
+    half_width = dynamics._light_cone_half(J, 0, [float(G)], 1)
+    bloch_grid = dynamics._bloch_grid(J, half_width)
+    assert assembled(light_cone_states, J, psi, float(G), True) == [distinct(bloch_grid)]
